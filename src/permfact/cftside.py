@@ -187,9 +187,11 @@ def generators_reach_all(d: int) -> bool:
 
 
 def factorisation_ok(d: int) -> bool:
-    """NS fusion factorises as (su(2)-type part) x Z_d in the coordinates
-    (l, j) with r = l(d... the invertible part j provided by powers of [0,2]."""
-    half = (d - 1) // 2  # inverse of 2 mod d via j = (r - l*d_inverse...)
+    """NS fusion factorises as (su(2)-type part) x Z_d.
+
+    A label [l, r] has coordinates (l, j) with r = l*d + 2j and j in Z_d (the
+    power of the invertible [0, 2]); the product of (l_a, j_a) and (l_b, j_b)
+    must be the sum of (m, j_a + j_b) over m in su2_fuse(d, l_a, l_b)."""
     for a in ns_simples(d):
         ja = ((a.r - a.l * d) // 2) % d if (a.r - a.l * d) % 2 == 0 else None
         if ja is None:

@@ -20,7 +20,7 @@ import sys
 from math import gcd
 
 from . import cftside, correspondence, graded, invariants, mfcore, temperleylieb
-from .cyclofield import CycNum, kappa, q_root, quantum_int, to_float
+from .cyclofield import CycNum, kappa, q_root, quantum_int
 from .graded import GradedLabel
 from .polyring import MPoly
 
@@ -105,7 +105,7 @@ def _core_checks(d, l, degree_bound=None):
         if d == 3 and l == 1:
             extra = "; kappa(3) = 1" if kappa(3) == CycNum.one(3) else "; kappa(3) != 1"
             ok = ok and kappa(3) == CycNum.one(3)
-        return ok, f"u.n = kappa exactly (2cos(pi*{l}/{d}) ~ {to_float(kappa(d, l)).real:+.6f}){extra}"
+        return ok, f"u.n = kappa exactly (2cos(pi*{l}/{d}) ~ {kappa(d, l).to_complex().real:+.6f}){extra}"
 
     checks.append(Check("kappa_identity", "core", "u.n = kappa.1_I, kappa = 2cos(pi/d)", kap))
 
@@ -220,7 +220,7 @@ def _tl_checks(d, l):
             for i in range(1, n):
                 if temperleylieb.tl_e(d, n, i, l).compose(p).combo:
                     return False, f"e_{i} p_{n} != 0"
-            if temperleylieb.tl_trace(p) != quantum_int(n + 1, q):
+            if p.trace() != quantum_int(n + 1, q):
                 return False, f"trace p_{n} != [{n + 1}]"
         return True, f"p_1..p_{d - 1}: idempotent, cap-killed, trace [n+1]"
 
@@ -291,38 +291,17 @@ def _tl_checks(d, l):
 
 
 def _tl_end_dimension(d, l):
-    """dim of (1 (x) p_{d-2}) TL_{d-1} (1 (x) p_{d-2}) by incremental rank."""
+    """dim of (1 (x) p_{d-2}) TL_{d-1} (1 (x) p_{d-2}): the rank of its spanning set."""
     n = d - 1
     p = temperleylieb.jw(d - 2, d, l)
     proj = temperleylieb.tl_identity(d, 1, l).tensor(p)
     basis_index = {}
-    pivots = []
 
-    def vectorize(m):
-        vec = {}
-        for dg, c in m.combo.items():
-            basis_index.setdefault(dg, len(basis_index))
-            vec[basis_index[dg]] = c
-        return vec
-
-    def reduce(vec):
-        for pos, pivvec in pivots:
-            if pos in vec and not vec[pos].is_zero():
-                factor = vec[pos]
-                for k, v in pivvec.items():
-                    vec[k] = vec.get(k, CycNum.zero(d)) - factor * v
-        return {k: v for k, v in vec.items() if not v.is_zero()}
-
-    rank = 0
-    for dg in temperleylieb.enumerate_diagrams(n, n):
+    def vectorize(dg):
         m = proj.compose(temperleylieb.TLMorphism.from_diagram(d, dg, l)).compose(proj)
-        vec = reduce(vectorize(m))
-        if vec:
-            pos = min(vec)
-            inv = vec[pos].inverse()
-            pivots.append((pos, {k: v * inv for k, v in vec.items()}))
-            rank += 1
-    return rank
+        return {basis_index.setdefault(b, len(basis_index)): c for b, c in m.combo.items()}
+
+    return len(invariants.row_reduce(vectorize(dg) for dg in temperleylieb.enumerate_diagrams(n, n)))
 
 
 # -- cft suite --------------------------------------------------------------------

@@ -30,12 +30,9 @@ __all__ = [
     "EvenModulus",
     "NotCoprime",
     "field_arith",
-    "zeta_power",
     "eta_power",
     "quantum_int",
     "kappa",
-    "galois_twist",
-    "to_float",
 ]
 
 
@@ -385,10 +382,6 @@ def field_arith(a: CycNum, b: CycNum, op: str) -> CycNum:
     raise ValueError(f"unknown op {op!r}")
 
 
-def zeta_power(d: int, k: int) -> CycNum:
-    return CycNum.zeta(d, k)
-
-
 def eta_power(d: int, k: int, l: int = 1) -> CycNum:
     """eta^k with eta = zeta^2; pass l to use the Galois sibling eta^l instead."""
     return CycNum.zeta(d, 2 * ((k * l) % d))
@@ -417,11 +410,3 @@ def kappa(d: int, l: int = 1) -> CycNum:
     if d % 2 == 0 or d < 3:
         raise EvenModulus("kappa needs odd d >= 3")
     return -(eta_power(d, (d - 1) // 2, l) + eta_power(d, (d + 1) // 2, l))
-
-
-def galois_twist(a: CycNum, l: int) -> CycNum:
-    return a.galois(l)
-
-
-def to_float(a: CycNum) -> complex:
-    return a.to_complex()

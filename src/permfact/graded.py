@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .cyclofield import CycNum, eta_power
 from .fusionring import FusionRing
-from .invariants import HomologyData, is_homotopy_iso
+from .invariants import HomologyData, is_homotopy_iso, row_reduce
 from .linop import as_linop, entry_is_poly
 from .mfcore import (
     MatrixBifact,
@@ -201,35 +201,13 @@ def graded_hom_dim(d: int, R, S, l: int = 1) -> int:
         return 0
     d1R = perm_product(d, R, "x", "y", l)
     d1S = perm_product(d, S, "x", "y", l)
-    # p*d1R - q*d1S = 0: 2-unknown homogeneous system over the field
+    # p*d1R - q*d1S = 0: one row per monomial in the unknowns p (column 0), q (column 1)
     rows = {}
     for e, c in d1R.terms.items():
-        rows.setdefault((d1R.vars, e), [CycNum.zero(d), CycNum.zero(d)])[0] = c
+        rows.setdefault((d1R.vars, e), {})[0] = c
     for e, c in d1S.terms.items():
-        key = (d1S.vars, e)
-        rows.setdefault(key, [CycNum.zero(d), CycNum.zero(d)])[1] = -c
-    mat = list(rows.values())
-    # rank of a #rows x 2 matrix
-    rank = 0
-    cols = [0, 1]
-    used_rows = set()
-    for c in cols:
-        piv = None
-        for idx, row in enumerate(mat):
-            if idx not in used_rows and not row[c].is_zero():
-                piv = idx
-                break
-        if piv is None:
-            continue
-        used_rows.add(piv)
-        inv = mat[piv][c].inverse()
-        pivrow = [x * inv for x in mat[piv]]
-        for idx, row in enumerate(mat):
-            if idx != piv and not row[c].is_zero():
-                factor = row[c]
-                mat[idx] = [a - factor * b for a, b in zip(row, pivrow)]
-        rank += 1
-    return 2 - rank
+        rows.setdefault((d1S.vars, e), {})[1] = -c
+    return 2 - len(row_reduce(rows.values()))
 
 
 # -- the explicit tensor decomposition ------------------------------------------

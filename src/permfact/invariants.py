@@ -20,8 +20,8 @@ __all__ = [
     "UPoly",
     "smith_normal_form",
     "HomologyData",
-    "quotient_homology",
     "induced_h",
+    "row_reduce",
     "is_homotopy_iso",
     "homotopy_solve",
 ]
@@ -388,10 +388,6 @@ class HomologyData:
         return f"HomologyData(dims=({self.dim_h0},{self.dim_h1}))"
 
 
-def quotient_homology(M: MatrixBifact) -> HomologyData:
-    return HomologyData(M)
-
-
 def _apply_reduced_entry(entry, vec_poly, d, kill):
     if entry_is_poly(entry):
         return (entry * vec_poly).subs(kill)
@@ -428,30 +424,44 @@ def induced_h(f: MFMorphism, src_h: HomologyData | None = None, tgt_h: HomologyD
     return out
 
 
-def _rank(cols, d) -> int:
-    if not cols:
-        return 0
-    rows = len(cols[0])
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(rows)]
-    rank = 0
-    col = 0
-    for col in range(len(cols)):
-        piv = None
-        for r in range(rank, rows):
-            if not mat[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
+def _subtract(vec, factor, row):
+    """vec -= factor * row in place, dropping entries that cancel."""
+    for c, v in row.items():
+        if c in vec:
+            nv = vec[c] - factor * v
+            if nv.is_zero():
+                del vec[c]
+            else:
+                vec[c] = nv
+        else:
+            vec[c] = -(factor * v)
+
+
+def row_reduce(rows) -> dict[int, dict[int, CycNum]]:
+    """Reduced row echelon form of sparse rows over the field.
+
+    Each row is a dict column -> CycNum; zero entries are skipped.  Returns
+    {pivot column: row}, each row scaled to 1 at its pivot (its smallest
+    nonzero column) and zero at every other pivot column.  The RREF is
+    unique, so the result does not depend on the order of the rows, and its
+    length is the rank.
+    """
+    pivots: dict[int, dict[int, CycNum]] = {}
+    for row in rows:
+        vec = {c: v for c, v in row.items() if not v.is_zero()}
+        # pivot rows vanish on each other's pivots: one pass clears them all
+        for p in [c for c in vec if c in pivots]:
+            _subtract(vec, vec[p], pivots[p])
+        if not vec:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col].inverse()
-        mat[rank] = [c * inv for c in mat[rank]]
-        for r in range(rows):
-            if r != rank and not mat[r][col].is_zero():
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+        p = min(vec)
+        inv = vec[p].inverse()
+        new = {c: v * inv for c, v in vec.items()}
+        for other in pivots.values():
+            if p in other:
+                _subtract(other, other[p], new)
+        pivots[p] = new
+    return pivots
 
 
 def is_homotopy_iso(f: MFMorphism) -> bool:
@@ -461,7 +471,9 @@ def is_homotopy_iso(f: MFMorphism) -> bool:
     m0, m1 = induced_h(f, src_h, tgt_h)
     if src_h.dim_h0 != tgt_h.dim_h0 or src_h.dim_h1 != tgt_h.dim_h1:
         return False
-    return _rank(m0, f.d) == src_h.dim_h0 and _rank(m1, f.d) == src_h.dim_h1
+    # rank H(f) = rank H(f)^T: each K-coordinate column enters as one row
+    rank = lambda cols: len(row_reduce(dict(enumerate(col)) for col in cols))
+    return rank(m0) == src_h.dim_h0 and rank(m1) == src_h.dim_h1
 
 
 # -- homotopy solving -----------------------------------------------------------
@@ -605,58 +617,20 @@ def homotopy_solve(
                     key = tuple(sorted(zip(e.vars, ex)))
                     rhs[(par, i, j, key)] = c
 
-    keys = sorted(set(system) | set(rhs), key=repr)
-    rows = []
-    for key in keys:
-        coeffs = system.get(key, {})
-        rows.append((coeffs, rhs.get(key, CycNum.zero(d))))
-
-    solution = _solve_linear(rows, nunk, d)
-    if solution is None:
+    # the right-hand side is column nunk: a pivot there means 0 = c != 0
+    for key, c in rhs.items():
+        system.setdefault(key, {})[nunk] = c
+    rref = row_reduce(system.values())
+    if nunk in rref:
         return None
+    # free unknowns are 0; each pivot unknown reads off its row's rhs entry
     h0 = [[MPoly.zero(d) for _ in range(f.src.rank0)] for _ in range(f.tgt.rank1)]
     h1 = [[MPoly.zero(d) for _ in range(f.src.rank1)] for _ in range(f.tgt.rank0)]
-    for idx, (par, i, j, mono) in enumerate(unknowns):
-        c = solution[idx]
-        if c.is_zero():
+    for idx in sorted(rref):
+        c = rref[idx].get(nunk)
+        if c is None:
             continue
+        par, i, j, mono = unknowns[idx]
         target = h0 if par == 0 else h1
         target[i][j] = target[i][j] + _mono_poly(mono, d) * c
     return MFMorphism(f.src, f.tgt, 1, h0, h1)
-
-
-def _solve_linear(rows, nunk, d):
-    """Solve a sparse linear system over the field; None if inconsistent."""
-    dense = [[CycNum.zero(d)] * nunk + [rhs] for coeffs, rhs in rows for _ in [0]]
-    for r, (coeffs, _rhs) in enumerate(rows):
-        for idx, c in coeffs.items():
-            dense[r][idx] = c
-    nrows = len(dense)
-    pivot_cols = []
-    r = 0
-    for c in range(nunk):
-        piv = None
-        for rr in range(r, nrows):
-            if not dense[rr][c].is_zero():
-                piv = rr
-                break
-        if piv is None:
-            continue
-        dense[r], dense[piv] = dense[piv], dense[r]
-        inv = dense[r][c].inverse()
-        dense[r] = [x * inv for x in dense[r]]
-        for rr in range(nrows):
-            if rr != r and not dense[rr][c].is_zero():
-                factor = dense[rr][c]
-                dense[rr] = [a - factor * b for a, b in zip(dense[rr], dense[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for rr in range(r, nrows):
-        if not dense[rr][nunk].is_zero():
-            return None
-    solution = [CycNum.zero(d)] * nunk
-    for row_idx, c in enumerate(pivot_cols):
-        solution[c] = dense[row_idx][nunk]
-    return solution

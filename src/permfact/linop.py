@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclofield import CycNum
-from .polyring import MPoly, exact_div
+from .polyring import MPoly, NotDivisible, exact_div
 
 __all__ = ["Subst", "ResidueCore", "Term", "LinOp", "LinOpCompositionError", "as_linop", "entry_is_poly"]
 
@@ -218,7 +218,7 @@ class Term:
             return Term(self.num * c.inverse(), self.phi, self.core, None)
         try:
             num = exact_div(self.num, self.den)
-        except Exception:
+        except NotDivisible:
             return self
         return Term(num, self.phi, self.core, None)
 

@@ -36,9 +36,6 @@ __all__ = [
     "tl_e",
     "cap_diagram",
     "cup_diagram",
-    "tl_compose",
-    "tl_tensor",
-    "tl_trace",
     "tl_dim",
     "enumerate_diagrams",
     "jw",
@@ -296,18 +293,6 @@ def tl_identity(d: int, n: int, l: int = 1) -> TLMorphism:
 
 def tl_e(d: int, n: int, i: int, l: int = 1) -> TLMorphism:
     return TLMorphism.from_diagram(d, e_diagram(n, i), l)
-
-
-def tl_compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
-    return f.compose(g)
-
-
-def tl_tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
-    return f.tensor(g)
-
-
-def tl_trace(f: TLMorphism) -> CycNum:
-    return f.trace()
 
 
 def enumerate_diagrams(nb: int, nt: int):

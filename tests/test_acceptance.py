@@ -8,7 +8,7 @@ import pytest
 from permfact import cftside, correspondence, graded, invariants, mfcore, temperleylieb
 from permfact.cli import _tl_end_dimension, build_checks
 from permfact.correspondence import label_map, verify_equivalence
-from permfact.cyclofield import CycNum, galois_twist, kappa, q_root, quantum_int
+from permfact.cyclofield import CycNum, kappa, q_root, quantum_int
 from permfact.graded import GradedLabel
 from permfact.polyring import MPoly
 
@@ -118,7 +118,7 @@ def test_criterion_06_temperley_lieb_suite():
         for n in range(1, d):
             p = temperleylieb.jw(n, d)
             ok = ok and p.compose(p).equals(p)
-            ok = ok and temperleylieb.tl_trace(p) == quantum_int(n + 1, q)
+            ok = ok and p.trace() == quantum_int(n + 1, q)
     # direct null-homotopy route at d = 3
     d = 3
     Fp2 = temperleylieb.evaluate_F(temperleylieb.jw(2, d), d)
@@ -184,7 +184,7 @@ def test_criterion_08_equivariance_suite():
 def test_criterion_09_galois_variant():
     """Root exponent 2 at d = 5: twisted loop parameter, same multiplicities."""
     d, l = 5, 2
-    ok = kappa(d, l) == galois_twist(kappa(d), 3)
+    ok = kappa(d, l) == kappa(d).galois(3)
     u, n, _, _ = mfcore.duality_un(d, l)
     un = mfcore.morphism_poly_form(u.compose(n))
     k = MPoly.constant(d, kappa(d, l))

@@ -17,7 +17,6 @@ from permfact.graded import (
     mf_fusion_ring,
     morphism_c_degree,
 )
-from permfact.invariants import quotient_homology
 from permfact.mfcore import perm_mf
 from permfact.polyring import MPoly
 

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permfact.cyclofield import CycNum
+from permfact.graded import g_pair, graded_homotopy_degrees, graded_tensor, hat_p
 from permfact.invariants import (
     HomologyData,
     TooManyInternalVariables,
@@ -9,13 +12,14 @@ from permfact.invariants import (
     homotopy_solve,
     induced_h,
     is_homotopy_iso,
-    quotient_homology,
+    row_reduce,
     smith_normal_form,
 )
 from permfact.mfcore import (
     MFMorphism,
     direct_sum_mf,
     identity_morphism,
+    morphism_poly_form,
     perm_dual_iso,
     perm_mf,
     s_iso,
@@ -24,6 +28,7 @@ from permfact.mfcore import (
     unit_sections,
 )
 from permfact.polyring import MPoly
+from permfact.temperleylieb import evaluate_F, jw
 
 D = 3
 
@@ -69,12 +74,12 @@ class TestHomology:
     @pytest.mark.parametrize("d", [3, 5])
     def test_perm_objects(self, d):
         for S in ({0}, {1, 2}, {0, 1}):
-            H = quotient_homology(perm_mf(d, S))
+            H = HomologyData(perm_mf(d, S))
             assert (H.dim_h0, H.dim_h1) == (1, 1)
 
     def test_zero_objects(self):
-        assert quotient_homology(perm_mf(5, set())).dim_h0 == 0
-        H = quotient_homology(perm_mf(5, range(5)))
+        assert HomologyData(perm_mf(5, set())).dim_h0 == 0
+        H = HomologyData(perm_mf(5, range(5)))
         assert (H.dim_h0, H.dim_h1) == (0, 0)
 
     def test_pair_tensor_dims(self):
@@ -82,21 +87,21 @@ class TestHomology:
         for mu, expect in ((1, (2, 2)), (2, (2, 2)), (3, (1, 1))):
             A = perm_mf(d, {0, 1}, "x", "y1")
             B = perm_mf(d, {j % d for j in range(mu + 1)}, "y1", "z")
-            H = quotient_homology(tensor_mf(A, B))
+            H = HomologyData(tensor_mf(A, B))
             assert (H.dim_h0, H.dim_h1) == expect
 
     def test_two_periodicity_symmetry(self):
         for d in (3, 5):
             for S in ({0}, {0, 1}, {1, 2}):
-                H = quotient_homology(perm_mf(d, S))
+                H = HomologyData(perm_mf(d, S))
                 assert H.dim_h0 == H.dim_h1
 
     def test_direct_sum_additivity(self):
         d = 5
         A = perm_mf(d, {0, 1})
         B = perm_mf(d, {2})
-        HA, HB = quotient_homology(A), quotient_homology(B)
-        HS = quotient_homology(direct_sum_mf(A, B))
+        HA, HB = HomologyData(A), HomologyData(B)
+        HS = HomologyData(direct_sum_mf(A, B))
         assert HS.dim_h0 == HA.dim_h0 + HB.dim_h0
         assert HS.dim_h1 == HA.dim_h1 + HB.dim_h1
 
@@ -105,7 +110,7 @@ class TestHomology:
         T = lambda a, b: perm_mf(d, {1, 2}, a, b)
         triple = tensor_mf(tensor_mf(T("x", "y1"), T("y1", "y2")), T("y2", "z"))
         with pytest.raises(TooManyInternalVariables):
-            quotient_homology(triple)
+            HomologyData(triple)
 
 
 class TestInducedMaps:
@@ -163,3 +168,110 @@ class TestHomotopySolve:
         M = perm_mf(3, {1, 2})
         idm = identity_morphism(M)
         assert default_degree_bound(idm, idm) >= 3
+
+
+# -- the sparse elimination routine -----------------------------------------------
+
+
+def entries(d):
+    """Small field elements, zero half the time so that ranks drop."""
+    deg = len(CycNum.zero(d).coeffs)
+    nonzero = st.lists(st.integers(-2, 2), min_size=deg, max_size=deg).map(lambda cs: CycNum(d, cs))
+    return st.one_of(st.just(CycNum.zero(d)), nonzero)
+
+
+def matrices(d):
+    """Matrices with 1 to 4 rows and 1 to 4 columns."""
+    return st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(entries(d), min_size=n, max_size=n), min_size=1, max_size=4)
+    )
+
+
+fields = st.sampled_from([3, 5])
+
+
+def rank(A):
+    return len(row_reduce(dict(enumerate(row)) for row in A))
+
+
+def dot(row, x, d):
+    acc = CycNum.zero(d)
+    for a, b in zip(row, x):
+        acc = acc + a * b
+    return acc
+
+
+class TestRowReduce:
+    @given(data=st.data(), d=fields)
+    @settings(max_examples=30, deadline=None)
+    def test_reduced_echelon_form(self, data, d):
+        A = data.draw(matrices(d))
+        rref = row_reduce(dict(enumerate(row)) for row in A)
+        for p, row in rref.items():
+            assert min(row) == p and row[p] == 1
+            assert all(not v.is_zero() for v in row.values())
+            assert not any(q in row for q in rref if q != p)
+        assert row_reduce(dict(enumerate(row)) for row in reversed(A)) == rref
+
+    @given(data=st.data(), d=fields)
+    @settings(max_examples=30, deadline=None)
+    def test_rank_of_transpose(self, data, d):
+        A = data.draw(matrices(d))
+        At = [list(col) for col in zip(*A)]
+        assert rank(A) == rank(At)
+
+    @given(data=st.data(), d=fields)
+    @settings(max_examples=30, deadline=None)
+    def test_dependent_row_keeps_rank(self, data, d):
+        A = data.draw(matrices(d))
+        c = data.draw(st.lists(entries(d), min_size=len(A), max_size=len(A)))
+        combo = [dot(col, c, d) for col in zip(*A)]
+        assert rank(A + [combo]) == rank(A)
+
+    @given(data=st.data(), d=fields)
+    @settings(max_examples=30, deadline=None)
+    def test_solve_reads_off_a_solution(self, data, d):
+        A = data.draw(matrices(d))
+        n = len(A[0])
+        x0 = data.draw(st.lists(entries(d), min_size=n, max_size=n))
+        b = [dot(row, x0, d) for row in A]
+        rref = row_reduce(dict(enumerate(row + [rhs])) for row, rhs in zip(A, b))
+        assert n not in rref
+        x = [CycNum.zero(d)] * n
+        for c, row in rref.items():
+            x[c] = row.get(n, CycNum.zero(d))
+        assert [dot(row, x, d) for row in A] == b
+
+    @given(data=st.data(), d=fields)
+    @settings(max_examples=30, deadline=None)
+    def test_inconsistent_row_pivots_on_rhs(self, data, d):
+        A = data.draw(matrices(d))
+        n = len(A[0])
+        rows = [dict(enumerate(row + [CycNum.zero(d)])) for row in A] + [{n: CycNum.one(d)}]
+        assert n in row_reduce(rows)
+
+    def test_inconsistent_system_solves_to_none(self):
+        # 0 = 1 with no unknowns: the right-hand side is the pivot
+        idm = identity_morphism(perm_mf(3, {1, 2}))
+        assert homotopy_solve(idm, idm.scaled(0), entry_degrees=([[None]], [[None]])) is None
+
+    def test_pinned_jw_null_homotopy(self):
+        # the d = 3 jw_vanishing_direct system; h recorded with the dense solver
+        d = 3
+        gp = g_pair(d, 1, 1, 1)[1]
+        c_plus = morphism_poly_form(evaluate_F(jw(2, d), d).compose(gp.renamed({"y": "y1"})))
+        ABG = graded_tensor(hat_p(d, {1, 2}, "x", "y1"), hat_p(d, {1, 2}, "y1", "z"))
+        tables = graded_homotopy_degrees(hat_p(d, {0, 1, 2}), ABG)
+        h = homotopy_solve(c_plus, c_plus.scaled(0), entry_degrees=tables)
+        zero, one = MPoly.zero(d), MPoly.one(d)
+        assert h.f0 == [[zero], [zero]]
+        assert h.f1 == [[one], [zero]]
+
+    def test_pinned_free_unknowns_are_zero(self):
+        # delta(x, z) at degree bound 3 also admits odd cycles; the solver returns (x, z)
+        d = 3
+        M = perm_mf(d, {1, 2}, "x", "z")
+        bdry = MFMorphism(M, M, 1, [[MPoly.var(d, "x")]], [[MPoly.var(d, "z")]]).delta()
+        h = homotopy_solve(bdry, identity_morphism(M).scaled(0), degree_bound=3)
+        assert h.f0 == [[MPoly.var(d, "x")]]
+        assert h.f1 == [[MPoly.var(d, "z")]]

@@ -86,3 +86,8 @@ def test_degree_shift():
     sub = LinOp.substitution(D, {"y": (1, "x")})
     assert sub.degree_shift() == 0
     assert LinOp.poly(X**2).degree_shift() == 2
+
+
+def test_indivisible_denominator_is_kept():
+    t = Term(X, Subst.identity(D), None, Y + ONE)
+    assert t._cancelled() is t
