@@ -8,16 +8,27 @@ Every scalar in the package lives here: with zeta = e^{i*pi/d} the primitive
 
 and kappa(d) = -(eta^{(d-1)/2} + eta^{(d+1)/2}) = q + q^{-1} = 2*cos(pi/d).
 
-Elements are residues modulo the 2d-th cyclotomic polynomial, stored as
-coefficient vectors of length phi(2d) over Q.  Reduction is applied after
-every product, so equality of elements is equality of coefficient tuples.
+Elements are residues modulo the 2d-th cyclotomic polynomial Phi_{2d}, of
+degree phi(2d), stored fraction-free as number-field libraries such as
+FLINT/Antic store them: a tuple ``num`` of phi(2d) integer numerators over one
+positive integer denominator ``den``, the element being
+sum(num[k] * zeta^k) / den.  The form is normalised, gcd(den, *num) = 1 (so
+zero is all-zero numerators over 1), hence canonical: equality of elements is
+equality of (d, num, den).  ``coeffs`` is a read-only view of the same element
+as a tuple of ``Fraction`` coefficients.
+
+Phi_{2d} is monic with integer coefficients, so a product is an integer
+convolution followed by an integer reduction of t^k mod Phi_{2d} and one gcd;
+a sum of elements over the same denominator adds numerators.  The tables of a
+modulus are built on first use of that d: Phi_{2d}, all 2d powers of zeta
+(``zeta(d, k)`` is a lookup) and a memo of inverses.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -26,6 +37,8 @@ __all__ = [
     "CycNum",
     "DivisionByZero",
     "ModulusMismatch",
+    "InvalidModulus",
+    "FieldIdentityError",
     "DegenerateRoot",
     "EvenModulus",
     "NotCoprime",
@@ -42,6 +55,14 @@ class DivisionByZero(ZeroDivisionError):
 
 class ModulusMismatch(ValueError):
     pass
+
+
+class InvalidModulus(ValueError):
+    """The modulus d of Q(zeta_{2d}) is not an int >= 1."""
+
+
+class FieldIdentityError(ArithmeticError):
+    """An exact identity the field arithmetic rests on does not hold."""
 
 
 class DegenerateRoot(ValueError):
@@ -101,8 +122,9 @@ def _poly_divmod(num, den):
     return quot, num
 
 
-def cyclotomic_poly(n: int):
-    """Coefficients of Phi_n(t), via the Mobius factorisation of t^n - 1."""
+def cyclotomic_poly(n: int) -> list[int]:
+    """Integer coefficients of Phi_n(t) (low to high), via the Mobius
+    factorisation of t^n - 1."""
     num = [Fraction(1)]
     den = [Fraction(1)]
     for k in range(1, n + 1):
@@ -117,89 +139,125 @@ def cyclotomic_poly(n: int):
         else:
             den = _poly_mul(den, factor)
     quot, rem = _poly_divmod(num, den)
-    assert rem == [Fraction(0)], "cyclotomic division must be exact"
-    return quot
+    if any(rem) or any(c.denominator != 1 for c in quot):
+        raise FieldIdentityError(f"Phi_{n}: the cyclotomic division is not exact over Z")
+    return [int(c) for c in quot]
+
+
+def _make(d: int, num, den: int) -> "CycNum":
+    """The element num/den, which the caller guarantees is normalised."""
+    x = object.__new__(CycNum)
+    x.d = d
+    x.num = tuple(num)
+    x.den = den
+    x._hash = None
+    return x
+
+
+def _normal(d: int, num, den: int) -> "CycNum":
+    """The element num/den (den > 0) in normal form: gcd(den, *num) = 1."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _make(d, num, den)
 
 
 class _FieldData:
-    """Per-modulus tables: Phi_{2d} and reductions of t^k for k < 2*phi."""
+    """Per-modulus tables of Q(zeta_{2d}), built on first use of d.
+
+    ``phi_poly``: the integer coefficients of Phi_{2d}, low to high.
+    ``zeta_powers``: zeta^k for k in range(2d), as elements.
+    ``reduction``: for k = degree .. 2*degree - 2 (every power a product of
+    two reduced elements reaches), the nonzero terms (i, c) of t^k mod Phi.
+    ``inverses``: the memo of ``CycNum.inverse``, keyed by (num, den).
+    """
 
     _cache: dict[int, "_FieldData"] = {}
 
     def __init__(self, d: int):
         self.d = d
         self.n = 2 * d
-        phi_poly = cyclotomic_poly(self.n)
-        self.degree = len(phi_poly) - 1
-        self.phi_poly = phi_poly
-        # t^k mod Phi for k up to 2*degree - 2 (largest power a product can hit)
-        rows = []
-        cur = [Fraction(0)] * self.degree
-        for k in range(2 * self.degree - 1):
-            if k < self.degree:
-                row = [Fraction(0)] * self.degree
-                row[k] = Fraction(1)
-            else:
-                prev = rows[k - 1]
-                shifted = [Fraction(0)] + list(prev)
-                top = shifted.pop()
-                row = [shifted[i] - top * phi_poly[i] for i in range(self.degree)]
-            rows.append(row)
-            cur = row
-        self.power_table = rows
+        phi = cyclotomic_poly(self.n)
+        deg = len(phi) - 1
+        self.degree = deg
+        self.phi_poly = tuple(phi)
+        # t^k mod Phi for k < 2d: multiply by t, then replace t^deg by
+        # -(phi[0] + ... + phi[deg-1] t^{deg-1}) (Phi is monic)
+        powers = []
+        row = [1] + [0] * (deg - 1)
+        for _ in range(self.n):
+            powers.append(tuple(row))
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                row = [r - top * p for r, p in zip(row, phi)]
+        self.zeta_powers = tuple(_make(d, p, 1) for p in powers)
+        self.reduction = tuple(
+            tuple((i, c) for i, c in enumerate(powers[k]) if c) for k in range(deg, 2 * deg - 1)
+        )
+        self.zero = _make(d, [0] * deg, 1)
+        self.inverses: dict[tuple, CycNum] = {}
 
     @classmethod
     def get(cls, d: int) -> "_FieldData":
-        if d not in cls._cache:
-            cls._cache[d] = _FieldData(d)
-        return cls._cache[d]
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+            raise InvalidModulus(f"the modulus d must be an int >= 1, got {d!r}")
+        data = cls._cache.get(d)
+        if data is None:
+            data = cls._cache[d] = cls(d)
+        return data
 
 
 class CycNum:
-    """An element of Q(zeta_{2d}), reduced modulo Phi_{2d}."""
+    """An element sum(num[k] * zeta^k) / den of Q(zeta_{2d}), reduced modulo
+    Phi_{2d} and normalised so that gcd(den, *num) = 1."""
 
-    __slots__ = ("d", "coeffs", "_hash")
+    __slots__ = ("d", "num", "den", "_hash")
 
     def __init__(self, d: int, coeffs):
         data = _FieldData.get(d)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != data.degree:
             raise ValueError(f"need {data.degree} coefficients, got {len(coeffs)}")
+        # over the lcm of reduced denominators, gcd(den, *num) is already 1
+        den = lcm(*(c.denominator for c in coeffs))
         self.d = d
-        self.coeffs = coeffs
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
         self._hash = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of 1, zeta, ..., zeta^{phi(2d)-1} as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(d: int, value) -> "CycNum":
         data = _FieldData.get(d)
-        coeffs = [Fraction(value)] + [Fraction(0)] * (data.degree - 1)
-        return CycNum(d, coeffs)
+        if isinstance(value, int):
+            top, den = int(value), 1
+        else:
+            value = Fraction(value)
+            top, den = value.numerator, value.denominator
+        return _make(d, (top,) + (0,) * (data.degree - 1), den)
 
     @staticmethod
     def zero(d: int) -> "CycNum":
-        return CycNum.from_rational(d, 0)
+        return _FieldData.get(d).zero
 
     @staticmethod
     def one(d: int) -> "CycNum":
-        return CycNum.from_rational(d, 1)
+        return _FieldData.get(d).zeta_powers[0]
 
     @staticmethod
     def zeta(d: int, k: int = 1) -> "CycNum":
         """zeta^k for zeta the generating 2d-th root."""
-        data = _FieldData.get(d)
-        k %= 2 * d
-        if k < data.degree:
-            coeffs = [Fraction(0)] * data.degree
-            coeffs[k] = Fraction(1)
-            return CycNum(d, coeffs)
-        # reduce t^k by repeated multiplication of the tabulated powers
-        out = CycNum.one(d)
-        base = CycNum(d, data.power_table[1]) if data.degree > 1 else CycNum.from_rational(d, -1)
-        for _ in range(k):
-            out = out * base
-        return out
+        return _FieldData.get(d).zeta_powers[k % (2 * d)]
 
     # -- helpers -----------------------------------------------------------
 
@@ -213,15 +271,15 @@ class CycNum:
         return NotImplemented
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- ring/field operations ----------------------------------------------
 
@@ -229,18 +287,24 @@ class CycNum:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycNum(self.d, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        a, b = self.den, other.den
+        if a == b:
+            return _normal(self.d, [x + y for x, y in zip(self.num, other.num)], a)
+        return _normal(self.d, [x * b + y * a for x, y in zip(self.num, other.num)], a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.d, [-a for a in self.coeffs])
+        return _make(self.d, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycNum(self.d, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        a, b = self.den, other.den
+        if a == b:
+            return _normal(self.d, [x - y for x, y in zip(self.num, other.num)], a)
+        return _normal(self.d, [x * b - y * a for x, y in zip(self.num, other.num)], a * b)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -249,36 +313,39 @@ class CycNum:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        data = _FieldData.get(self.d)
+        data = _FieldData._cache[self.d]
         deg = data.degree
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    prod[i + j] += a * b
-        out = [Fraction(0)] * deg
-        for k, c in enumerate(prod):
-            if not c:
-                continue
-            row = data.power_table[k]
-            for i in range(deg):
-                if row[i]:
-                    out[i] += c * row[i]
-        return CycNum(self.d, out)
+        terms = [(j, y) for j, y in enumerate(other.num) if y]
+        prod = [0] * (2 * deg - 1)
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in terms:
+                    prod[i + j] += x * y
+        out = prod[:deg]
+        for k, row in enumerate(data.reduction, deg):
+            c = prod[k]
+            if c:
+                for i, r in row:
+                    out[i] += c * r
+        return _normal(self.d, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        """Extended Euclid on polynomial representatives modulo Phi_{2d}."""
+        """Extended Euclid on polynomial representatives modulo Phi_{2d},
+        memoised per field."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        data = _FieldData.get(self.d)
-        # gcd(self, Phi) = 1 since Phi is irreducible over Q
-        r0, r1 = list(data.phi_poly), list(self.coeffs)
+        data = _FieldData._cache[self.d]
+        key = (self.num, self.den)
+        hit = data.inverses.get(key)
+        if hit is not None:
+            return hit
+        # (num/den)^{-1} = den * num^{-1}; gcd(num, Phi) = 1 as Phi is irreducible over Q
+        r0 = [Fraction(c) for c in data.phi_poly]
+        r1 = [Fraction(c) for c in self.num]
         s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
+        while any(r1):
             quot, rem = _poly_divmod(r0, r1)
             r0, r1 = r1, rem
             qs = _poly_mul(quot, s1)
@@ -288,11 +355,13 @@ class CycNum:
             for i, c in enumerate(qs):
                 new_s[i] -= c
             s0, s1 = s1, new_s
-        unit = r0[0]  # r0 is the gcd, a nonzero constant
-        assert len([c for c in r0 if c]) == 1 and r0[0] != 0
-        inv = [c / unit for c in s0]
+        # r0 is the gcd, which must be a nonzero constant
+        if not r0[0] or any(r0[1:]):
+            raise FieldIdentityError(f"{self!r} and Phi_{data.n} have a non-unit gcd")
+        inv = [c * self.den / r0[0] for c in s0[: data.degree]]
         inv += [Fraction(0)] * (data.degree - len(inv))
-        return CycNum(self.d, inv[: data.degree])
+        out = data.inverses[key] = CycNum(self.d, inv)
+        return out
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -320,11 +389,13 @@ class CycNum:
             other = CycNum.from_rational(self.d, other)
         if not isinstance(other, CycNum):
             return NotImplemented
-        return self.d == other.d and self.coeffs == other.coeffs
+        return self.d == other.d and self.den == other.den and self.num == other.num
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.d, self.coeffs))
+            # an integral Fraction hashes as its int, so over den = 1 the
+            # numerators give hash((d, coeffs)) without building Fractions
+            self._hash = hash((self.d, self.num if self.den == 1 else self.coeffs))
         return self._hash
 
     def __bool__(self):
@@ -354,11 +425,14 @@ class CycNum:
         """Image under the field automorphism zeta -> zeta^l, gcd(l, 2d) = 1."""
         if gcd(l, 2 * self.d) != 1:
             raise NotCoprime(f"{l} is not coprime to {2 * self.d}")
-        out = CycNum.zero(self.d)
-        for k, c in enumerate(self.coeffs):
+        data = _FieldData._cache[self.d]
+        out = [0] * data.degree
+        for k, c in enumerate(self.num):
             if c:
-                out = out + CycNum.zeta(self.d, k * l) * c
-        return out
+                for i, z in enumerate(data.zeta_powers[k * l % data.n].num):
+                    if z:
+                        out[i] += c * z
+        return _normal(self.d, out, self.den)
 
 
 # -- module-level operations ---------------------------------------------------

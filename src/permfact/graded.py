@@ -199,8 +199,11 @@ def graded_hom_dim(d: int, R, S, l: int = 1) -> int:
         raise ValueError("R, S must be proper nonempty subsets")
     if len(R) != len(S):
         return 0
-    d1R = perm_product(d, R, "x", "y", l)
-    d1S = perm_product(d, S, "x", "y", l)
+    return _hom_dim_of_products(perm_product(d, R, "x", "y", l), perm_product(d, S, "x", "y", l))
+
+
+def _hom_dim_of_products(d1R: MPoly, d1S: MPoly) -> int:
+    """dim of constant pairs (p, q) with p * d1R = q * d1S."""
     # p*d1R - q*d1S = 0: one row per monomial in the unknowns p (column 0), q (column 1)
     rows = {}
     for e, c in d1R.terms.items():

@@ -1,17 +1,27 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permfact
 from permfact.cyclofield import (
     CycNum,
     DegenerateRoot,
     DivisionByZero,
     EvenModulus,
+    FieldIdentityError,
+    InvalidModulus,
     ModulusMismatch,
     NotCoprime,
+    _FieldData,
+    _normal,
+    cyclotomic_poly,
     eta_power,
     field_arith,
     kappa,
@@ -21,9 +31,9 @@ from permfact.cyclofield import (
 
 
 def elements(d):
-    data = CycNum.zero(d)
-    deg = len(data.coeffs)
-    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    """Elements with varied denominators and some zero coefficients."""
+    deg = len(CycNum.zero(d).coeffs)
+    rationals = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=12))
     return st.lists(rationals, min_size=deg, max_size=deg).map(lambda cs: CycNum(d, cs))
 
 
@@ -126,3 +136,157 @@ class TestFloats:
         assert abs(kappa(3).to_complex() - 1.0) < 1e-12
         assert abs(eta_power(3, 1).to_complex() - complex(-0.5, math.sqrt(3) / 2)) < 1e-12
         assert CycNum.zero(5).to_complex() == 0
+
+
+# -- the fraction-free kernel against a Fraction reference -----------------------
+
+KERNEL_DS = [3, 5, 7, 9, 15]
+
+
+def _ref_mul(d, a, b):
+    """Schoolbook product of Fraction coefficient lists, reduced modulo Phi_{2d}."""
+    phi = [Fraction(c) for c in cyclotomic_poly(2 * d)]
+    deg = len(phi) - 1
+    prod = [Fraction(0)] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, deg - 1, -1):  # long division by the monic Phi
+        c = prod[k]
+        for i, p in enumerate(phi):
+            prod[k - deg + i] -= c * p
+    return tuple(prod[:deg])
+
+
+def _ref_one(d):
+    deg = len(cyclotomic_poly(2 * d)) - 1
+    return (Fraction(1),) + (Fraction(0),) * (deg - 1)
+
+
+def _ref_t_power(d, k):
+    """t^k mod Phi_{2d} by k reference products with t."""
+    t = (Fraction(0), Fraction(1)) + (Fraction(0),) * (len(_ref_one(d)) - 2)
+    out = _ref_one(d)
+    for _ in range(k):
+        out = _ref_mul(d, out, t)
+    return out
+
+
+def _normalised(x):
+    return x.den > 0 and math.gcd(x.den, *x.num) == 1
+
+
+class TestKernel:
+    @pytest.mark.parametrize("d", KERNEL_DS)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_against_fraction_reference(self, d, data):
+        a = data.draw(elements(d))
+        b = data.draw(elements(d))
+        pa, pb = a.coeffs, b.coeffs
+        prod, total, diff = a * b, a + b, a - b
+        assert prod.coeffs == _ref_mul(d, pa, pb)
+        assert total.coeffs == tuple(x + y for x, y in zip(pa, pb))
+        assert diff.coeffs == tuple(x - y for x, y in zip(pa, pb))
+        results = [prod, total, diff]
+        if not a.is_zero():
+            inv = a.inverse()
+            assert _ref_mul(d, pa, inv.coeffs) == _ref_one(d)
+            results.append(inv)
+        assert all(_normalised(x) for x in results)
+
+    @pytest.mark.parametrize("d", KERNEL_DS)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_hash_and_coeffs_view(self, d, data):
+        x = data.draw(elements(d))
+        assert hash(x) == hash((x.d, x.coeffs))
+        assert isinstance(x.coeffs, tuple)
+        assert all(type(c) is Fraction for c in x.coeffs)
+        with pytest.raises(AttributeError):
+            x.coeffs = (Fraction(0),) * len(x.coeffs)
+
+    @pytest.mark.parametrize("d", KERNEL_DS)
+    def test_canonical_form(self, d):
+        deg = len(CycNum.zero(d).coeffs)
+        tail = [Fraction(0)] * (deg - 2)
+        halves = CycNum(d, [Fraction(1, 2), Fraction(3, 2)] + tail)
+        unreduced = CycNum(d, [Fraction(2, 4), Fraction(6, 4)] + tail)
+        scaled = _normal(d, [2, 6] + [0] * (deg - 2), 4)
+        round_trip = (halves * 6) / 6 + halves - halves
+        for x in (unreduced, scaled, round_trip):
+            assert x == halves
+            assert hash(x) == hash(halves)
+            assert (x.num, x.den) == ((1, 3) + (0,) * (deg - 2), 2)
+        quarters = halves / 2  # same numerators, other denominator
+        assert quarters != halves and quarters * 2 == halves
+        zero = halves - unreduced
+        assert (zero.num, zero.den) == ((0,) * deg, 1)
+        assert zero == 0 and hash(zero) == hash(CycNum.zero(d))
+
+    @pytest.mark.parametrize("d", KERNEL_DS)
+    def test_zeta_table(self, d):
+        z = CycNum.zeta(d, 1)
+        power = CycNum.one(d)
+        for k in range(4 * d):
+            assert CycNum.zeta(d, k) == power
+            assert power.coeffs == _ref_t_power(d, k % (2 * d))
+            power = power * z
+        for k in range(-2 * d, 0):
+            assert _ref_mul(d, CycNum.zeta(d, k).coeffs, _ref_t_power(d, -k)) == _ref_one(d)
+
+    @pytest.mark.parametrize("d", KERNEL_DS)
+    def test_galois_matches_substitution(self, d):
+        x = CycNum(d, [Fraction(k + 1, k + 2) for k in range(len(CycNum.zero(d).coeffs))])
+        for l in (1, -1, 2 * d + 1, 2 * d - 1):
+            image = CycNum.zero(d)
+            for k, c in enumerate(x.coeffs):
+                image = image + CycNum.zeta(d, 1) ** (k * (l % (2 * d))) * c
+            assert x.galois(l) == image
+
+
+class TestModulusValidation:
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_non_positive(self, d):
+        assert issubclass(InvalidModulus, ValueError)
+        with pytest.raises(InvalidModulus):
+            CycNum.one(d)
+        with pytest.raises(InvalidModulus):
+            CycNum.zeta(d)
+
+    @pytest.mark.parametrize("d", [3.0, True, "3", None])
+    def test_not_an_int(self, d):
+        with pytest.raises(InvalidModulus):
+            CycNum.one(d)
+        with pytest.raises(InvalidModulus):
+            CycNum.zeta(d)
+
+    def test_smallest_moduli(self):
+        assert CycNum.zeta(1) == -1
+        assert CycNum.zeta(2) ** 2 == -1
+
+
+class TestFieldIdentityChecks:
+    def test_non_unit_gcd(self, monkeypatch):
+        # t^2 - 1 in place of Phi_4 = t^2 + 1: t - 1 shares a factor with it
+        fake = _FieldData(2)
+        fake.phi_poly = (-1, 0, 1)
+        monkeypatch.setitem(_FieldData._cache, 2, fake)
+        with pytest.raises(FieldIdentityError):
+            CycNum(2, [-1, 1]).inverse()
+
+    def test_checks_survive_optimize_flag(self):
+        # python -O strips assert statements; these checks must still raise
+        script = (
+            "import permfact.cyclofield as cf\n"
+            "cf._mobius = lambda n: -1\n"
+            "try:\n"
+            "    cf.cyclotomic_poly(6)\n"
+            "except cf.FieldIdentityError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(permfact.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from permfact import cli
 from permfact.graded import (
     GradedLabel,
+    _hom_dim_of_products,
     GradedMF,
     decompose_product,
     g_pair,
@@ -18,7 +20,7 @@ from permfact.graded import (
     morphism_c_degree,
 )
 from permfact.mfcore import perm_mf
-from permfact.polyring import MPoly
+from permfact.polyring import MPoly, perm_product
 
 
 class TestHatObjects:
@@ -70,6 +72,21 @@ class TestHomRigidity:
 
     def test_size_mismatch_is_zero(self):
         assert graded_hom_dim(5, {0}, {0, 1}) == 0
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_products_helper_matches_public(self, d):
+        subsets = [GradedLabel(d, a, lam).subset for a in range(d) for lam in range(d - 1)]
+        products = {S: perm_product(d, S, "x", "y", 2) for S in subsets}
+        for R in subsets:
+            for S in subsets:
+                assert _hom_dim_of_products(products[R], products[S]) == graded_hom_dim(d, R, S, 2)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_rigidity_check_report(self, d):
+        (check,) = [c for c in cli.build_checks(d, 1, {"graded"}) if c.name == "graded_hom_rigidity"]
+        result = check.run()
+        assert result["status"] == "pass"
+        assert result["detail"] == f"hom dimension is delta_RS over {d * (d - 1)}^2 pairs"
 
 
 class TestGPair:
