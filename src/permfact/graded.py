@@ -206,10 +206,10 @@ def _hom_dim_of_products(d1R: MPoly, d1S: MPoly) -> int:
     """dim of constant pairs (p, q) with p * d1R = q * d1S."""
     # p*d1R - q*d1S = 0: one row per monomial in the unknowns p (column 0), q (column 1)
     rows = {}
-    for e, c in d1R.terms.items():
-        rows.setdefault((d1R.vars, e), {})[0] = c
-    for e, c in d1S.terms.items():
-        rows.setdefault((d1S.vars, e), {})[1] = -c
+    for m, c in d1R.terms.items():
+        rows.setdefault(m, {})[0] = c
+    for m, c in d1S.terms.items():
+        rows.setdefault(m, {})[1] = -c
     return 2 - len(row_reduce(rows.values()))
 
 

@@ -17,6 +17,7 @@ from .polyring import MPoly
 
 __all__ = [
     "TooManyInternalVariables",
+    "MorphismShapeMismatch",
     "UPoly",
     "smith_normal_form",
     "HomologyData",
@@ -29,6 +30,10 @@ __all__ = [
 
 class TooManyInternalVariables(ValueError):
     pass
+
+
+class MorphismShapeMismatch(ValueError):
+    """homotopy_solve got morphisms with different sources, targets or parities."""
 
 
 class UPoly:
@@ -65,7 +70,7 @@ class UPoly:
     def from_mpoly(p: MPoly, var: str | None) -> "UPoly":
         if p.is_zero():
             return UPoly.zero(p.d)
-        extra = [v for v in p.vars if v != var]
+        extra = sorted(v for v in p.vars if v != var)
         if extra:
             raise ValueError(f"{p!r} involves {extra}, not univariate in {var}")
         if var is None or var not in p.vars:
@@ -80,8 +85,7 @@ class UPoly:
     def to_mpoly(self, var: str) -> MPoly:
         out = MPoly.zero(self.d)
         for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                out = out + MPoly.var(self.d, var) ** k * c
+            out = out + MPoly.var(self.d, var, k) * c
         return out
 
     def degree(self):
@@ -360,7 +364,7 @@ class HomologyData:
             raise TooManyInternalVariables(f"{M!r} has internal variables {M.int_vars}")
         d = M.d
         var = M.int_vars[0] if M.int_vars else None
-        kill = {M.left: MPoly.zero(d), M.right: MPoly.zero(d)}
+        kill = {M.left: None, M.right: None}
 
         def reduce_mat(mat):
             out = []
@@ -401,7 +405,7 @@ def induced_h(f: MFMorphism, src_h: HomologyData | None = None, tgt_h: HomologyD
     src_h = src_h or HomologyData(f.src)
     tgt_h = tgt_h or HomologyData(f.tgt)
     d = f.d
-    kill = {f.tgt.left: MPoly.zero(d), f.tgt.right: MPoly.zero(d), f.src.left: MPoly.zero(d), f.src.right: MPoly.zero(d)}
+    kill = {v: None for v in (f.tgt.left, f.tgt.right, f.src.left, f.src.right)}
     out = []
     for par, mat, src_par, tgt_par in ((0, f.f0, src_h.h0, tgt_h.h0), (1, f.f1, src_h.h1, tgt_h.h1)):
         cols = []
@@ -480,27 +484,16 @@ def is_homotopy_iso(f: MFMorphism) -> bool:
 
 
 def _monomials_upto(vars, bound, d):
-    out = [{}]
+    """The monomials in `vars` of total degree <= bound, as one-term MPolys."""
+    out = [(0, MPoly.one(d))]
     for v in vars:
-        out = [dict(m, **{v: k}) for m in out for k in range(bound + 1)]
-    return [m for m in out if sum(m.values()) <= bound]
+        out = [(n + k, p * MPoly.var(d, v, k)) for n, p in out for k in range(bound + 1 - n)]
+    return [p for n, p in out if n <= bound]
 
 
 def _monomials_exact(vars, total, d):
-    if total < 0:
-        return []
-    out = [{}]
-    for v in vars:
-        out = [dict(m, **{v: k}) for m in out for k in range(total + 1)]
-    return [m for m in out if sum(m.values()) == total]
-
-
-def _mono_poly(mono, d):
-    p = MPoly.one(d)
-    for v, k in mono.items():
-        if k:
-            p = p * MPoly.var(d, v) ** k
-    return p
+    """The monomials in `vars` of total degree exactly `total`."""
+    return [p for p in _monomials_upto(vars, total, d) if p.degree() == total]
 
 
 def default_degree_bound(f: MFMorphism, g: MFMorphism) -> int:
@@ -526,7 +519,8 @@ def homotopy_solve(
     (i, j) is instead exactly homogeneous of the stated degree, with None
     entries forced to zero, and the outcome is definitive.
     """
-    assert f.src.same_shape(g.src) and f.tgt.same_shape(g.tgt)
+    if not (f.src.same_shape(g.src) and f.tgt.same_shape(g.tgt) and f.z2_degree == g.z2_degree):
+        raise MorphismShapeMismatch(f"cannot compare {f!r} with {g!r}")
     d = f.d
     diff = f - g
     if diff.is_zero():
@@ -577,11 +571,8 @@ def homotopy_solve(
     def accumulate(par_out, i, j, poly_entry, cell):
         # contribution poly_entry * (sum over cell unknown monomials)
         for mono, idx in cell:
-            mp = _mono_poly(mono, d)
-            prod = poly_entry * mp
-            for e, c in prod.terms.items():
-                key = tuple(sorted(zip(prod.vars, e)))
-                add_lin(par_out, i, j, key, idx, c)
+            for m, c in (poly_entry * mono).terms.items():
+                add_lin(par_out, i, j, m, idx, c)
 
     # (delta h)_0 = d1_tgt . h0 + h1 . d0_src   (src0 -> tgt0)
     for i in range(f.tgt.rank0):
@@ -613,9 +604,8 @@ def homotopy_solve(
             for j, e in enumerate(row):
                 if e.is_zero():
                     continue
-                for ex, c in e.terms.items():
-                    key = tuple(sorted(zip(e.vars, ex)))
-                    rhs[(par, i, j, key)] = c
+                for m, c in e.terms.items():
+                    rhs[(par, i, j, m)] = c
 
     # the right-hand side is column nunk: a pivot there means 0 = c != 0
     for key, c in rhs.items():
@@ -632,5 +622,5 @@ def homotopy_solve(
             continue
         par, i, j, mono = unknowns[idx]
         target = h0 if par == 0 else h1
-        target[i][j] = target[i][j] + _mono_poly(mono, d) * c
+        target[i][j] = target[i][j] + mono * c
     return MFMorphism(f.src, f.tgt, 1, h0, h1)

@@ -29,11 +29,24 @@ from fractions import Fraction
 from .cyclofield import CycNum
 from .polyring import MPoly, NotDivisible, exact_div
 
-__all__ = ["Subst", "ResidueCore", "Term", "LinOp", "LinOpCompositionError", "as_linop", "entry_is_poly"]
+__all__ = [
+    "Subst",
+    "ResidueCore",
+    "Term",
+    "LinOp",
+    "LinOpCompositionError",
+    "ResidueVariableClash",
+    "as_linop",
+    "entry_is_poly",
+]
 
 
 class LinOpCompositionError(RuntimeError):
     pass
+
+
+class ResidueVariableClash(ValueError):
+    """A residue core whose eliminated and injected variables coincide."""
 
 
 class Subst:
@@ -72,19 +85,7 @@ class Subst:
         return (CycNum.one(self.d), v)
 
     def apply(self, p: MPoly) -> MPoly:
-        if self.is_identity() or p.is_zero() or not any(v in self.mapping for v in p.vars):
-            return p
-        sub = {}
-        for v in p.vars:
-            if v not in self.mapping:
-                continue
-            img = self.mapping[v]
-            if img is None:
-                sub[v] = MPoly.zero(self.d)
-            else:
-                c, w = img
-                sub[v] = MPoly.var(self.d, w) * c
-        return p.subs(sub)
+        return p.subs(self.mapping)
 
     def compose(self, other: "Subst") -> "Subst":
         """self after other."""
@@ -140,7 +141,8 @@ class ResidueCore:
     __slots__ = ("prem", "elim", "inj", "injc", "step")
 
     def __init__(self, prem: MPoly, elim: str, inj: str, injc: CycNum, step: int):
-        assert elim != inj
+        if elim == inj:
+            raise ResidueVariableClash(f"residue core eliminates and injects the same variable {elim!r}")
         self.prem = prem
         self.elim = elim
         self.inj = inj
@@ -148,7 +150,7 @@ class ResidueCore:
         self.step = step
 
     def modulus_rhs(self) -> MPoly:
-        return (MPoly.var(self.prem.d, self.inj) * self.injc) ** self.step
+        return MPoly.var(self.prem.d, self.inj, self.step) * self.injc**self.step
 
     def apply(self, f: MPoly) -> MPoly:
         d = f.d
@@ -157,14 +159,13 @@ class ResidueCore:
         if g.is_zero():
             return out
         parts = g.coeff_dict_in(self.elim)
-        top = max(parts)
-        inj = MPoly.var(d, self.inj) * self.injc
-        m = 0
-        while self.step * (m + 1) <= top:
-            c = parts.get(self.step * (m + 1))
+        rhs = self.modulus_rhs()
+        weight = MPoly.one(d)  # (injc*inj)^{step*m} for k = step*(m+1)
+        for k in range(self.step, max(parts) + 1, self.step):
+            c = parts.get(k)
             if c is not None:
-                out = out + inj ** (self.step * m) * c
-            m += 1
+                out = out + weight * c
+            weight = weight * rhs
         return out
 
     def key(self):
@@ -243,15 +244,15 @@ class Term:
             k = max(high)
             cur = rem_parts.pop(k)
             lower = k - core.step
-            quot = quot + cur * MPoly.var(d, elim) ** lower
+            quot = quot + cur * MPoly.var(d, elim, lower)
             rem_parts[lower] = rem_parts.get(lower, MPoly.zero(d)) + cur * rhs
         rem = MPoly.zero(d)
         for k, c in rem_parts.items():
-            rem = rem + c * MPoly.var(d, elim) ** k
+            rem = rem + c * MPoly.var(d, elim, k)
         out = []
         if not rem.is_zero():
             out.append(Term(self.num, self.phi, ResidueCore(rem, elim, core.inj, core.injc, core.step), self.den)._cancelled())
-        q0 = quot.subs({elim: MPoly.zero(d)}) if elim in quot.vars else quot
+        q0 = quot.subs({elim: None})
         if not q0.is_zero():
             ev = Subst(d, {elim: None})
             out.append(Term(self.num * self.phi.apply(q0), self.phi.compose(ev), None, self.den)._cancelled())
@@ -289,11 +290,7 @@ def _compose_terms(t2: Term, t1: Term) -> list[Term]:
             s = img[0]
             rest = t1.phi.restricted_without(elim)
             rest_inv = rest.inverse_scaling()
-            inv = s.inverse()
-            parts = prem.coeff_dict_in(elim)
-            prem2 = MPoly.zero(d)
-            for k, c in parts.items():
-                prem2 = prem2 + rest_inv.apply(c) * inv**k * MPoly.var(d, elim) ** k
+            prem2 = prem.subs({**rest_inv.mapping, elim: (s.inverse(), elim)})
             inj_scale = rest.image_of(t2.core.inj)
             if inj_scale is None or inj_scale[1] != t2.core.inj:
                 raise LinOpCompositionError("substitution moves the injection variable")
@@ -449,9 +446,8 @@ class LinOp:
         """Rename variables throughout (mapping must be injective where applied)."""
         d = self.d
 
-        def rp(p: MPoly) -> MPoly:
-            relevant = {v: MPoly.var(d, w) for v, w in mapping.items() if v in p.vars}
-            return p.subs(relevant) if relevant else p
+        sub = {v: (1, w) for v, w in mapping.items()}
+        rp = lambda p: p.subs(sub)
 
         terms = []
         for t in self.terms:
@@ -569,7 +565,7 @@ def _sampled_zero(op: LinOp, sample_vars) -> bool:
             bounds[v] = step * max(len(muls), 1)
     grid = [MPoly.one(d)]
     for v, bound in bounds.items():
-        grid = [g * MPoly.var(d, v) ** k for g in grid for k in range(bound + 1)]
+        grid = [g * MPoly.var(d, v, k) for g in grid for k in range(bound + 1)]
     dens = []
     for t in op.terms:
         if t.den not in dens:

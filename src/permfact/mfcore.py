@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .cyclofield import CycNum, EvenModulus, eta_power
 from .linop import LinOp, ResidueCore, Subst, Term, as_linop, entry_is_poly
-from .polyring import MPoly, exact_div, perm_product
+from .polyring import MPoly, difference_quotient, exact_div, perm_product
 
 __all__ = [
     "MatrixBifact",
@@ -208,7 +208,7 @@ class MatrixBifact:
 
     def renamed(self, mapping: dict) -> "MatrixBifact":
         """Rename variables (an isomorphism of the presentation)."""
-        sub = {v: MPoly.var(self.d, w) for v, w in mapping.items()}
+        sub = {v: (1, w) for v, w in mapping.items()}
         rn = lambda e: e.subs(sub)
         return MatrixBifact(
             self.d,
@@ -316,12 +316,11 @@ class MFMorphism:
 
     def renamed(self, mapping: dict) -> "MFMorphism":
         """Rename variables in source, target, and all entries."""
-        d = self.d
+        sub = {v: (1, w) for v, w in mapping.items()}
 
         def conv(e):
             if entry_is_poly(e):
-                relevant = {v: MPoly.var(d, w) for v, w in mapping.items() if v in e.vars}
-                return e.subs(relevant) if relevant else e
+                return e.subs(sub)
             return _simplify_entry(e.renamed(mapping))
 
         return MFMorphism(
@@ -626,15 +625,11 @@ def unit_sections(M: MatrixBifact, mid: str = "y1") -> tuple[MFMorphism, MFMorph
     m1 = M.d1[0][0]
     m0 = M.d0[0][0]
     # section of lambda: M -> I(left, mid) (x) M(mid, right)
-    m1_mid = m1.subs({M.left: MPoly.var(d, mid)})
-    m0_mid = m0.subs({M.left: MPoly.var(d, mid)})
-    dq = lambda p, pm: exact_div(p - pm, MPoly.var(d, M.left) - MPoly.var(d, mid))
-    sec_l = MFMorphism(M, lam.src, 0, [[one], [dq(m0, m0_mid)]], [[dq(m1, m1_mid)], [one]])
+    dq = lambda p: difference_quotient(p, M.left, mid)
+    sec_l = MFMorphism(M, lam.src, 0, [[one], [dq(m0)]], [[dq(m1)], [one]])
     # section of rho: M -> M(left, mid) (x) I(mid, right)
-    m1_mid2 = m1.subs({M.right: MPoly.var(d, mid)})
-    m0_mid2 = m0.subs({M.right: MPoly.var(d, mid)})
-    dq2 = lambda pm, p: exact_div(pm - p, MPoly.var(d, mid) - MPoly.var(d, M.right))
-    sec_r = MFMorphism(M, rho.src, 0, [[one], [dq2(m0_mid2, m0)]], [[one], [-dq2(m1_mid2, m1)]])
+    dq2 = lambda p: difference_quotient(p, M.right, mid)
+    sec_r = MFMorphism(M, rho.src, 0, [[one], [dq2(m0)]], [[one], [-dq2(m1)]])
     return sec_l, sec_r
 
 
@@ -645,7 +640,7 @@ def dual_rank1(M: MatrixBifact) -> MatrixBifact:
     if M.rank0 != 1 or M.rank1 != 1 or M.int_vars:
         raise RankUnsupported("duals are implemented for rank-(1,1) objects")
     d = M.d
-    swap = {M.left: MPoly.var(d, M.right), M.right: MPoly.var(d, M.left)}
+    swap = {M.left: (1, M.right), M.right: (1, M.left)}
     d1 = -(M.d1[0][0].subs(swap))
     d0 = M.d0[0][0].subs(swap)
     return MatrixBifact(d, M.left, M.right, (), [[d1]], [[d0]], M.tags0, M.tags1)
@@ -669,7 +664,7 @@ def g_residue(M: MatrixBifact, f: MPoly) -> MPoly:
     if M.rank0 != 1 or M.rank1 != 1:
         raise RankUnsupported("g_residue needs a rank-(1,1) object")
     d = M.d
-    d0yz = M.d0[0][0].subs({M.left: MPoly.var(d, "y"), M.right: MPoly.var(d, "z")})
+    d0yz = M.d0[0][0].subs({M.left: (1, "y"), M.right: (1, "z")})
     x, y, z = (MPoly.var(d, v) for v in "xyz")
     prem = (x - z - y) * d0yz
     return ResidueCore(prem, "y", "z", CycNum.one(d), d).apply(f)
@@ -689,9 +684,8 @@ def ev_coev(M: MatrixBifact) -> tuple[MFMorphism, MFMorphism]:
 
     d1 = Mxy.d1[0][0]
     d0 = Mxy.d0[0][0]
-    d1_yz = d1.subs({"x": y, "y": z})
-    d0_yz = d0.subs({"x": y, "y": z})
-    d1_yx = d1.subs({"x": y, "y": x})
+    d0_yz = d0.subs({"x": (1, "y"), "y": (1, "z")})
+    d1_yx = d1.subs({"x": (1, "y"), "y": (1, "x")})
 
     # ev: dual(x,y) (x) M(y,z) -> I(x,z)
     src_ev = tensor_mf(dual_xy, Myz)
@@ -707,10 +701,7 @@ def ev_coev(M: MatrixBifact) -> tuple[MFMorphism, MFMorphism]:
 
     # coev: I(x,z) -> M(x,y) (x) dual(y,z)
     tgt_coev = tensor_mf(Mxy, dual_yz)
-    col0 = [
-        [exact_div(d1 - d1.subs({"x": z}), x - z)],
-        [exact_div(d0 - d0.subs({"x": z}), x - z)],
-    ]
+    col0 = [[difference_quotient(d1, "x", "z")], [difference_quotient(d0, "x", "z")]]
     col1 = [[MPoly.one(d)], [MPoly.one(d)]]
     coev = MFMorphism(I_xz, tgt_coev, 0, col0, col1)
     return ev, coev
@@ -747,10 +738,7 @@ def duality_un(d: int, l: int = 1):
 def twist_mf(M: MatrixBifact, a: int, b: int, l: int = 1) -> MatrixBifact:
     """((a)M(b)) in honest form: left var scaled by eta^{la}, right by eta^{-lb}."""
     d = M.d
-    sub = {
-        M.left: MPoly.var(d, M.left) * eta_power(d, a, l),
-        M.right: MPoly.var(d, M.right) * eta_power(d, -b, l),
-    }
+    sub = {M.left: (eta_power(d, a, l), M.left), M.right: (eta_power(d, -b, l), M.right)}
     tw = lambda e: e.subs(sub)
     return MatrixBifact(
         d, M.left, M.right, M.int_vars,
@@ -764,7 +752,7 @@ def diag_twist_mf(M: MatrixBifact, a: int, l: int = 1) -> MatrixBifact:
     """((a)M(-a)) with every variable scaled: the per-factor form for tensor words."""
     d = M.d
     e = eta_power(d, a, l)
-    sub = {v: MPoly.var(d, v) * e for v in M.all_vars}
+    sub = {v: (e, v) for v in M.all_vars}
     tw = lambda q: q.subs(sub)
     return MatrixBifact(
         d, M.left, M.right, M.int_vars,

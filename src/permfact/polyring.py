@@ -1,26 +1,32 @@
 """Sparse multivariate polynomials over Q(zeta_{2d}).
 
 The variable universe is fixed and ordered: the external pair x < z sandwiches
-the internal tensor variables y, y1, y2, ...  Terms are stored as a dict from
-exponent tuples to nonzero CycNum coefficients, with unused variables pruned,
-so two polynomials are equal iff their (vars, terms) data coincide.
+the internal tensor variables y, y1, y2, ...  A polynomial is a dict from
+monomials to nonzero CycNum coefficients.  A monomial is a frozenset of
+(variable, exponent) pairs listing only the variables with positive exponent,
+so it is canonical and hashable, the constant monomial is the empty set, and
+two polynomials are equal iff their term dicts coincide.  Substitution maps
+each variable to scalar * variable or to 0, so it rewrites monomials one term
+at a time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclofield import CycNum, eta_power
+from .cyclofield import CycNum, ModulusMismatch, eta_power
 
 __all__ = [
     "MPoly",
     "NotDivisible",
     "poly_arith",
     "exact_div",
-    "scale_var",
     "coeff_of",
     "perm_product",
+    "difference_quotient",
 ]
+
+_UNIT = frozenset()
 
 
 class NotDivisible(ArithmeticError):
@@ -43,42 +49,50 @@ def sort_vars(names) -> tuple:
     return tuple(sorted(set(names), key=_var_key))
 
 
+def _mono_mul(a: frozenset, b: frozenset) -> frozenset:
+    if not a:
+        return b
+    if not b:
+        return a
+    e = dict(a)
+    for v, k in b:
+        e[v] = e.get(v, 0) + k
+    return frozenset(e.items())
+
+
+def _scalar(d: int, c) -> CycNum:
+    if isinstance(c, CycNum):
+        if c.d != d:
+            raise ModulusMismatch(f"moduli differ: {d} vs {c.d}")
+        return c
+    if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
+        return CycNum.from_rational(d, c)
+    raise TypeError(f"{c!r} is not a scalar of Q(zeta_{2 * d})")
+
+
 class MPoly:
     """Polynomial in named variables with CycNum coefficients."""
 
-    __slots__ = ("d", "vars", "terms", "_hash")
+    __slots__ = ("d", "terms", "_hash", "_vars")
 
-    def __init__(self, d: int, vars: tuple, terms: dict, _normalize: bool = True):
+    def __init__(self, d: int, terms: dict, _normalize: bool = True):
         if _normalize:
-            vars, terms = self._prune(vars, terms)
+            terms = {m: c for m, c in terms.items() if not c.is_zero()}
         self.d = d
-        self.vars = vars
         self.terms = terms
         self._hash = None
-
-    @staticmethod
-    def _prune(vars, terms):
-        vars = tuple(vars)
-        terms = {e: c for e, c in terms.items() if not c.is_zero()}
-        if not terms:
-            return (), {}
-        used = [i for i in range(len(vars)) if any(e[i] for e in terms)]
-        if len(used) != len(vars):
-            vars2 = tuple(vars[i] for i in used)
-            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
-            return vars2, terms
-        return vars, terms
+        self._vars = None
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def constant(d: int, value) -> "MPoly":
         c = value if isinstance(value, CycNum) else CycNum.from_rational(d, value)
-        return MPoly(d, (), {(): c})
+        return MPoly(d, {_UNIT: c})
 
     @staticmethod
     def zero(d: int) -> "MPoly":
-        return MPoly(d, (), {})
+        return MPoly(d, {}, _normalize=False)
 
     @staticmethod
     def one(d: int) -> "MPoly":
@@ -86,11 +100,21 @@ class MPoly:
 
     @staticmethod
     def var(d: int, name: str, power: int = 1) -> "MPoly":
+        """The monomial name^power."""
+        if power < 0:
+            raise ValueError("negative power")
         if power == 0:
             return MPoly.one(d)
-        return MPoly(d, (name,), {(power,): CycNum.one(d)})
+        return MPoly(d, {frozenset(((name, power),)): CycNum.one(d)}, _normalize=False)
 
     # -- plumbing --------------------------------------------------------------
+
+    @property
+    def vars(self) -> frozenset:
+        """The variables that occur with positive exponent."""
+        if self._vars is None:
+            self._vars = frozenset(v for m in self.terms for v, _ in m)
+        return self._vars
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -103,24 +127,7 @@ class MPoly:
             return CycNum.zero(self.d)
         if self.vars:
             raise ValueError(f"{self} is not constant")
-        return self.terms[()]
-
-    def _aligned(self, other: "MPoly"):
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        vars = sort_vars(self.vars + other.vars)
-        return vars, self._embed(vars), other._embed(vars)
-
-    def _embed(self, vars: tuple) -> dict:
-        pos = {v: i for i, v in enumerate(vars)}
-        idx = [pos[v] for v in self.vars]
-        out = {}
-        for e, c in self.terms.items():
-            e2 = [0] * len(vars)
-            for i, p in zip(idx, e):
-                e2[i] = p
-            out[tuple(e2)] = c
-        return out
+        return self.terms[_UNIT]
 
     def _coerce(self, other):
         if isinstance(other, MPoly):
@@ -135,19 +142,22 @@ class MPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        vars, a, b = self._aligned(other)
-        out = dict(a)
-        for e, c in b.items():
-            if e in out:
-                out[e] = out[e] + c
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            if m in out:
+                s = out[m] + c
+                if s.is_zero():
+                    del out[m]
+                else:
+                    out[m] = s
             else:
-                out[e] = c
-        return MPoly(self.d, vars, out)
+                out[m] = c
+        return MPoly(self.d, out, _normalize=False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.d, self.vars, {e: -c for e, c in self.terms.items()}, _normalize=False)
+        return MPoly(self.d, {m: -c for m, c in self.terms.items()}, _normalize=False)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -162,20 +172,16 @@ class MPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return MPoly.zero(self.d)
-        vars, a, b = self._aligned(other)
-        n = len(vars)
         out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(e1[i] + e2[i] for i in range(n))
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = _mono_mul(m1, m2)
                 c = c1 * c2
-                if e in out:
-                    out[e] = out[e] + c
+                if m in out:
+                    out[m] = out[m] + c
                 else:
-                    out[e] = c
-        return MPoly(self.d, vars, out)
+                    out[m] = c
+        return MPoly(self.d, out)
 
     __rmul__ = __mul__
 
@@ -195,11 +201,11 @@ class MPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.d == other.d and self.vars == other.vars and self.terms == other.terms
+        return self.d == other.d and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.d, self.vars, frozenset(self.terms.items())))
+            self._hash = hash((self.d, frozenset(self.terms.items())))
         return self._hash
 
     def __bool__(self):
@@ -211,62 +217,64 @@ class MPoly:
         """Total degree; -1 for the zero polynomial."""
         if self.is_zero():
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(k for _, k in m) for m in self.terms)
 
     def degree_in(self, v: str) -> int:
-        if v not in self.vars:
-            return 0 if self.terms else -1
-        i = self.vars.index(v)
-        return max((e[i] for e in self.terms), default=-1)
+        if self.is_zero():
+            return -1
+        return max(dict(m).get(v, 0) for m in self.terms)
 
     def is_homogeneous(self) -> bool:
-        if self.is_zero():
-            return True
-        degs = {sum(e) for e in self.terms}
-        return len(degs) == 1
+        return len({sum(k for _, k in m) for m in self.terms}) <= 1
 
     def coeff_dict_in(self, v: str) -> dict:
         """Decompose along v: {k: coefficient of v^k, an MPoly in the rest}."""
-        if v not in self.vars:
-            return {0: self} if self.terms else {}
-        i = self.vars.index(v)
-        rest = self.vars[:i] + self.vars[i + 1 :]
         out: dict = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            e2 = e[:i] + e[i + 1 :]
-            bucket = out.setdefault(k, {})
-            bucket[e2] = bucket.get(e2, CycNum.zero(self.d)) + c
-        return {k: MPoly(self.d, rest, t) for k, t in out.items()}
+        for m, c in self.terms.items():
+            k = dict(m).get(v, 0)
+            out.setdefault(k, {})[m - {(v, k)} if k else m] = c
+        return {k: MPoly(self.d, t, _normalize=False) for k, t in out.items()}
 
     def subs(self, mapping: dict) -> "MPoly":
-        """Substitute variables by polynomials (or scalars)."""
-        out = MPoly.zero(self.d)
+        """Apply the monomial map v -> c * w (image (c, w)) or v -> 0 (image None).
+
+        Every variable is replaced at once; variables not in `mapping` stay.
+        Any other image raises TypeError.
+        """
         images = {}
         for v, img in mapping.items():
-            images[v] = img if isinstance(img, MPoly) else MPoly.constant(self.d, img)
-        for e, c in self.terms.items():
-            term = MPoly.constant(self.d, c)
-            for v, p in zip(self.vars, e):
-                if p == 0:
-                    continue
-                factor = images.get(v, MPoly.var(self.d, v))
-                term = term * factor**p
-            out = out + term
-        return out
-
-    def monomials(self):
-        for e, c in self.terms.items():
-            yield dict(zip(self.vars, e)), c
+            if img is not None:
+                if not (isinstance(img, tuple) and len(img) == 2 and isinstance(img[1], str)):
+                    raise TypeError(f"image of {v!r} must be (scalar, variable) or None, got {img!r}")
+                c = _scalar(self.d, img[0])
+                img = None if c.is_zero() else (c, img[1])
+            images[v] = img
+        if not any(v in images for v in self.vars):
+            return self
+        one = CycNum.one(self.d)
+        out: dict = {}
+        for m, c in self.terms.items():
+            e: dict = {}
+            for v, k in m:
+                img = images.get(v, (one, v))
+                if img is None:
+                    break
+                s, w = img
+                if s != one:
+                    c = c * s**k
+                e[w] = e.get(w, 0) + k
+            else:
+                m2 = frozenset(e.items())
+                out[m2] = out[m2] + c if m2 in out else c
+        return MPoly(self.d, out)
 
     def __repr__(self):
         if self.is_zero():
             return "0"
+        vars = sort_vars(self.vars)
         parts = []
-        for e, c in sorted(self.terms.items()):
-            mono = "*".join(
-                f"{v}^{p}" if p > 1 else v for v, p in zip(self.vars, e) if p
-            )
+        for e, c in sorted((tuple(dict(m).get(v, 0) for v in vars), c) for m, c in self.terms.items()):
+            mono = "*".join(f"{v}^{p}" if p > 1 else v for v, p in zip(vars, e) if p)
             cs = repr(c)
             parts.append(f"({cs})*{mono}" if mono else f"({cs})")
         return " + ".join(parts)
@@ -285,51 +293,45 @@ def poly_arith(f: MPoly, g: MPoly, op: str) -> MPoly:
     raise ValueError(f"unknown op {op!r}")
 
 
-def _lead(terms, vars):
-    # graded lexicographic leading exponent
-    return max(terms, key=lambda e: (sum(e), e))
-
-
 def exact_div(f: MPoly, g: MPoly) -> MPoly:
     """The h with g*h = f, or NotDivisible."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero():
         return MPoly.zero(f.d)
-    vars = sort_vars(f.vars + g.vars)
-    rem = dict(f._embed(vars))
-    gt = g._embed(vars)
-    glead = _lead(gt, vars)
-    gcoef = gt[glead]
+    vars = sort_vars(f.vars | g.vars)
+    keys: dict = {}
+
+    def glex(m):
+        # graded lexicographic key: total degree, then exponents in variable order
+        key = keys.get(m)
+        if key is None:
+            e = dict(m)
+            key = keys[m] = (sum(e.values()), tuple(e.get(v, 0) for v in vars))
+        return key
+
+    rem = dict(f.terms)
+    glead = max(g.terms, key=glex)
+    gexp = dict(glead)
+    gcoef = g.terms[glead]
     quot: dict = {}
-    n = len(vars)
+    zero = CycNum.zero(f.d)
     while rem:
-        rlead = _lead(rem, vars)
-        qe = tuple(rlead[i] - glead[i] for i in range(n))
-        if any(p < 0 for p in qe):
+        rlead = max(rem, key=glex)
+        rexp = dict(rlead)
+        if any(rexp.get(v, 0) < k for v, k in gexp.items()):
             raise NotDivisible(f"{f!r} is not divisible by {g!r}")
+        qm = frozenset((v, k - gexp.get(v, 0)) for v, k in rexp.items() if k > gexp.get(v, 0))
         qc = rem[rlead] / gcoef
-        quot[qe] = qc
-        for e, c in gt.items():
-            te = tuple(e[i] + qe[i] for i in range(n))
-            nc = rem.get(te, CycNum.zero(f.d)) - qc * c
+        quot[qm] = qc
+        for m, c in g.terms.items():
+            tm = _mono_mul(m, qm)
+            nc = rem.get(tm, zero) - qc * c
             if nc.is_zero():
-                rem.pop(te, None)
+                rem.pop(tm, None)
             else:
-                rem[te] = nc
-    return MPoly(f.d, vars, quot)
-
-
-def scale_var(f: MPoly, v: str, c) -> MPoly:
-    if not isinstance(c, CycNum):
-        c = CycNum.from_rational(f.d, c)
-    if v not in f.vars:
-        return f
-    i = f.vars.index(v)
-    out = {}
-    for e, coeff in f.terms.items():
-        out[e] = coeff * c ** e[i]
-    return MPoly(f.d, f.vars, out)
+                rem[tm] = nc
+    return MPoly(f.d, quot, _normalize=False)
 
 
 def coeff_of(f: MPoly, v: str, k: int) -> MPoly:
@@ -350,6 +352,6 @@ def perm_product(d: int, S, u: str, v: str, l: int = 1) -> MPoly:
 
 def difference_quotient(f: MPoly, v: str, w: str) -> MPoly:
     """(f - f[v := w]) / (v - w), always a polynomial."""
-    num = f - f.subs({v: MPoly.var(f.d, w)})
+    num = f - f.subs({v: (1, w)})
     den = MPoly.var(f.d, v) - MPoly.var(f.d, w)
     return exact_div(num, den)

@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permfact
 from permfact.cyclofield import CycNum
 from permfact.graded import g_pair, graded_homotopy_degrees, graded_tensor, hat_p
 from permfact.invariants import (
     HomologyData,
+    MorphismShapeMismatch,
     TooManyInternalVariables,
     UPoly,
     default_degree_bound,
@@ -168,6 +176,53 @@ class TestHomotopySolve:
         M = perm_mf(3, {1, 2})
         idm = identity_morphism(M)
         assert default_degree_bound(idm, idm) >= 3
+
+    def test_rows_keyed_by_monomial(self):
+        # delta(h) = y^2 in both components, while the differentials carry x:
+        # a row key that kept zero exponents split the y^2 rows and found no h
+        d = 3
+        M = perm_mf(d, {0}, "x", "y")
+        x, y = MPoly.var(d, "x"), MPoly.var(d, "y")
+        h = MFMorphism(M, M, 1, [[(x + y * 2) * Fraction(-1, 3)]], [[MPoly.constant(d, Fraction(1, 3))]])
+        bdry = h.delta()
+        assert bdry.f0 == [[y**2]] and bdry.f1 == [[y**2]]
+        sol = homotopy_solve(bdry, identity_morphism(M).scaled(0), degree_bound=2)
+        assert sol is not None
+        assert sol.delta().equals(bdry)
+
+    def test_shape_mismatch_raises(self):
+        idm = identity_morphism(perm_mf(3, {1, 2}))
+        other = identity_morphism(perm_mf(3, {1, 2}, "x", "z"))
+        with pytest.raises(MorphismShapeMismatch):
+            homotopy_solve(idm, other)
+        odd = MFMorphism(idm.src, idm.tgt, 1, idm.f0, idm.f1)
+        with pytest.raises(MorphismShapeMismatch):
+            homotopy_solve(idm, odd)
+
+    def test_boundary_checks_survive_optimize_flag(self):
+        # python -O strips assert statements; these checks must still raise
+        script = (
+            "from permfact.cyclofield import CycNum\n"
+            "from permfact.invariants import MorphismShapeMismatch, homotopy_solve\n"
+            "from permfact.linop import ResidueCore, ResidueVariableClash\n"
+            "from permfact.mfcore import identity_morphism, perm_mf\n"
+            "from permfact.polyring import MPoly\n"
+            "try:\n"
+            "    ResidueCore(MPoly.one(3), 'y', 'y', CycNum.one(3), 3)\n"
+            "except ResidueVariableClash:\n"
+            "    print('raised')\n"
+            "f = identity_morphism(perm_mf(3, {1, 2}))\n"
+            "g = identity_morphism(perm_mf(3, {1, 2}, 'x', 'z'))\n"
+            "try:\n"
+            "    homotopy_solve(f, g)\n"
+            "except MorphismShapeMismatch:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(permfact.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["raised", "raised"]
 
 
 # -- the sparse elimination routine -----------------------------------------------

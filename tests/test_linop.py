@@ -1,5 +1,7 @@
+import pytest
+
 from permfact.cyclofield import CycNum, eta_power, kappa
-from permfact.linop import LinOp, ResidueCore, Subst, Term
+from permfact.linop import LinOp, ResidueCore, ResidueVariableClash, Subst, Term
 from permfact.polyring import MPoly, exact_div
 
 
@@ -65,7 +67,7 @@ def test_renaming():
     G = residue_op(d0)
     G2 = G.renamed({"y": "y1", "z": "y2"})
     f = MPoly.var(D, "y1") ** 3
-    assert G2.apply(f) == G.apply(Y**3).subs({"z": MPoly.var(D, "y2")})
+    assert G2.apply(f) == G.apply(Y**3).subs({"z": (1, "y2")})
 
 
 def test_collapse_through_eliminated_variable():
@@ -91,3 +93,8 @@ def test_degree_shift():
 def test_indivisible_denominator_is_kept():
     t = Term(X, Subst.identity(D), None, Y + ONE)
     assert t._cancelled() is t
+
+
+def test_residue_core_rejects_equal_variables():
+    with pytest.raises(ResidueVariableClash):
+        ResidueCore(Y - Z, "y", "y", CycNum.one(D), D)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permfact.cyclofield import CycNum, eta_power
+from permfact.cyclofield import CycNum, ModulusMismatch, eta_power
 from permfact.polyring import (
     MPoly,
     NotDivisible,
@@ -11,7 +11,6 @@ from permfact.polyring import (
     exact_div,
     perm_product,
     poly_arith,
-    scale_var,
 )
 
 D = 3
@@ -79,16 +78,16 @@ class TestExactDiv:
 class TestScaleAndCoeff:
     def test_scale_examples(self):
         e = eta_power(3, 2)
-        assert scale_var(X - Y, "x", e) == X * e - Y
-        assert scale_var(X**2, "x", eta_power(3, 1)) == X**2 * eta_power(3, 2)
+        assert (X - Y).subs({"x": (e, "x")}) == X * e - Y
+        assert (X**2).subs({"x": (eta_power(3, 1), "x")}) == X**2 * eta_power(3, 2)
         f = X**2 * Y + 3 * Y
-        assert scale_var(f, "y", 1) == f
+        assert f.subs({"y": (1, "y")}) == f
 
     @given(f=polys())
     @settings(max_examples=25, deadline=None)
     def test_scale_inverse(self, f):
         c = eta_power(3, 1)
-        assert scale_var(scale_var(f, "x", c), "x", c.inverse()) == f
+        assert f.subs({"x": (c, "x")}).subs({"x": (c.inverse(), "x")}) == f
 
     def test_coeff_examples(self):
         f = X**2 * Y + 3 * Y
@@ -129,3 +128,67 @@ class TestPermProduct:
 def test_difference_quotient():
     K = X**2 + Y**2 + X * Y
     assert difference_quotient(K, "y", "z") == X + Y + Z
+
+
+def scalars(d):
+    deg = len(CycNum.zero(d).coeffs)
+    return st.lists(st.integers(-2, 2), min_size=deg, max_size=deg).map(lambda cs: CycNum(d, cs))
+
+
+def monomial_maps(d, vars="xyz"):
+    """v -> (c, w) or None; zero scalars included, so (0, w) also means 0."""
+    image = st.one_of(st.none(), st.tuples(scalars(d), st.sampled_from(vars + "w")))
+    return st.dictionaries(st.sampled_from(vars), image, max_size=len(vars))
+
+
+class TestSubs:
+    @pytest.mark.parametrize("d", [3, 5])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_ring_homomorphism(self, d, data):
+        f = data.draw(polys(d, "xyz"))
+        g = data.draw(polys(d, "xyz"))
+        m = data.draw(monomial_maps(d))
+        assert (f * g).subs(m) == f.subs(m) * g.subs(m)
+        assert (f + g).subs(m) == f.subs(m) + g.subs(m)
+        # a ring homomorphism is fixed by the images of the generators
+        for v in "xyz":
+            c, w = m.get(v, (1, v)) or (0, v)
+            assert MPoly.var(d, v).subs(m) == MPoly.var(d, w) * c
+
+    def test_simultaneous(self):
+        assert (X**2 * Y).subs({"x": (1, "y"), "y": (2, "x")}) == Y**2 * X * 2
+        assert (X - Y).subs({"x": (1, "y")}).is_zero()
+        assert (X * Y + Z).subs({"y": None}) == Z
+
+    @pytest.mark.parametrize(
+        "image",
+        [Y + Z, Y, 0, "y", (1, Y), ("1", "y"), (1, "y", 2), (True, "y")],
+    )
+    def test_non_monomial_or_unknown_image_raises(self, image):
+        with pytest.raises(TypeError):
+            (X + Y).subs({"x": image})
+        # checked even for a variable the polynomial does not contain
+        with pytest.raises(TypeError):
+            Y.subs({"x": image})
+
+    def test_scalar_of_another_field_raises(self):
+        with pytest.raises(ModulusMismatch):
+            X.subs({"x": (CycNum.one(5), "y")})
+
+    def test_vars_derived_and_read_only(self):
+        f = X**2 * Y + 3
+        assert f.vars == {"x", "y"}
+        assert (f - f).vars == frozenset()
+        assert MPoly.constant(D, 2).is_constant()
+        with pytest.raises(AttributeError):
+            f.vars = ("x",)
+
+    def test_repr_text(self):
+        # recorded with the exponent-tuple representation this one replaced
+        v = {n: MPoly.var(D, n) for n in ("y1", "y2", "y10")}
+        f = X**2 * v["y10"] - v["y2"] * v["y1"] * eta_power(3, 1) + Z * Y**3 * 5 + 7 - X * Z
+        assert repr(f) == (
+            "(CycNum[2d=6](7)) + (CycNum[2d=6](1 + -1*z))*y1*y2 + (CycNum[2d=6](5))*y^3*z"
+            " + (CycNum[2d=6](-1))*x*z + (CycNum[2d=6](1))*x^2*y10"
+        )
