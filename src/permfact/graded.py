@@ -29,6 +29,7 @@ __all__ = [
     "GradedMF",
     "GradedLabel",
     "NotPolynomial",
+    "ChargeCountMismatch",
     "hat_p",
     "graded_tensor",
     "graded_dual",
@@ -45,6 +46,10 @@ __all__ = [
 
 class NotPolynomial(ArithmeticError):
     pass
+
+
+class ChargeCountMismatch(ValueError):
+    """A graded object needs one charge per free generator."""
 
 
 class GradedLabel:
@@ -83,7 +88,10 @@ class GradedMF:
     """A bifactorisation with rational charges on each free generator."""
 
     def __init__(self, mf: MatrixBifact, charges0, charges1):
-        assert len(charges0) == mf.rank0 and len(charges1) == mf.rank1
+        if len(charges0) != mf.rank0 or len(charges1) != mf.rank1:
+            raise ChargeCountMismatch(
+                f"{len(charges0)}, {len(charges1)} charges for ranks {mf.rank0}, {mf.rank1}"
+            )
         self.mf = mf
         self.charges0 = tuple(Fraction(c) for c in charges0)
         self.charges1 = tuple(Fraction(c) for c in charges1)

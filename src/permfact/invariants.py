@@ -3,22 +3,23 @@
 The isomorphism detector: kill the external pair in the differentials, compute
 the homology of the resulting 2-periodic complex over the coefficient field
 (no internal variable) or over the univariate polynomial ring K[y] via Smith
-normal form (one internal variable).  A degree-zero cycle between two objects
-is invertible up to homotopy exactly when the induced map on this homology is
-a linear isomorphism.
+normal form (one internal variable).  Matrix entries stay MPoly throughout:
+constants in the first case, polynomials in y alone in the second, divided by
+polyring.div_rem.  A degree-zero cycle between two objects is invertible up to
+homotopy exactly when the induced map on this homology is a linear
+isomorphism.
 """
 
 from __future__ import annotations
 
 from .cyclofield import CycNum
 from .linop import as_linop, entry_is_poly
-from .mfcore import MatrixBifact, MFMorphism
-from .polyring import MPoly
+from .mfcore import MatrixBifact, MFMorphism, MorphismShapeMismatch
+from .polyring import MPoly, coeff_of, div_rem, leading_coeff
 
 __all__ = [
     "TooManyInternalVariables",
     "MorphismShapeMismatch",
-    "UPoly",
     "smith_normal_form",
     "HomologyData",
     "induced_h",
@@ -32,152 +33,20 @@ class TooManyInternalVariables(ValueError):
     pass
 
 
-class MorphismShapeMismatch(ValueError):
-    """homotopy_solve got morphisms with different sources, targets or parities."""
-
-
-class UPoly:
-    """Univariate polynomial over Q(zeta_{2d}), coefficients low to high."""
-
-    __slots__ = ("d", "coeffs")
-
-    def __init__(self, d: int, coeffs):
-        while coeffs and coeffs[-1].is_zero():
-            coeffs = coeffs[:-1]
-        self.d = d
-        self.coeffs = tuple(coeffs)
-
-    @staticmethod
-    def zero(d):
-        return UPoly(d, ())
-
-    @staticmethod
-    def one(d):
-        return UPoly(d, (CycNum.one(d),))
-
-    @staticmethod
-    def const(d, c):
-        if not isinstance(c, CycNum):
-            c = CycNum.from_rational(d, c)
-        return UPoly(d, (c,))
-
-    @staticmethod
-    def monomial(d, k, c=None):
-        c = CycNum.one(d) if c is None else c
-        return UPoly(d, (CycNum.zero(d),) * k + (c,))
-
-    @staticmethod
-    def from_mpoly(p: MPoly, var: str | None) -> "UPoly":
-        if p.is_zero():
-            return UPoly.zero(p.d)
-        extra = sorted(v for v in p.vars if v != var)
-        if extra:
-            raise ValueError(f"{p!r} involves {extra}, not univariate in {var}")
-        if var is None or var not in p.vars:
-            return UPoly.const(p.d, p.constant_value())
-        parts = p.coeff_dict_in(var)
-        top = max(parts)
-        coeffs = [CycNum.zero(p.d)] * (top + 1)
-        for k, c in parts.items():
-            coeffs[k] = c.constant_value()
-        return UPoly(p.d, coeffs)
-
-    def to_mpoly(self, var: str) -> MPoly:
-        out = MPoly.zero(self.d)
-        for k, c in enumerate(self.coeffs):
-            out = out + MPoly.var(self.d, var, k) * c
-        return out
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def lead(self) -> CycNum:
-        return self.coeffs[-1]
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = CycNum.zero(self.d)
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return UPoly(self.d, [x + y for x, y in zip(a, b)])
-
-    def __neg__(self):
-        return UPoly(self.d, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, CycNum):
-            return UPoly(self.d, [c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return UPoly.zero(self.d)
-        out = [CycNum.zero(self.d)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return UPoly(self.d, out)
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError
-        q = UPoly.zero(self.d)
-        r = self
-        dn = other.degree()
-        lead_inv = other.lead().inverse()
-        while not r.is_zero() and r.degree() >= dn:
-            k = r.degree() - dn
-            c = r.lead() * lead_inv
-            term = UPoly.monomial(self.d, k, c)
-            q = q + term
-            r = r - term * other
-        return q, r
-
-    def __eq__(self, other):
-        return isinstance(other, UPoly) and self.d == other.d and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        return " + ".join(f"({c!r})t^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero())
-
-
-def _u_identity(n, d):
-    return [[UPoly.one(d) if i == j else UPoly.zero(d) for j in range(n)] for i in range(n)]
-
-
-def _u_matmul(A, B, d):
-    if not A or not B:
-        return []
-    rows, mid, cols = len(A), len(B), len(B[0])
-    out = [[UPoly.zero(d) for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for k in range(mid):
-            a = A[i][k]
-            if a.is_zero():
-                continue
-            for j in range(cols):
-                b = B[k][j]
-                if not b.is_zero():
-                    out[i][j] = out[i][j] + a * b
-    return out
-
-
 def smith_normal_form(A, d):
-    """(S, D, T, Sinv, Tinv) with S*A*T = D diagonal, entries successively dividing."""
+    """(S, D, T, Sinv, Tinv) with S*A*T = D diagonal, entries successively dividing.
+
+    Entries are MPoly in at most one variable; each nonzero diagonal entry is
+    made monic.
+    """
     m = len(A)
     n = len(A[0]) if m else 0
+    eye = lambda k: [[MPoly.one(d) if i == j else MPoly.zero(d) for j in range(k)] for i in range(k)]
     D = [row[:] for row in A]
-    S = _u_identity(m, d)
-    Sinv = _u_identity(m, d)
-    T = _u_identity(n, d)
-    Tinv = _u_identity(n, d)
+    S = eye(m)
+    Sinv = eye(m)
+    T = eye(n)
+    Tinv = eye(n)
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
@@ -232,14 +101,14 @@ def smith_normal_form(A, d):
             for i in range(t + 1, m):
                 if D[i][t].is_zero():
                     continue
-                q, _ = D[i][t].divmod(D[t][t])
+                q, _ = div_rem(D[i][t], D[t][t])
                 row_add(i, t, -q)
                 if not D[i][t].is_zero():
                     clean = False
             for j in range(t + 1, n):
                 if D[t][j].is_zero():
                     continue
-                q, _ = D[t][j].divmod(D[t][t])
+                q, _ = div_rem(D[t][j], D[t][t])
                 col_add(j, t, -q)
                 if not D[t][j].is_zero():
                     clean = False
@@ -250,7 +119,7 @@ def smith_normal_form(A, d):
             for i in range(t + 1, m):
                 for j in range(t + 1, n):
                     if not D[i][j].is_zero():
-                        _, r = D[i][j].divmod(D[t][t])
+                        _, r = div_rem(D[i][j], D[t][t])
                         if not r.is_zero():
                             offender = i
                             break
@@ -258,9 +127,10 @@ def smith_normal_form(A, d):
                     break
             if offender is None:
                 break
-            row_add(t, offender, UPoly.one(d))
-        if not D[t][t].is_zero() and D[t][t].lead() != CycNum.one(d):
-            row_scale(t, D[t][t].lead().inverse())
+            row_add(t, offender, MPoly.one(d))
+        lead = leading_coeff(D[t][t])
+        if not lead.is_zero() and lead != CycNum.one(d):
+            row_scale(t, lead.inverse())
     return S, D, T, Sinv, Tinv
 
 
@@ -282,7 +152,7 @@ class _ParityHomology:
         k = len(self.kernel_idx)
         # image of d_in expressed in kernel coordinates
         cols = len(d_in[0]) if d_in else 0
-        X = [[UPoly.zero(d) for _ in range(cols)] for _ in range(k)]
+        X = [[MPoly.zero(d) for _ in range(cols)] for _ in range(k)]
         for c in range(cols):
             vec = [d_in[r][c] for r in range(n)]
             w = self._to_coords(vec)
@@ -294,7 +164,7 @@ class _ParityHomology:
         self.field_mode = var is None
         self.factors = []
         for i in range(k):
-            q = D2[i][i] if i < min(len(D2), len(D2[0]) if D2 else 0) else UPoly.zero(d)
+            q = D2[i][i] if i < min(len(D2), len(D2[0]) if D2 else 0) else MPoly.zero(d)
             self.factors.append(q)
         if self.field_mode:
             # base ring is the field itself: K/(0) = K, K/(unit) = 0
@@ -308,7 +178,7 @@ class _ParityHomology:
     def _to_coords(self, vec):
         w = []
         for i in range(self.ambient):
-            acc = UPoly.zero(self.d)
+            acc = MPoly.zero(self.d)
             for j in range(self.ambient):
                 if not self.Tinv[i][j].is_zero() and not vec[j].is_zero():
                     acc = acc + self.Tinv[i][j] * vec[j]
@@ -324,7 +194,7 @@ class _ParityHomology:
         kc = [w[i] for i in self.kernel_idx]
         u = []
         for row in self.S2:
-            acc = UPoly.zero(self.d)
+            acc = MPoly.zero(self.d)
             for a, val in enumerate(kc):
                 if not row[a].is_zero() and not val.is_zero():
                     acc = acc + row[a] * val
@@ -332,20 +202,20 @@ class _ParityHomology:
         out = []
         for (i, e) in self.labels:
             if self.field_mode:
-                r = u[i]
-                assert r.degree() <= 0
+                # constant_value raises ValueError on a nonconstant entry
+                out.append(u[i].constant_value())
             else:
-                _, r = u[i].divmod(self.factors[i])
-            c = r.coeffs[e] if e < len(r.coeffs) else CycNum.zero(self.d)
-            out.append(c)
+                _, r = div_rem(u[i], self.factors[i])
+                out.append(coeff_of(r, self.var, e).constant_value())
         return out
 
     def basis(self):
-        """Cycle representatives of the K-basis, as UPoly vectors."""
+        """Cycle representatives of the K-basis, as MPoly vectors."""
         reps = []
         for (i, e) in self.labels:
-            kc = [self.S2inv[a][i] * UPoly.monomial(self.d, e) for a in range(len(self.kernel_idx))]
-            vec = [UPoly.zero(self.d) for _ in range(self.ambient)]
+            ye = MPoly.var(self.d, self.var, e)
+            kc = [self.S2inv[a][i] * ye for a in range(len(self.kernel_idx))]
+            vec = [MPoly.zero(self.d) for _ in range(self.ambient)]
             for a, idx in enumerate(self.kernel_idx):
                 if not kc[a].is_zero():
                     for r in range(self.ambient):
@@ -354,6 +224,14 @@ class _ParityHomology:
         # note: T columns at kernel_idx are the kernel basis
             reps.append(vec)
         return reps
+
+
+def _univariate(p: MPoly, var: str | None) -> MPoly:
+    """p, after checking that no variable other than var occurs in it."""
+    extra = sorted(v for v in p.vars if v != var)
+    if extra:
+        raise ValueError(f"{p!r} involves {extra}, not univariate in {var}")
+    return p
 
 
 class HomologyData:
@@ -367,10 +245,7 @@ class HomologyData:
         kill = {M.left: None, M.right: None}
 
         def reduce_mat(mat):
-            out = []
-            for row in mat:
-                out.append([UPoly.from_mpoly(e.subs(kill), var) for e in row])
-            return out
+            return [[_univariate(e.subs(kill), var) for e in row] for row in mat]
 
         self.object = M
         self.var = var
@@ -410,20 +285,18 @@ def induced_h(f: MFMorphism, src_h: HomologyData | None = None, tgt_h: HomologyD
     for par, mat, src_par, tgt_par in ((0, f.f0, src_h.h0, tgt_h.h0), (1, f.f1, src_h.h1, tgt_h.h1)):
         cols = []
         for rep in src_par.basis():
-            lifted = [c.to_mpoly(src_h.var) if src_h.var else c.to_mpoly("y1") for c in rep]
             image = []
             for i in range(len(mat)):
                 acc = MPoly.zero(d)
-                for j, v in enumerate(lifted):
+                for j, v in enumerate(rep):
                     if v.is_zero():
                         continue
                     e = mat[i][j]
                     if entry_is_poly(e) and e.is_zero():
                         continue
                     acc = acc + _apply_reduced_entry(e, v, d, kill)
-                image.append(acc)
-            image_u = [UPoly.from_mpoly(p, tgt_h.var) for p in image]
-            cols.append(tgt_par.reduce(image_u))
+                image.append(_univariate(acc, tgt_h.var))
+            cols.append(tgt_par.reduce(image))
         out.append(cols)
     return out
 

@@ -14,7 +14,7 @@ middle variable into an external one; evaluation maps extract residues).
 
 from __future__ import annotations
 
-from .cyclofield import CycNum, EvenModulus, eta_power
+from .cyclofield import CycNum, EvenModulus, ModulusMismatch, eta_power
 from .linop import LinOp, ResidueCore, Subst, Term, as_linop, entry_is_poly
 from .polyring import MPoly, difference_quotient, exact_div, perm_product
 
@@ -23,6 +23,7 @@ __all__ = [
     "MFMorphism",
     "PermLabel",
     "VariableMismatch",
+    "MorphismShapeMismatch",
     "RankUnsupported",
     "unit_mf",
     "perm_mf",
@@ -57,6 +58,10 @@ class VariableMismatch(ValueError):
 
 class RankUnsupported(ValueError):
     pass
+
+
+class MorphismShapeMismatch(ValueError):
+    """Morphisms that must share sources, targets or parities do not."""
 
 
 class PermLabel:
@@ -262,7 +267,10 @@ class MFMorphism:
         return MFMorphism(other.src, self.tgt, deg, f0, f1)
 
     def __add__(self, other):
-        assert self.z2_degree == other.z2_degree
+        if not (
+            self.src.same_shape(other.src) and self.tgt.same_shape(other.tgt) and self.z2_degree == other.z2_degree
+        ):
+            raise MorphismShapeMismatch(f"cannot add {self!r} and {other!r}")
         return MFMorphism(
             self.src, self.tgt, self.z2_degree,
             mat_add(self.f0, other.f0, self.d), mat_add(self.f1, other.f1, self.d),
@@ -398,7 +406,8 @@ def unit_mf(d: int, left="x", right="y") -> MatrixBifact:
 def perm_mf(d: int, S, left="x", right="y", l: int = 1) -> MatrixBifact:
     """Permutation-type object: d1 = prod_{j in S}(left - eta^{lj} right)."""
     if isinstance(S, PermLabel):
-        assert S.d == d
+        if S.d != d:
+            raise ModulusMismatch(f"label of Z_{S.d} for an object over d = {d}")
         S = S.S
     S = {s % d for s in S}
     d1 = perm_product(d, S, left, right, l)
@@ -561,7 +570,8 @@ def direct_sum_mf(A: MatrixBifact, B: MatrixBifact) -> MatrixBifact:
 
 def sum_morphism(f: MFMorphism, g: MFMorphism) -> MFMorphism:
     """(f, g): src(f) (+) src(g) -> common target."""
-    assert f.tgt.same_shape(g.tgt) and f.z2_degree == g.z2_degree == 0
+    if not (f.tgt.same_shape(g.tgt) and f.z2_degree == g.z2_degree == 0):
+        raise MorphismShapeMismatch(f"cannot sum {f!r} and {g!r} into one target")
     src = direct_sum_mf(f.src, g.src)
     d = f.d
     f0 = [rf + rg for rf, rg in zip(f.f0, g.f0)]
@@ -719,7 +729,8 @@ def duality_un(d: int, l: int = 1):
     S = {a, a + 1}
     T = perm_mf(d, S, "x", "y", l)
     t = perm_dual_iso(d, S, "x", "y", l)  # source is P_{-S} = T
-    assert t.src == T
+    if t.src != T:
+        raise MorphismShapeMismatch(f"the dual comparison starts at {t.src!r}, not at {T!r}")
     ev, coev = ev_coev(T)
     Tyz = T.renamed({"x": "y", "y": "z"})
     tinv0 = [[exact_div(MPoly.one(d), t.f0[0][0])]]

@@ -7,7 +7,8 @@ monomials to nonzero CycNum coefficients.  A monomial is a frozenset of
 so it is canonical and hashable, the constant monomial is the empty set, and
 two polynomials are equal iff their term dicts coincide.  Substitution maps
 each variable to scalar * variable or to 0, so it rewrites monomials one term
-at a time.
+at a time.  `div_rem` is the one division routine, by the graded-lex leading
+term of the divisor; `exact_div` is the case of a zero remainder.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ __all__ = [
     "MPoly",
     "NotDivisible",
     "poly_arith",
+    "div_rem",
     "exact_div",
+    "leading_coeff",
     "coeff_of",
     "perm_product",
     "difference_quotient",
@@ -293,34 +296,52 @@ def poly_arith(f: MPoly, g: MPoly, op: str) -> MPoly:
     raise ValueError(f"unknown op {op!r}")
 
 
-def exact_div(f: MPoly, g: MPoly) -> MPoly:
-    """The h with g*h = f, or NotDivisible."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return MPoly.zero(f.d)
-    vars = sort_vars(f.vars | g.vars)
+def _glex(vars: tuple):
+    """Graded lexicographic key on monomials in `vars`: total degree, then
+    exponents in variable order.  Keys are cached per monomial."""
     keys: dict = {}
 
-    def glex(m):
-        # graded lexicographic key: total degree, then exponents in variable order
-        key = keys.get(m)
-        if key is None:
+    def key(m):
+        k = keys.get(m)
+        if k is None:
             e = dict(m)
-            key = keys[m] = (sum(e.values()), tuple(e.get(v, 0) for v in vars))
-        return key
+            k = keys[m] = (sum(e.values()), tuple(e.get(v, 0) for v in vars))
+        return k
 
+    return key
+
+
+def leading_coeff(f: MPoly) -> CycNum:
+    """The coefficient of the graded-lex leading monomial; 0 for f = 0."""
+    if f.is_zero():
+        return CycNum.zero(f.d)
+    return f.terms[max(f.terms, key=_glex(sort_vars(f.vars)))]
+
+
+def div_rem(f: MPoly, g: MPoly) -> tuple[MPoly, MPoly]:
+    """(q, r) with f = g*q + r and no term of r divisible by the leading term of g.
+
+    Graded-lex division by the leading term of g: a leading term of the
+    running remainder that it does not divide moves into r.  For univariate
+    f, g this is Euclidean division, deg r < deg g.
+    """
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    glex = _glex(sort_vars(f.vars | g.vars))
     rem = dict(f.terms)
     glead = max(g.terms, key=glex)
     gexp = dict(glead)
     gcoef = g.terms[glead]
     quot: dict = {}
+    out: dict = {}
     zero = CycNum.zero(f.d)
     while rem:
         rlead = max(rem, key=glex)
         rexp = dict(rlead)
         if any(rexp.get(v, 0) < k for v, k in gexp.items()):
-            raise NotDivisible(f"{f!r} is not divisible by {g!r}")
+            # later leading terms are smaller, so this term of r stays final
+            out[rlead] = rem.pop(rlead)
+            continue
         qm = frozenset((v, k - gexp.get(v, 0)) for v, k in rexp.items() if k > gexp.get(v, 0))
         qc = rem[rlead] / gcoef
         quot[qm] = qc
@@ -331,7 +352,15 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly:
                 rem.pop(tm, None)
             else:
                 rem[tm] = nc
-    return MPoly(f.d, quot, _normalize=False)
+    return MPoly(f.d, quot, _normalize=False), MPoly(f.d, out, _normalize=False)
+
+
+def exact_div(f: MPoly, g: MPoly) -> MPoly:
+    """The h with g*h = f, or NotDivisible."""
+    q, r = div_rem(f, g)
+    if r:
+        raise NotDivisible(f"{f!r} is not divisible by {g!r}")
+    return q
 
 
 def coeff_of(f: MPoly, v: str, k: int) -> MPoly:

@@ -200,7 +200,8 @@ class TLMorphism:
         return TLMorphism(d, dg.n_bottom, dg.n_top, {dg: CycNum.one(d)}, l)
 
     def __add__(self, other):
-        assert (self.src, self.tgt) == (other.src, other.tgt)
+        if (self.src, self.tgt) != (other.src, other.tgt):
+            raise StrandMismatch(f"cannot add a {other.src}->{other.tgt} to a {self.src}->{self.tgt} morphism")
         combo = dict(self.combo)
         for dg, c in other.combo.items():
             combo[dg] = combo.get(dg, CycNum.zero(self.d)) + c
@@ -377,7 +378,8 @@ def _finish_layer(F: MFMorphism, src_obj, tgt_obj, rename: dict) -> MFMorphism:
 
 def cap_layer(d: int, m: int, i: int, l: int = 1) -> MFMorphism:
     """id^i (x) u (x) id^{m-i-2} followed by splicing out the unit: T^m -> T^{m-2}."""
-    assert m >= 2 and 0 <= i <= m - 2
+    if not 0 <= i <= m - 2:
+        raise StrandMismatch(f"no cap at slot {i} of {m} strands")
     v = _strand_vars(m)
     u, n, _, _ = duality_un(d, l)
     u_loc = u.renamed({"x": v[i], "y": v[i + 1], "z": v[i + 2]})
@@ -406,7 +408,8 @@ def cap_layer(d: int, m: int, i: int, l: int = 1) -> MFMorphism:
 
 def cup_layer(d: int, m: int, i: int, l: int = 1) -> MFMorphism:
     """Splice the unit in at slot i and apply n: T^m -> T^{m+2}."""
-    assert 0 <= i <= m
+    if not 0 <= i <= m:
+        raise StrandMismatch(f"no cup at slot {i} of {m} strands")
     u, n, _, _ = duality_un(d, l)
     src_obj = strand_object(d, m, l)
     tgt_obj = strand_object(d, m + 2, l)
@@ -481,14 +484,13 @@ def _factor_diagram(dg: TLDiagram):
     return caps, cups
 
 
-def evaluate_F(f: TLMorphism, d: int | None = None, l: int | None = None) -> MFMorphism:
-    """Image of a TL morphism under the duality-data functor.
+def evaluate_F(f: TLMorphism) -> MFMorphism:
+    """Image of a TL morphism under the duality-data functor over f's own field.
 
     Strand count k goes to T^{(x) k}; a cap layer to u (spliced), a cup layer
     to n (spliced); linear combinations are taken entrywise.
     """
-    d = d if d is not None else f.d
-    l = l if l is not None else f.l
+    d, l = f.d, f.l
     if d % 2 == 0:
         raise EvenModulus("the functor needs odd d")
     total = None

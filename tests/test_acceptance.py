@@ -121,7 +121,7 @@ def test_criterion_06_temperley_lieb_suite():
             ok = ok and p.trace() == quantum_int(n + 1, q)
     # direct null-homotopy route at d = 3
     d = 3
-    Fp2 = temperleylieb.evaluate_F(temperleylieb.jw(2, d), d)
+    Fp2 = temperleylieb.evaluate_F(temperleylieb.jw(2, d))
     gm, gp, _, _, _ = graded.g_pair(d, 1, 1, 1)
     c_minus = mfcore.morphism_poly_form(Fp2.compose(gm.renamed({"y": "y1"})))
     c_plus = mfcore.morphism_poly_form(Fp2.compose(gp.renamed({"y": "y1"})))

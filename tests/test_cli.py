@@ -35,6 +35,10 @@ class TestUsage:
         rc, _, _ = run(["decompose", "--d", "5", "01", "0:2"])
         assert rc == 2
 
+    def test_degree_bound_option_removed(self):
+        rc, _, err = run(["verify", "--d", "3", "--suites", "cft", "--degree-bound", "4"])
+        assert rc == 2 and "--degree-bound" in err
+
 
 class TestVerify:
     def test_single_suite(self):
@@ -72,6 +76,18 @@ class TestVerify:
         rep = json.loads(out)
         failed = {c["name"] for c in rep["checks"] if c["status"] == "fail"}
         assert "factorisation_conditions" in failed
+
+    def test_zigzag_needs_strict_equality(self, monkeypatch):
+        # a scaled identity is not homotopic to 1_T, and no homotopy is searched
+        def scaled(d, l=1):
+            zz1, zz2 = original(d, l)
+            return zz1.scaled(2), zz2
+
+        original = mfcore.zigzag_morphisms
+        monkeypatch.setattr(mfcore, "zigzag_morphisms", scaled)
+        check = next(c for c in cli.build_checks(3, 1, {"core"}) if c.name == "zigzag_identities")
+        res = check.run()
+        assert (res["status"], res["detail"]) == ("fail", "a composite differs from 1_T")
 
 
 class TestTables:

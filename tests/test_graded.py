@@ -4,6 +4,7 @@ import pytest
 
 from permfact import cli
 from permfact.graded import (
+    ChargeCountMismatch,
     GradedLabel,
     _hom_dim_of_products,
     GradedMF,
@@ -59,6 +60,14 @@ class TestHatObjects:
             assert gd.mf == dual_rank1(perm_mf(d, S))
             # the comparison cycle hat(P_{-S}) -> (hat P_S)+ has charge 0
             assert morphism_c_degree(perm_dual_iso(d, S), hm, gd) == 0
+
+
+    def test_charge_count_must_match_ranks(self):
+        M = perm_mf(3, {0})
+        with pytest.raises(ChargeCountMismatch):
+            GradedMF(M, [0, 0], [0])
+        with pytest.raises(ChargeCountMismatch):
+            GradedMF(M, [0], [])
 
 
 class TestHomRigidity:
@@ -183,6 +192,13 @@ class TestGradedHomotopyDegrees:
         t0, t1 = graded_homotopy_degrees(T, T)
         assert t0 == [[None]]
         assert t1 == [[None]]
+
+    @pytest.mark.parametrize("d", [3, 7, 9, 15])
+    def test_homotopies_of_t_forced_zero_for_odd_d(self, d):
+        # zigzag_identities relies on this: homotopic to 1_T means equal to 1_T
+        a = (d - 1) // 2
+        T = hat_p(d, {a, a + 1})
+        assert graded_homotopy_degrees(T, T) == ([[None]], [[None]])
 
     def test_tensor_target(self):
         d = 3

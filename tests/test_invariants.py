@@ -15,7 +15,7 @@ from permfact.invariants import (
     HomologyData,
     MorphismShapeMismatch,
     TooManyInternalVariables,
-    UPoly,
+    _ParityHomology,
     default_degree_bound,
     homotopy_solve,
     induced_h,
@@ -24,6 +24,7 @@ from permfact.invariants import (
     smith_normal_form,
 )
 from permfact.mfcore import (
+    MatrixBifact,
     MFMorphism,
     direct_sum_mf,
     identity_morphism,
@@ -35,34 +36,35 @@ from permfact.mfcore import (
     unit_isos,
     unit_sections,
 )
-from permfact.polyring import MPoly
+from permfact.polyring import MPoly, div_rem
 from permfact.temperleylieb import evaluate_F, jw
 
 D = 3
 
 
-def upoly(*coeffs, d=D):
-    return UPoly(d, [CycNum.from_rational(d, c) for c in coeffs])
+def ypoly(*coeffs, d=D):
+    """sum_k coeffs[k] * y^k."""
+    return sum((MPoly.var(d, "y", k) * c for k, c in enumerate(coeffs)), MPoly.zero(d))
 
 
 class TestSmith:
     def test_scalar(self):
-        S, Dg, T, Si, Ti = smith_normal_form([[UPoly.one(D)]], D)
-        assert Dg[0][0] == UPoly.one(D)
+        S, Dg, T, Si, Ti = smith_normal_form([[MPoly.one(D)]], D)
+        assert Dg[0][0] == MPoly.one(D)
 
     def test_already_diagonal(self):
-        y2, y3 = UPoly.monomial(D, 2), UPoly.monomial(D, 3)
-        A = [[y2, UPoly.zero(D)], [UPoly.zero(D), y3]]
+        y2, y3 = MPoly.var(D, "y", 2), MPoly.var(D, "y", 3)
+        A = [[y2, MPoly.zero(D)], [MPoly.zero(D), y3]]
         S, Dg, T, Si, Ti = smith_normal_form(A, D)
         assert Dg[0][0] == y2 and Dg[1][1] == y3
 
     def test_transform_identity(self):
-        A = [[upoly(0, 1), upoly(1)], [upoly(2), upoly(0, 0, 3)]]
+        A = [[ypoly(0, 1), ypoly(1)], [ypoly(2), ypoly(0, 0, 3)]]
         S, Dg, T, Si, Ti = smith_normal_form(A, D)
         # S*A*T == D and the tracked inverses invert
         def matmul(P, Q):
             n, m, k = len(P), len(Q), len(Q[0])
-            out = [[UPoly.zero(D) for _ in range(k)] for _ in range(n)]
+            out = [[MPoly.zero(D) for _ in range(k)] for _ in range(n)]
             for i in range(n):
                 for j in range(k):
                     for t in range(m):
@@ -70,11 +72,11 @@ class TestSmith:
             return out
 
         assert matmul(matmul(S, A), T) == Dg
-        eye = [[UPoly.one(D) if i == j else UPoly.zero(D) for j in range(2)] for i in range(2)]
+        eye = [[MPoly.one(D) if i == j else MPoly.zero(D) for j in range(2)] for i in range(2)]
         assert matmul(S, Si) == eye
         assert matmul(Ti, T) == eye
         # divisibility chain
-        q, r = Dg[1][1].divmod(Dg[0][0])
+        q, r = div_rem(Dg[1][1], Dg[0][0])
         assert r.is_zero()
 
 
@@ -112,6 +114,20 @@ class TestHomology:
         HS = HomologyData(direct_sum_mf(A, B))
         assert HS.dim_h0 == HA.dim_h0 + HB.dim_h0
         assert HS.dim_h1 == HA.dim_h1 + HB.dim_h1
+
+    def test_reduced_differential_must_be_univariate(self):
+        d = 3
+        M = tensor_mf(perm_mf(d, {0, 1}, "x", "y1"), perm_mf(d, {1, 2}, "y1", "z"))
+        for int_vars in ((), ("y2",)):
+            with pytest.raises(ValueError, match="not univariate"):
+                HomologyData(MatrixBifact(d, M.left, M.right, int_vars, M.d1, M.d0))
+
+    def test_field_mode_reduce_rejects_nonconstant_entry(self):
+        zero = [[MPoly.zero(D)]]
+        H = _ParityHomology(D, None, zero, zero)
+        assert H.reduce([MPoly.constant(D, 2)]) == [CycNum.from_rational(D, 2)]
+        with pytest.raises(ValueError, match="not constant"):
+            H.reduce([MPoly.var(D, "y")])
 
     def test_too_many_internal_variables(self):
         d = 3
@@ -314,7 +330,7 @@ class TestRowReduce:
         # the d = 3 jw_vanishing_direct system; h recorded with the dense solver
         d = 3
         gp = g_pair(d, 1, 1, 1)[1]
-        c_plus = morphism_poly_form(evaluate_F(jw(2, d), d).compose(gp.renamed({"y": "y1"})))
+        c_plus = morphism_poly_form(evaluate_F(jw(2, d)).compose(gp.renamed({"y": "y1"})))
         ABG = graded_tensor(hat_p(d, {1, 2}, "x", "y1"), hat_p(d, {1, 2}, "y1", "z"))
         tables = graded_homotopy_degrees(hat_p(d, {0, 1, 2}), ABG)
         h = homotopy_solve(c_plus, c_plus.scaled(0), entry_degrees=tables)

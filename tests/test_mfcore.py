@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from permfact.cyclofield import CycNum, eta_power, kappa
+import permfact
+from permfact import mfcore
+from permfact.cyclofield import CycNum, ModulusMismatch, eta_power, kappa
 from permfact.mfcore import (
     MatrixBifact,
     MFMorphism,
+    MorphismShapeMismatch,
     PermLabel,
     RankUnsupported,
     VariableMismatch,
@@ -20,6 +28,7 @@ from permfact.mfcore import (
     perm_mf,
     reassoc,
     s_iso,
+    sum_morphism,
     tensor_mf,
     tensor_morphism,
     twist_mf,
@@ -300,3 +309,76 @@ class TestMu:
         m = mu(d, 0, 0)
         lam, _ = unit_isos(unit_mf(d, "x", "z"))
         assert m.equals(lam)
+
+
+class TestInputGuards:
+    def test_add_needs_equal_parity_and_shapes(self):
+        M = perm_mf(3, {1, 2})
+        idm = identity_morphism(M)
+        odd = MFMorphism(M, M, 1, [[MPoly.zero(3)]], [[MPoly.zero(3)]])
+        with pytest.raises(MorphismShapeMismatch):
+            idm + odd
+        with pytest.raises(MorphismShapeMismatch):
+            idm + identity_morphism(perm_mf(3, {1, 2}, "x", "z"))
+
+    def test_sum_morphism_needs_common_target_and_degree_zero(self):
+        M = perm_mf(3, {1, 2})
+        idm = identity_morphism(M)
+        with pytest.raises(MorphismShapeMismatch):
+            sum_morphism(idm, identity_morphism(perm_mf(3, {0}, "x", "z")))
+        odd = MFMorphism(M, M, 1, [[MPoly.zero(3)]], [[MPoly.zero(3)]])
+        with pytest.raises(MorphismShapeMismatch):
+            sum_morphism(odd, odd)
+
+    def test_perm_mf_label_of_another_modulus(self):
+        with pytest.raises(ModulusMismatch):
+            perm_mf(3, PermLabel(5, a=0, lam=1))
+
+    def test_duality_un_checks_the_dual_comparison_source(self, monkeypatch):
+        other = identity_morphism(perm_mf(3, {0}))
+        monkeypatch.setattr(mfcore, "perm_dual_iso", lambda *args: other)
+        with pytest.raises(MorphismShapeMismatch):
+            duality_un(3)
+
+    def test_input_guards_survive_optimize_flag(self):
+        # python -O strips assert statements; each guard must still raise
+        script = (
+            "from permfact.graded import GradedMF\n"
+            "from permfact.invariants import _ParityHomology\n"
+            "from permfact.mfcore import MFMorphism, PermLabel, identity_morphism, perm_mf, sum_morphism\n"
+            "from permfact.polyring import MPoly\n"
+            "from permfact.temperleylieb import cap_layer, cup_layer, tl_e, tl_identity\n"
+            "M = perm_mf(3, {1, 2})\n"
+            "idm = identity_morphism(M)\n"
+            "odd = MFMorphism(M, M, 1, [[MPoly.zero(3)]], [[MPoly.zero(3)]])\n"
+            "zero = [[MPoly.zero(3)]]\n"
+            "cases = [\n"
+            "    lambda: idm + odd,\n"
+            "    lambda: sum_morphism(odd, odd),\n"
+            "    lambda: perm_mf(3, PermLabel(5, a=0, lam=1)),\n"
+            "    lambda: GradedMF(M, [0, 0], [0]),\n"
+            "    lambda: tl_identity(3, 2) + tl_e(3, 3, 1),\n"
+            "    lambda: cap_layer(3, 2, 1),\n"
+            "    lambda: cup_layer(3, 1, 2),\n"
+            "    lambda: _ParityHomology(3, None, zero, zero).reduce([MPoly.var(3, 'y')]),\n"
+            "]\n"
+            "for case in cases:\n"
+            "    try:\n"
+            "        case()\n"
+            "    except ValueError as exc:\n"
+            "        print(type(exc).__name__)\n"
+        )
+        src = str(Path(permfact.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [
+            "MorphismShapeMismatch",
+            "MorphismShapeMismatch",
+            "ModulusMismatch",
+            "ChargeCountMismatch",
+            "StrandMismatch",
+            "StrandMismatch",
+            "StrandMismatch",
+            "ValueError",
+        ]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,9 @@ from permfact.polyring import (
     NotDivisible,
     coeff_of,
     difference_quotient,
+    div_rem,
     exact_div,
+    leading_coeff,
     perm_product,
     poly_arith,
 )
@@ -73,6 +77,47 @@ class TestExactDiv:
         if g.is_zero():
             return
         assert exact_div(f * g, g) == f
+
+
+class TestDivRem:
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("vars", ["y", "xy"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_division_contract(self, d, vars, data):
+        f = data.draw(polys(d, vars, max_terms=5))
+        g = data.draw(polys(d, vars).filter(lambda p: not p.is_zero()))
+        g = g * eta_power(d, data.draw(st.integers(0, 2 * d - 1)))
+        q, r = div_rem(f, g)
+        assert f == g * q + r
+        # graded lex with x before y
+        glex = lambda m: (sum(k for _, k in m), tuple(dict(m).get(v, 0) for v in vars))
+        lead = dict(max(g.terms, key=glex))
+        for m in r.terms:
+            assert any(dict(m).get(v, 0) < k for v, k in lead.items())
+        if vars == "y":
+            assert r.degree() < g.degree()
+        if r.is_zero():
+            assert exact_div(f, g) == q
+        else:
+            with pytest.raises(NotDivisible):
+                exact_div(f, g)
+
+    def test_euclidean_example(self):
+        q, r = div_rem(Y**3 + 2 * Y + 1, 2 * Y**2 - Y)
+        assert q == Y * Fraction(1, 2) + Fraction(1, 4)
+        assert r == Y * Fraction(9, 4) + 1
+
+    def test_zero_divisor_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            div_rem(X, MPoly.zero(D))
+
+    def test_leading_coeff(self):
+        # degree 3 first, then the larger x exponent: x^2*y leads
+        assert leading_coeff(3 * X**2 * Y + 5 * X * Y**2 + 7 * Y**3 + 11 * X) == CycNum.from_rational(D, 3)
+        assert leading_coeff(2 * Y**3 + Y + 4) == CycNum.from_rational(D, 2)
+        assert leading_coeff(MPoly.constant(D, 6)) == CycNum.from_rational(D, 6)
+        assert leading_coeff(MPoly.zero(D)).is_zero()
 
 
 class TestScaleAndCoeff:

@@ -120,14 +120,30 @@ class TestJonesWenzl:
                 assert not layer.compose(p).combo
 
 
+class TestInputGuards:
+    def test_add_needs_equal_strand_counts(self):
+        with pytest.raises(StrandMismatch):
+            tl_identity(D, 2) + tl_e(D, 3, 1)
+
+    @pytest.mark.parametrize("m, i", [(2, 1), (2, -1), (1, 0), (0, 0)])
+    def test_cap_slot_out_of_range(self, m, i):
+        with pytest.raises(StrandMismatch):
+            cap_layer(3, m, i)
+
+    @pytest.mark.parametrize("m, i", [(1, 2), (2, -1)])
+    def test_cup_slot_out_of_range(self, m, i):
+        with pytest.raises(StrandMismatch):
+            cup_layer(3, m, i)
+
+
 class TestFunctor:
     def test_cap_cup_values(self):
         d = 3
         from permfact.mfcore import duality_un
 
         u, n, _, _ = duality_un(d)
-        Fcap = evaluate_F(TLMorphism.from_diagram(d, cap_diagram()), d)
-        Fcup = evaluate_F(TLMorphism.from_diagram(d, cup_diagram()), d)
+        Fcap = evaluate_F(TLMorphism.from_diagram(d, cap_diagram()))
+        Fcup = evaluate_F(TLMorphism.from_diagram(d, cup_diagram()))
         assert Fcap.equals(u.renamed({"y": "y1"}))
         assert Fcup.equals(n.renamed({"y": "y1"}))
 
@@ -140,31 +156,31 @@ class TestFunctor:
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_e1_squared(self, d):
-        Fe1 = evaluate_F(tl_e(d, 2, 1), d)
+        Fe1 = evaluate_F(tl_e(d, 2, 1))
         assert Fe1.is_cycle()
         assert Fe1.compose(Fe1).equals(Fe1.scaled(kappa(d)))
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_three_strand_relations_strict(self, d):
-        F1 = evaluate_F(tl_e(d, 3, 1), d)
-        F2 = evaluate_F(tl_e(d, 3, 2), d)
+        F1 = evaluate_F(tl_e(d, 3, 1))
+        F2 = evaluate_F(tl_e(d, 3, 2))
         assert F1.compose(F2).compose(F1).equals(F1)
         assert F2.compose(F1).compose(F2).equals(F2)
 
     def test_identity_strand(self):
         d = 3
-        F = evaluate_F(tl_identity(d, 2), d)
+        F = evaluate_F(tl_identity(d, 2))
         assert F.equals(identity_morphism(strand_object(d, 2)))
 
     def test_linearity(self):
         d = 3
         e = tl_e(d, 2, 1)
-        F = evaluate_F(e.scaled(2) - e, d)
-        assert F.equals(evaluate_F(e, d))
+        F = evaluate_F(e.scaled(2) - e)
+        assert F.equals(evaluate_F(e))
 
     def test_jw2_vanishing_d3(self):
         d = 3
-        Fp2 = evaluate_F(jw(2, d), d)
+        Fp2 = evaluate_F(jw(2, d))
         gm, gp, Qm, Qp, AB = g_pair(d, 1, 1, 1)
         gm1 = gm.renamed({"y": "y1"})
         gp1 = gp.renamed({"y": "y1"})
