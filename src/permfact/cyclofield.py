@@ -42,7 +42,6 @@ __all__ = [
     "DegenerateRoot",
     "EvenModulus",
     "NotCoprime",
-    "field_arith",
     "eta_power",
     "quantum_int",
     "kappa",
@@ -436,24 +435,6 @@ class CycNum:
 
 
 # -- module-level operations ---------------------------------------------------
-
-
-def field_arith(a: CycNum, b: CycNum, op: str) -> CycNum:
-    if not isinstance(a, CycNum) or not isinstance(b, CycNum):
-        raise TypeError("field_arith needs CycNum operands")
-    if a.d != b.d:
-        raise ModulusMismatch(f"moduli differ: {a.d} vs {b.d}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b.is_zero():
-            raise DivisionByZero("division by zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def eta_power(d: int, k: int, l: int = 1) -> CycNum:

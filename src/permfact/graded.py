@@ -112,10 +112,6 @@ def hat_p(d: int, S, left="x", right="y", l: int = 1) -> GradedMF:
     return GradedMF(mf, (alpha,), (alpha + Fraction(2 * len(S), d) - 1,))
 
 
-def hat_label(label: GradedLabel, left="x", right="y", l: int = 1) -> GradedMF:
-    return hat_p(label.d, label.subset, left, right, l)
-
-
 def graded_tensor(A: GradedMF, B: GradedMF) -> GradedMF:
     mf = tensor_mf(A.mf, B.mf)
     c0 = [a + b for a in A.charges0 for b in B.charges0] + [a + b for a in A.charges1 for b in B.charges1]

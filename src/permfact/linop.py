@@ -15,11 +15,22 @@ scalar * variable, possibly to 0) and core is the optional residue extractor
     core(f) = sum_{m >= 0} (injc*inj)^{step*m} * coeff_elim(prem * f, step*(m+1)).
 
 Normal form: prem is reduced modulo elim^step - (injc*inj)^step; the quotient
-telescopes to an evaluation at elim = 0.  Equality of operators is decided on
-the normal form, with a sound fallback that samples monomials up to the exact
-quasi-periodicity bound (every term scales by a fixed multiplier when any one
-variable's exponent grows by `step`, so a Vandermonde argument makes the
-sampled grid conclusive).
+telescopes to an evaluation at elim = 0.  The normal form is not unique, so
+`LinOp.is_zero` decides zero by rewriting every term over maps that are
+linearly independent over the field of rational functions: monomial
+substitutions, and f |-> phi(coeff_elim(f, j)) for j >= 1.  A residue core is
+a roots-of-unity filter: with g = prem * f and omega over the step-th roots of
+unity (in Q(zeta_{2d}), as step divides 2d),
+
+    (injc*inj)^step * core(f) = (1/step) sum_omega g(elim -> omega*injc*inj) - g(elim -> 0),
+
+a sum of substitutions once phi is applied, unless phi kills inj; then only
+phi(coeff_elim(g, step)) survives.  The rewrite is exact: on monomials
+x^a, each map is a product over variables of an exponential lambda^{a_v}
+(lambda != 0) or a point mass [a_v = j], and such products with distinct
+factors are linearly independent (induct on the variables; on N, point masses
+and exponentials with distinct nonzero bases are independent by Vandermonde).
+So an operator is zero iff, for each map, its coefficients sum to zero.
 """
 
 from __future__ import annotations
@@ -143,6 +154,8 @@ class ResidueCore:
     def __init__(self, prem: MPoly, elim: str, inj: str, injc: CycNum, step: int):
         if elim == inj:
             raise ResidueVariableClash(f"residue core eliminates and injects the same variable {elim!r}")
+        if step < 1 or (2 * prem.d) % step:
+            raise ValueError(f"residue step {step} is not a positive divisor of 2d = {2 * prem.d}")
         self.prem = prem
         self.elim = elim
         self.inj = inj
@@ -470,28 +483,25 @@ class LinOp:
     # -- action -----------------------------------------------------------------
 
     def apply(self, f: MPoly) -> MPoly:
-        dens = []
-        for t in self.terms:
-            if t.den not in dens:
-                dens.append(t.den)
-        common = MPoly.one(self.d)
-        for q in dens:
-            common = common * q
-        total = MPoly.zero(self.d)
-        for t in self.terms:
-            total = total + t.apply_num(f) * exact_div(common, t.den)
+        total, common = _sum_fractions(self.d, [(t.apply_num(f), t.den) for t in self.terms])
         if common == MPoly.one(self.d):
             return total
         return exact_div(total, common)
 
     # -- equality ------------------------------------------------------------------
 
-    def equals(self, other, sample_vars=()) -> bool:
-        other = as_linop(other, self.d)
-        diff = self - other
-        if diff.is_zero_form():
+    def is_zero(self) -> bool:
+        """True iff each independent map's coefficients sum to zero (see the module docstring)."""
+        if not self.terms:
             return True
-        return _sampled_zero(diff, sample_vars)
+        groups: dict = {}
+        for t in self.terms:
+            for key, num, den in _basis_expansion(t):
+                groups.setdefault(key, []).append((num, den))
+        return all(_sum_fractions(self.d, parts)[0].is_zero() for parts in groups.values())
+
+    def equals(self, other) -> bool:
+        return (self - other).is_zero()
 
     def degree_shift(self) -> Fraction | None:
         """Uniform polynomial-degree shift of the operator, None if mixed."""
@@ -529,55 +539,54 @@ def entry_is_poly(entry) -> bool:
     return isinstance(entry, MPoly)
 
 
-def _sampled_zero(op: LinOp, sample_vars) -> bool:
-    """Exact zero test on the quasi-periodicity grid.
-
-    For each variable v every term scales by a fixed multiplier when the
-    exponent of v grows by `step` (phi(v)^step for substitution terms,
-    (injc*inj)^step for the eliminated variable of a residue term), valid
-    for exponents >= 1.  Per residue class mod step the sampled sequence is
-    a generalized power sum with at most n_v distinct nonzero ratios, so
-    vanishing at exponents 0..step*n_v per variable is conclusive
-    (Vandermonde).  Variables no term acts on are skipped: the operator is
-    linear over them.
-    """
-    steps = [t.core.step for t in op.terms if t.core is not None]
-    step = max(steps) if steps else 1
-    d = op.d
-    bounds = {}
-    for v in sample_vars:
-        touched = False
-        muls = set()
-        for t in op.terms:
-            if t.core is not None and t.core.elim == v:
-                touched = True
-                muls.add(("res", t.core.injc**t.core.step, t.core.inj))
-            else:
-                img = t.phi.image_of(v)
-                if img is None:
-                    touched = True  # zero map: only the exponent-0 slice survives
-                elif img != (CycNum.one(d), v):
-                    touched = True
-                    muls.add(("sub", img[0] ** step, img[1]))
-                else:
-                    muls.add(("sub", CycNum.one(d), v))
-        if touched:
-            bounds[v] = step * max(len(muls), 1)
-    grid = [MPoly.one(d)]
-    for v, bound in bounds.items():
-        grid = [g * MPoly.var(d, v, k) for g in grid for k in range(bound + 1)]
-    dens = []
-    for t in op.terms:
-        if t.den not in dens:
-            dens.append(t.den)
+def _sum_fractions(d: int, parts) -> tuple[MPoly, MPoly]:
+    """(numerator, denominator) of sum num/den over the product of the distinct dens."""
     common = MPoly.one(d)
-    for q in dens:
+    for q in dict.fromkeys(den for _, den in parts):
         common = common * q
-    factors = [exact_div(common, t.den) for t in op.terms]
-    for g in grid:
-        total = MPoly.zero(d)
-        for t, fac in zip(op.terms, factors):
-            total = total + t.apply_num(g) * fac
-        if not total.is_zero():
-            return False
-    return True
+    total = MPoly.zero(d)
+    for num, den in parts:
+        total = total + (num if den == common else num * exact_div(common, den))
+    return total, common
+
+
+def _basis_expansion(t: Term):
+    """Triples (key, num, den) with t(f) = sum num * B_key(f) / den.
+
+    B_key is the monomial substitution with that Subst.key(), or, for
+    key = ("coeff", elim, j, phi.key()), the map f |-> phi(coeff_elim(f, j)).
+    """
+    if t.core is None:
+        yield t.phi.key(), t.num, t.den
+        return
+    d = t.num.d
+    core, phi = t.core, t.phi
+    elim, step = core.elim, core.step
+    img = phi.image_of(core.inj)
+    c = CycNum.zero(d) if img is None else core.injc * img[0]
+    if c.is_zero():
+        # phi kills injc*inj: t(f) = num * phi(coeff_elim(prem * f, step)) / den
+        rest = phi.restricted_without(elim)
+        for k, pk in core.prem.coeff_dict_in(elim).items():
+            if k == step:
+                yield phi.compose(Subst(d, {elim: None})).key(), t.num * phi.apply(pk), t.den
+            elif k < step:
+                yield ("coeff", elim, step - k, rest.key()), t.num * phi.apply(pk), t.den
+        return
+    # the roots-of-unity filter over phi(injc*inj)^step = (c*w)^step, with
+    # phi(prem(elim -> omega*injc*inj)) = sum_k omega^k * (c*w)^k * phi(prem_k)
+    w = img[1]
+    den = t.den * MPoly.var(d, w, step)
+    scale = (c**step * step).inverse()
+    parts = {}
+    for k, pk in core.prem.coeff_dict_in(elim).items():
+        parts[k] = phi.apply(pk) * MPoly.var(d, w, k) * (c**k * scale)
+    unit = 2 * d // step  # omega_j = zeta^(unit*j)
+    for j in range(step):
+        value = MPoly.zero(d)
+        for k, part in parts.items():
+            value = value + (part * CycNum.zeta(d, unit * j * k) if j * k else part)
+        sigma = Subst(d, {elim: (CycNum.zeta(d, unit * j) * core.injc, core.inj)})
+        yield phi.compose(sigma).key(), t.num * value, den
+    if 0 in parts:
+        yield phi.compose(Subst(d, {elim: None})).key(), t.num * parts[0] * -step, den

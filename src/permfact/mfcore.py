@@ -122,10 +122,10 @@ def _entry_factor_product(a, b, d):
     raise VariableMismatch("tensor of two operator entries is not supported")
 
 
-def _entry_eq(a, b, d, sample_vars):
+def _entry_eq(a, b, d):
     if entry_is_poly(a) and entry_is_poly(b):
         return a == b
-    return as_linop(a, d).equals(as_linop(b, d), sample_vars=sample_vars)
+    return as_linop(a, d).equals(b)
 
 
 def mat_mul(A, B, d):
@@ -154,11 +154,11 @@ def mat_scale(A, c, d):
     return out
 
 
-def mat_eq(A, B, d, sample_vars):
+def mat_eq(A, B, d):
     if len(A) != len(B) or any(len(ra) != len(rb) for ra, rb in zip(A, B)):
         return False
     return all(
-        _entry_eq(a, b, d, sample_vars) for ra, rb in zip(A, B) for a, b in zip(ra, rb)
+        _entry_eq(a, b, d) for ra, rb in zip(A, B) for a, b in zip(ra, rb)
     )
 
 
@@ -253,9 +253,6 @@ class MFMorphism:
     def d(self):
         return self.src.d
 
-    def sample_vars(self):
-        return tuple(dict.fromkeys(self.src.all_vars + self.tgt.all_vars))
-
     def compose(self, other: "MFMorphism") -> "MFMorphism":
         """self after other."""
         if not other.tgt.same_shape(self.src):
@@ -284,7 +281,6 @@ class MFMorphism:
 
     def is_cycle(self) -> bool:
         """Both commuting-square conditions, checked exactly."""
-        sv = self.sample_vars()
         d = self.d
         if self.z2_degree == 0:
             lhs1 = mat_mul(self.f0, self.src.d1, d)
@@ -297,7 +293,7 @@ class MFMorphism:
             rhs1 = mat_scale(mat_mul(self.tgt.d0, self.f1, d), -1, d)
             lhs2 = mat_mul(self.f1, self.src.d0, d)
             rhs2 = mat_scale(mat_mul(self.tgt.d1, self.f0, d), -1, d)
-        return mat_eq(lhs1, rhs1, d, sv) and mat_eq(lhs2, rhs2, d, sv)
+        return mat_eq(lhs1, rhs1, d) and mat_eq(lhs2, rhs2, d)
 
     def delta(self) -> "MFMorphism":
         """delta(f) = d_tgt . f - (-1)^{|f|} f . d_src, as component matrices."""
@@ -313,14 +309,12 @@ class MFMorphism:
     def equals(self, other: "MFMorphism") -> bool:
         if self.z2_degree != other.z2_degree:
             return False
-        sv = tuple(dict.fromkeys(self.sample_vars() + other.sample_vars()))
-        return mat_eq(self.f0, other.f0, self.d, sv) and mat_eq(self.f1, other.f1, self.d, sv)
+        return mat_eq(self.f0, other.f0, self.d) and mat_eq(self.f1, other.f1, self.d)
 
     def is_zero(self) -> bool:
-        sv = self.sample_vars()
         z0 = _zero_matrix(len(self.f0), len(self.f0[0]) if self.f0 else 0, self.d)
         z1 = _zero_matrix(len(self.f1), len(self.f1[0]) if self.f1 else 0, self.d)
-        return mat_eq(self.f0, z0, self.d, sv) and mat_eq(self.f1, z1, self.d, sv)
+        return mat_eq(self.f0, z0, self.d) and mat_eq(self.f1, z1, self.d)
 
     def renamed(self, mapping: dict) -> "MFMorphism":
         """Rename variables in source, target, and all entries."""
@@ -418,12 +412,9 @@ def perm_mf(d: int, S, left="x", right="y", l: int = 1) -> MatrixBifact:
 def verify_factorisation(M: MatrixBifact) -> bool:
     d = M.d
     W = M.potential()
-    sv = M.all_vars
     target0 = mat_scale(_identity_matrix(M.rank0, d), W, d)
     target1 = mat_scale(_identity_matrix(M.rank1, d), W, d)
-    return mat_eq(mat_mul(M.d1, M.d0, d), target0, d, sv) and mat_eq(
-        mat_mul(M.d0, M.d1, d), target1, d, sv
-    )
+    return mat_eq(mat_mul(M.d1, M.d0, d), target0, d) and mat_eq(mat_mul(M.d0, M.d1, d), target1, d)
 
 
 def tensor_mf(M: MatrixBifact, N: MatrixBifact) -> MatrixBifact:

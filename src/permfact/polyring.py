@@ -20,7 +20,6 @@ from .cyclofield import CycNum, ModulusMismatch, eta_power
 __all__ = [
     "MPoly",
     "NotDivisible",
-    "poly_arith",
     "div_rem",
     "exact_div",
     "leading_coeff",
@@ -284,16 +283,6 @@ class MPoly:
 
 
 # -- module operations -------------------------------------------------------------
-
-
-def poly_arith(f: MPoly, g: MPoly, op: str) -> MPoly:
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown op {op!r}")
 
 
 def _glex(vars: tuple):

@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permfact.cyclofield import CycNum, eta_power, kappa
 from permfact.linop import LinOp, ResidueCore, ResidueVariableClash, Subst, Term
@@ -27,7 +31,7 @@ def test_first_residue_property_as_operator():
     G = residue_op(d0)
     d1 = Y - Z
     target = LinOp.substitution(D, {"y": None}, coeff=(X - Z))
-    assert G.compose(LinOp.poly(d1)).equals(target, sample_vars=("x", "y", "z"))
+    assert G.compose(LinOp.poly(d1)).equals(target)
     for m in range(7):
         expect = (X - Z) if m == 0 else MPoly.zero(D)
         assert G.apply(d1 * Y**m) == expect
@@ -98,3 +102,132 @@ def test_indivisible_denominator_is_kept():
 def test_residue_core_rejects_equal_variables():
     with pytest.raises(ResidueVariableClash):
         ResidueCore(Y - Z, "y", "y", CycNum.one(D), D)
+
+
+def test_residue_core_rejects_bad_step():
+    for step in (0, -3, 4):
+        with pytest.raises(ValueError):
+            ResidueCore(Y, "y", "z", CycNum.one(D), step)
+    with pytest.raises(ValueError):
+        LinOp(D, [Term(ONE, Subst.identity(D), ResidueCore(Y, "y", "z", 1, 0))])
+
+
+# -- the zero test ---------------------------------------------------------------
+
+
+def grid_zero(op, variables):
+    """Reference zero test: evaluate on a monomial grid in `variables`.
+
+    Along each variable every term scales by a fixed multiplier when the
+    exponent grows by `step`, so per residue class the sampled sequence is a
+    sum of at most n_v geometric sequences and exponents 0..step*n_v decide
+    it (Vandermonde).  Sound only when `variables` holds every variable a
+    term substitutes or eliminates.
+    """
+    d = op.d
+    steps = [t.core.step for t in op.terms if t.core is not None]
+    step = max(steps) if steps else 1
+    grid = [MPoly.one(d)]
+    for v in variables:
+        touched, muls = False, set()
+        for t in op.terms:
+            if t.core is not None and t.core.elim == v:
+                touched = True
+                muls.add(("res", t.core.injc**t.core.step, t.core.inj))
+                continue
+            img = t.phi.image_of(v)
+            touched = touched or img != (CycNum.one(d), v)
+            muls.add(None if img is None else (img[0] ** step, img[1]))
+        if touched:
+            grid = [g * MPoly.var(d, v, k) for g in grid for k in range(step * len(muls) + 1)]
+    return all(op.apply(g).is_zero() for g in grid)
+
+
+Y2 = MPoly.var(D, "y2")
+P = (X - Z - Y) * exact_div(Y**3 - Z**3, Y - Z)
+ID = Subst.identity(D)
+
+
+def res(prem, injc=1, den=None, num=ONE, phi=ID):
+    return Term(num, phi, ResidueCore(prem, "y", "z", CycNum.from_rational(D, 1) * injc, D), den)
+
+
+OMEGA = eta_power(D, 1)  # a primitive cube root of unity
+KILL_Z = Subst(D, {"z": None})
+RES_THEN_KILL_Z = LinOp(D, [Term(ONE, KILL_Z)]).compose(LinOp(D, [res(P)]))  # its term's phi kills inj = z
+ZERO_TEST_CASES = [
+    # (name, zero operator, the same with one term perturbed, variables)
+    (
+        "identity phi, different denominators",
+        LinOp(D, [res(P * (X - Z), den=X - Z), res(-P * (X - Z) * (X + Z), den=(X - Z) * (X + Z))]),
+        LinOp(D, [res(P * (X - Z), den=X - Z), res(-P * (X - Z) * (X + Z), num=2 * ONE, den=(X - Z) * (X + Z))]),
+        "xyz",
+    ),
+    (
+        "numerators carrying the eliminated variable",
+        LinOp(D, [res(P, num=Y + X), res(P, num=-Y), res(P, num=-X)]),
+        LinOp(D, [res(P, num=Y + X), res(P, num=-Y), res(P, num=-Z)]),
+        "xyz",
+    ),
+    (
+        "substitution killing the premultiplier",
+        LinOp(D, [res(Y * (Y2 - X), phi=Subst(D, {"y2": (1, "x")}))]),
+        LinOp(D, [res(Y * (Y2 - 2 * X), phi=Subst(D, {"y2": (1, "x")}))]),
+        ("x", "y", "y2", "z"),
+    ),
+    (
+        "roots-of-unity filter across keys",
+        LinOp(D, [res(Z**3), Term(ONE, Subst(D, {"y": None}))]
+              + [Term(MPoly.constant(D, Fraction(-1, 3)), Subst(D, {"y": (OMEGA**j, "z")})) for j in range(3)]),
+        LinOp(D, [res(Z**3), Term(ONE, Subst(D, {"y": None}))]
+              + [Term(MPoly.constant(D, Fraction(-1, 3)), Subst(D, {"y": (OMEGA**j, "z")})) for j in range(2)]),
+        "yz",
+    ),
+    (
+        "injection scalars differing by a root of unity",
+        LinOp(D, [res(P), res(-P, injc=OMEGA)]),
+        LinOp(D, [res(P), res(-P, injc=-OMEGA)]),
+        "xyz",
+    ),
+    (
+        "substitution killing the injection variable",
+        RES_THEN_KILL_Z - LinOp(D, [res(P, injc=0, phi=KILL_Z)]),
+        RES_THEN_KILL_Z - LinOp(D, [res(P + X * Y**2, injc=0, phi=KILL_Z)]),
+        "xyz",
+    ),
+]
+
+
+@pytest.mark.parametrize("name,zero,perturbed,variables", ZERO_TEST_CASES, ids=[c[0] for c in ZERO_TEST_CASES])
+def test_zero_test_decides_and_agrees_with_grid(name, zero, perturbed, variables):
+    assert not zero.is_zero_form()
+    assert zero.is_zero() and zero.equals(LinOp.zero(D))
+    assert grid_zero(zero, variables)
+    assert not perturbed.is_zero() and not perturbed.equals(LinOp.zero(D))
+    assert not grid_zero(perturbed, variables)
+
+
+def test_residue_seen_only_above_degree_zero_is_not_zero():
+    # G(1) = 0 but G(y^3) = 1: sampling f = 1 alone would call G zero
+    G = LinOp(D, [res(ONE)])
+    assert G.apply(ONE).is_zero() and G.apply(Y**3) == ONE
+    assert not G.equals(LinOp.zero(D))
+    assert not grid_zero(G, "yz")
+
+
+SCALARS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    coeffs=st.lists(SCALARS, min_size=len(ZERO_TEST_CASES), max_size=len(ZERO_TEST_CASES)),
+    probe=st.integers(min_value=0, max_value=len(ZERO_TEST_CASES) - 1),
+    c0=st.one_of(st.just(Fraction(0)), SCALARS),
+)
+def test_zero_test_on_combinations(coeffs, probe, c0):
+    # a combination of zero operators is zero; adding c0 * (a nonzero operator) is not, unless c0 = 0
+    op = LinOp.zero(D)
+    for c, case in zip(coeffs, ZERO_TEST_CASES):
+        op = op + case[1].scaled(CycNum.from_rational(D, c))
+    op = op + ZERO_TEST_CASES[probe][2].scaled(CycNum.from_rational(D, c0))
+    assert op.is_zero() == (c0 == 0)
