@@ -30,10 +30,7 @@ import cmath
 from fractions import Fraction
 from math import gcd, lcm
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "CycNum",
     "DivisionByZero",
     "ModulusMismatch",

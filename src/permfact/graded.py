@@ -15,7 +15,7 @@ from fractions import Fraction
 from .cyclofield import CycNum, eta_power
 from .fusionring import FusionRing
 from .invariants import HomologyData, is_homotopy_iso, row_reduce
-from .linop import as_linop, entry_is_poly
+from .linop import as_linop
 from .mfcore import (
     MatrixBifact,
     MFMorphism,
@@ -134,19 +134,11 @@ def graded_dual(A: GradedMF) -> GradedMF:
 
 
 def _entry_degree(entry, d):
-    """(uniform polynomial-degree shift, ok) of a matrix entry."""
-    if entry_is_poly(entry):
-        if entry.is_zero():
-            return None, True
-        if not entry.is_homogeneous():
-            return None, False
-        return Fraction(entry.degree()), True
-    shift = as_linop(entry, d).degree_shift()
+    """(uniform polynomial-degree shift, ok) of a matrix entry; (None, True) when it is zero."""
+    op = as_linop(entry, d)
+    shift = op.degree_shift()
     if shift is None:
-        op = as_linop(entry, d)
-        if op.is_zero_form():
-            return None, True
-        return None, False
+        return None, op.is_zero()
     return shift, True
 
 

@@ -13,7 +13,7 @@ isomorphism.
 from __future__ import annotations
 
 from .cyclofield import CycNum
-from .linop import as_linop, entry_is_poly
+from .linop import LinOp
 from .mfcore import MatrixBifact, MFMorphism, MorphismShapeMismatch
 from .polyring import MPoly, coeff_of, div_rem, leading_coeff
 
@@ -267,10 +267,9 @@ class HomologyData:
         return f"HomologyData(dims=({self.dim_h0},{self.dim_h1}))"
 
 
-def _apply_reduced_entry(entry, vec_poly, d, kill):
-    if entry_is_poly(entry):
-        return (entry * vec_poly).subs(kill)
-    return as_linop(entry, d).apply(vec_poly).subs(kill)
+def _apply_reduced_entry(entry, vec_poly, kill):
+    image = entry.apply(vec_poly) if isinstance(entry, LinOp) else entry * vec_poly
+    return image.subs(kill)
 
 
 def induced_h(f: MFMorphism, src_h: HomologyData | None = None, tgt_h: HomologyData | None = None):
@@ -292,9 +291,9 @@ def induced_h(f: MFMorphism, src_h: HomologyData | None = None, tgt_h: HomologyD
                     if v.is_zero():
                         continue
                     e = mat[i][j]
-                    if entry_is_poly(e) and e.is_zero():
+                    if isinstance(e, MPoly) and e.is_zero():
                         continue
-                    acc = acc + _apply_reduced_entry(e, v, d, kill)
+                    acc = acc + _apply_reduced_entry(e, v, kill)
                 image.append(_univariate(acc, tgt_h.var))
             cols.append(tgt_par.reduce(image))
         out.append(cols)
@@ -374,7 +373,7 @@ def default_degree_bound(f: MFMorphism, g: MFMorphism) -> int:
     for mat in (f.f0, f.f1, g.f0, g.f1, f.src.d1, f.src.d0, f.tgt.d1, f.tgt.d0):
         for row in mat:
             for e in row:
-                if entry_is_poly(e) and not e.is_zero():
+                if isinstance(e, MPoly) and not e.is_zero():
                     degs.append(e.degree())
     return max(degs) + f.d
 
@@ -403,7 +402,7 @@ def homotopy_solve(
     for mat in (diff.f0, diff.f1):
         for row in mat:
             for e in row:
-                if not entry_is_poly(e):
+                if not isinstance(e, MPoly):
                     raise ValueError("homotopy_solve needs polynomial difference entries")
     vars = tuple(dict.fromkeys(f.src.all_vars + f.tgt.all_vars))
     if degree_bound is None:

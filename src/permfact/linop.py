@@ -31,6 +31,13 @@ x^a, each map is a product over variables of an exponential lambda^{a_v}
 factors are linearly independent (induct on the variables; on N, point masses
 and exponentials with distinct nonzero bases are independent by Vandermonde).
 So an operator is zero iff, for each map, its coefficients sum to zero.
+
+As matrix entries, operators, polynomials and scalars combine by `+`, `*`
+and `==` whatever their type: `a * b` is a after b (for a polynomial p,
+`op * p` precomposes with multiplication by p and `p * op` multiplies the
+output by p), and `a == b` is the exact zero test of `a - b`.  `MPoly` and
+`CycNum` return NotImplemented for an operator operand, so mixed expressions
+reach the operator's methods.  Operators are not hashable.
 """
 
 from __future__ import annotations
@@ -48,7 +55,6 @@ __all__ = [
     "LinOpCompositionError",
     "ResidueVariableClash",
     "as_linop",
-    "entry_is_poly",
 ]
 
 
@@ -182,7 +188,8 @@ class ResidueCore:
         return out
 
     def key(self):
-        return (self.elim, self.inj, self.injc, self.step)
+        # the map depends on injc only through injc**step
+        return (self.elim, self.inj, self.injc**self.step, self.step)
 
     def output_vars(self):
         vars = {self.inj}
@@ -333,6 +340,11 @@ class LinOp:
         cores: dict = {}
         order: list = []
         for t in terms:
+            if t.core is not None and t.num.is_constant() and t.num != MPoly.one(t.num.d):
+                # a constant numerator scales the premultiplier, so such terms share a key
+                c = t.core
+                core = ResidueCore(c.prem * t.num, c.elim, c.inj, c.injc, c.step)
+                t = Term(MPoly.one(t.num.d), t.phi, core, t.den)
             if t.core is None:
                 key = ("h", t.phi.key(), t.den)
                 if key in homs:
@@ -375,9 +387,6 @@ class LinOp:
     def zero(d: int) -> "LinOp":
         return LinOp(d, [])
 
-    def is_zero_form(self) -> bool:
-        return not self.terms
-
     def as_poly(self) -> MPoly | None:
         """The multiplication polynomial, if this operator is one."""
         if not self.terms:
@@ -410,6 +419,17 @@ class LinOp:
     def __add__(self, other):
         other = as_linop(other, self.d)
         return LinOp(self.d, self.terms + other.terms)
+
+    def __radd__(self, other):
+        return as_linop(other, self.d) + self
+
+    def __mul__(self, other):
+        """self after other."""
+        return self.compose(other)
+
+    def __rmul__(self, other):
+        """Multiplication of the output by the polynomial or scalar `other`."""
+        return self.scaled(other)
 
     def __neg__(self):
         return LinOp(self.d, [Term(-t.num, t.phi, t.core, t.den) for t in self.terms])
@@ -503,6 +523,13 @@ class LinOp:
     def equals(self, other) -> bool:
         return (self - other).is_zero()
 
+    def __eq__(self, other):
+        if not isinstance(other, (LinOp, MPoly, int, CycNum, Fraction)):
+            return NotImplemented
+        return self.equals(other)
+
+    __hash__ = None
+
     def degree_shift(self) -> Fraction | None:
         """Uniform polynomial-degree shift of the operator, None if mixed."""
         shifts = set()
@@ -533,10 +560,6 @@ def as_linop(entry, d: int) -> LinOp:
     if isinstance(entry, (int, CycNum, Fraction)):
         return LinOp.poly(MPoly.constant(d, entry))
     raise TypeError(f"cannot view {entry!r} as an operator")
-
-
-def entry_is_poly(entry) -> bool:
-    return isinstance(entry, MPoly)
 
 
 def _sum_fractions(d: int, parts) -> tuple[MPoly, MPoly]:

@@ -10,12 +10,16 @@ inside the differentials, so twist isomorphisms have constant components.
 Morphism components are matrices whose entries are polynomials or the exact
 operators of :mod:`permfact.linop` (the unit isomorphisms substitute the
 middle variable into an external one; evaluation maps extract residues).
+Entries combine by `+`, `*` (a after b) and `==` whatever their type, so the
+matrix calculus never asks which kind an entry is.  The tensor product of
+morphisms carries the Koszul sign, and the differential of M (x) N is
+d_M (x) 1 + 1 (x) d_N, built by the same routine.
 """
 
 from __future__ import annotations
 
 from .cyclofield import CycNum, EvenModulus, ModulusMismatch, eta_power
-from .linop import LinOp, ResidueCore, Subst, Term, as_linop, entry_is_poly
+from .linop import LinOp, ResidueCore, Subst, Term, as_linop
 from .polyring import MPoly, difference_quotient, exact_div, perm_product
 
 __all__ = [
@@ -94,72 +98,28 @@ class PermLabel:
         return f"PermLabel(d={self.d}, S={sorted(self.S)})"
 
 
-def _entry_zero(d):
-    return MPoly.zero(d)
+def _entry_factor_product(a, b):
+    """Tensor product of entries acting on disjoint variable groups.
 
-
-def _entry_mul(a, b, d):
-    """Compose entries (a after b)."""
-    if entry_is_poly(a) and entry_is_poly(b):
-        return a * b
-    return as_linop(a, d).compose(as_linop(b, d))
-
-
-def _entry_add(a, b, d):
-    if entry_is_poly(a) and entry_is_poly(b):
-        return a + b
-    return as_linop(a, d) + as_linop(b, d)
-
-
-def _entry_factor_product(a, b, d):
-    """Tensor-product of entries acting on disjoint variable groups."""
-    if entry_is_poly(a) and entry_is_poly(b):
-        return a * b
-    if entry_is_poly(b):
-        return as_linop(a, d).scaled(b)
-    if entry_is_poly(a):
-        return as_linop(b, d).scaled(a)
-    raise VariableMismatch("tensor of two operator entries is not supported")
-
-
-def _entry_eq(a, b, d):
-    if entry_is_poly(a) and entry_is_poly(b):
-        return a == b
-    return as_linop(a, d).equals(b)
+    The polynomial factor multiplies the operator's output."""
+    if isinstance(a, LinOp):
+        if isinstance(b, LinOp):
+            raise VariableMismatch("tensor of two operator entries is not supported")
+        return b * a
+    return a * b
 
 
 def mat_mul(A, B, d):
-    rows, mid, cols = len(A), len(B), len(B[0]) if B else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = _entry_zero(d)
-            for k in range(mid):
-                term = _entry_mul(A[i][k], B[k][j], d)
-                acc = _entry_add(acc, term, d)
-            row.append(acc)
-        out.append(row)
-    return out
+    cols = range(len(B[0]) if B else 0)
+    return [[sum((a * b[j] for a, b in zip(row, B)), MPoly.zero(d)) for j in cols] for row in A]
 
 
-def mat_add(A, B, d):
-    return [[_entry_add(a, b, d) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+def mat_add(A, B):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def mat_scale(A, c, d):
-    out = []
-    for row in A:
-        out.append([e * c if entry_is_poly(e) else as_linop(e, d).scaled(c) for e in row])
-    return out
-
-
-def mat_eq(A, B, d):
-    if len(A) != len(B) or any(len(ra) != len(rb) for ra, rb in zip(A, B)):
-        return False
-    return all(
-        _entry_eq(a, b, d) for ra, rb in zip(A, B) for a, b in zip(ra, rb)
-    )
+def mat_scale(A, c):
+    return [[c * e for e in row] for row in A]
 
 
 def _identity_matrix(n, d):
@@ -245,9 +205,8 @@ class MFMorphism:
         self.tgt = tgt
         self.z2_degree = z2_degree % 2
         sv = src.all_vars
-        clean = lambda e: e if entry_is_poly(e) else _simplify_entry(e.pruned_for_source(sv))
-        self.f0 = [[clean(e) for e in row] for row in f0]
-        self.f1 = [[clean(e) for e in row] for row in f1]
+        self.f0 = [[_collapsed(e, sv) for e in row] for row in f0]
+        self.f1 = [[_collapsed(e, sv) for e in row] for row in f1]
 
     @property
     def d(self):
@@ -270,14 +229,14 @@ class MFMorphism:
             raise MorphismShapeMismatch(f"cannot add {self!r} and {other!r}")
         return MFMorphism(
             self.src, self.tgt, self.z2_degree,
-            mat_add(self.f0, other.f0, self.d), mat_add(self.f1, other.f1, self.d),
+            mat_add(self.f0, other.f0), mat_add(self.f1, other.f1),
         )
 
     def __sub__(self, other):
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "MFMorphism":
-        return MFMorphism(self.src, self.tgt, self.z2_degree, mat_scale(self.f0, c, self.d), mat_scale(self.f1, c, self.d))
+        return MFMorphism(self.src, self.tgt, self.z2_degree, mat_scale(self.f0, c), mat_scale(self.f1, c))
 
     def is_cycle(self) -> bool:
         """Both commuting-square conditions, checked exactly."""
@@ -290,40 +249,32 @@ class MFMorphism:
         else:
             # odd cycles anticommute with the differentials
             lhs1 = mat_mul(self.f0, self.src.d1, d)
-            rhs1 = mat_scale(mat_mul(self.tgt.d0, self.f1, d), -1, d)
+            rhs1 = mat_scale(mat_mul(self.tgt.d0, self.f1, d), -1)
             lhs2 = mat_mul(self.f1, self.src.d0, d)
-            rhs2 = mat_scale(mat_mul(self.tgt.d1, self.f0, d), -1, d)
-        return mat_eq(lhs1, rhs1, d) and mat_eq(lhs2, rhs2, d)
+            rhs2 = mat_scale(mat_mul(self.tgt.d1, self.f0, d), -1)
+        return lhs1 == rhs1 and lhs2 == rhs2
 
     def delta(self) -> "MFMorphism":
         """delta(f) = d_tgt . f - (-1)^{|f|} f . d_src, as component matrices."""
         d = self.d
         if self.z2_degree == 0:
-            c0 = mat_add(mat_mul(self.tgt.d0, self.f0, d), mat_scale(mat_mul(self.f1, self.src.d0, d), -1, d), d)
-            c1 = mat_add(mat_mul(self.tgt.d1, self.f1, d), mat_scale(mat_mul(self.f0, self.src.d1, d), -1, d), d)
+            c0 = mat_add(mat_mul(self.tgt.d0, self.f0, d), mat_scale(mat_mul(self.f1, self.src.d0, d), -1))
+            c1 = mat_add(mat_mul(self.tgt.d1, self.f1, d), mat_scale(mat_mul(self.f0, self.src.d1, d), -1))
             return MFMorphism(self.src, self.tgt, 1, c0, c1)
-        c0 = mat_add(mat_mul(self.tgt.d1, self.f0, d), mat_mul(self.f1, self.src.d0, d), d)
-        c1 = mat_add(mat_mul(self.tgt.d0, self.f1, d), mat_mul(self.f0, self.src.d1, d), d)
+        c0 = mat_add(mat_mul(self.tgt.d1, self.f0, d), mat_mul(self.f1, self.src.d0, d))
+        c1 = mat_add(mat_mul(self.tgt.d0, self.f1, d), mat_mul(self.f0, self.src.d1, d))
         return MFMorphism(self.src, self.tgt, 0, c0, c1)
 
     def equals(self, other: "MFMorphism") -> bool:
-        if self.z2_degree != other.z2_degree:
-            return False
-        return mat_eq(self.f0, other.f0, self.d) and mat_eq(self.f1, other.f1, self.d)
+        return self.z2_degree == other.z2_degree and self.f0 == other.f0 and self.f1 == other.f1
 
     def is_zero(self) -> bool:
-        z0 = _zero_matrix(len(self.f0), len(self.f0[0]) if self.f0 else 0, self.d)
-        z1 = _zero_matrix(len(self.f1), len(self.f1[0]) if self.f1 else 0, self.d)
-        return mat_eq(self.f0, z0, self.d) and mat_eq(self.f1, z1, self.d)
+        return all(e == 0 for mat in (self.f0, self.f1) for row in mat for e in row)
 
     def renamed(self, mapping: dict) -> "MFMorphism":
         """Rename variables in source, target, and all entries."""
         sub = {v: (1, w) for v, w in mapping.items()}
-
-        def conv(e):
-            if entry_is_poly(e):
-                return e.subs(sub)
-            return _simplify_entry(e.renamed(mapping))
+        conv = lambda e: e.renamed(mapping) if isinstance(e, LinOp) else e.subs(sub)
 
         return MFMorphism(
             self.src.renamed(mapping),
@@ -337,22 +288,21 @@ class MFMorphism:
         """Compose with the renaming isomorphism of the target presentation."""
         sub = Subst(self.d, {v: (1, w) for v, w in mapping.items()})
         ren = LinOp(self.d, [Term(MPoly.one(self.d), sub)])
-        f0 = [[ren.compose(as_linop(e, self.d)) for e in row] for row in self.f0]
-        f1 = [[ren.compose(as_linop(e, self.d)) for e in row] for row in self.f1]
-        f0 = [[_simplify_entry(e) for e in row] for row in f0]
-        f1 = [[_simplify_entry(e) for e in row] for row in f1]
+        f0 = [[ren * e for e in row] for row in self.f0]
+        f1 = [[ren * e for e in row] for row in self.f1]
         return MFMorphism(self.src, self.tgt.renamed(mapping), self.z2_degree, f0, f1)
 
     def __repr__(self):
         return f"MFMorphism({self.src!r} -> {self.tgt!r}, deg={self.z2_degree})"
 
 
-def _simplify_entry(e):
-    if isinstance(e, LinOp):
-        p = e.as_poly()
-        if p is not None:
-            return p
-    return e
+def _collapsed(e, src_vars):
+    """An operator entry pruned for its source, as a polynomial when it is one."""
+    if not isinstance(e, LinOp):
+        return e
+    e = e.pruned_for_source(src_vars)
+    p = e.as_poly()
+    return e if p is None else p
 
 
 def morphism_poly_form(f: MFMorphism) -> MFMorphism | None:
@@ -364,7 +314,7 @@ def morphism_poly_form(f: MFMorphism) -> MFMorphism | None:
         for row in matrix:
             new = []
             for e in row:
-                if entry_is_poly(e):
+                if not isinstance(e, LinOp):
                     new.append(e)
                     continue
                 p = e.as_multiplication(src_vars)
@@ -412,13 +362,57 @@ def perm_mf(d: int, S, left="x", right="y", l: int = 1) -> MatrixBifact:
 def verify_factorisation(M: MatrixBifact) -> bool:
     d = M.d
     W = M.potential()
-    target0 = mat_scale(_identity_matrix(M.rank0, d), W, d)
-    target1 = mat_scale(_identity_matrix(M.rank1, d), W, d)
-    return mat_eq(mat_mul(M.d1, M.d0, d), target0, d) and mat_eq(mat_mul(M.d0, M.d1, d), target1, d)
+    target0 = mat_scale(_identity_matrix(M.rank0, d), W)
+    target1 = mat_scale(_identity_matrix(M.rank1, d), W)
+    return mat_mul(M.d1, M.d0, d) == target0 and mat_mul(M.d0, M.d1, d) == target1
+
+
+# summands (i, j) of M_i (x) N_j in the storage order of (M (x) N)_0 and (M (x) N)_1
+_SUMMANDS = (((0, 0), (1, 1)), ((1, 0), (0, 1)))
+
+
+def _rank(M: MatrixBifact, par: int) -> int:
+    return M.rank1 if par % 2 else M.rank0
+
+
+def _summand_offset(M: MatrixBifact, N: MatrixBifact, i: int, j: int) -> int:
+    """Offset of the summand M_i (x) N_j inside (M (x) N)_{i+j}."""
+    first = _SUMMANDS[(i + j) % 2][0]
+    return 0 if (i, j) == first else _rank(M, first[0]) * _rank(N, first[1])
+
+
+def _write_tensor_blocks(out, f: MFMorphism, g: MFMorphism) -> None:
+    """Write the blocks of f (x) g into its components out = [c0, c1].
+
+    The Koszul sign is (-1)^{|g| * i} on the M_i summands.  Each block of
+    f (x) g is written over the entries it covers, so the summands of
+    d_M (x) 1 + 1 (x) d_N fill disjoint blocks; an entry with a zero
+    polynomial factor keeps what `out` holds there.
+    """
+    M, N = f.src, g.src
+    for par in (0, 1):
+        mat = out[par]
+        for i, j in _SUMMANDS[par]:
+            fi, gj = (f.f0, f.f1)[i], (g.f0, g.f1)[j]
+            ti, tj = (i + f.z2_degree) % 2, (j + g.z2_degree) % 2
+            row_off = _summand_offset(f.tgt, g.tgt, ti, tj)
+            col_off = _summand_offset(M, N, i, j)
+            rows_g, cols_g = _rank(g.tgt, tj), _rank(N, j)
+            negate = g.z2_degree and i
+            for a, f_row in enumerate(fi):
+                for a2, fa in enumerate(f_row):
+                    if not fa:  # a zero polynomial is falsy
+                        continue
+                    for b, g_row in enumerate(gj):
+                        for b2, gb in enumerate(g_row):
+                            if not gb:
+                                continue
+                            e = _entry_factor_product(fa, gb)
+                            mat[row_off + a * rows_g + b][col_off + a2 * cols_g + b2] = -e if negate else e
 
 
 def tensor_mf(M: MatrixBifact, N: MatrixBifact) -> MatrixBifact:
-    """Koszul-signed tensor product over the shared middle variable."""
+    """Koszul-signed tensor product over the shared middle variable: d = d_M (x) 1 + 1 (x) d_N."""
     if M.right != N.left:
         raise VariableMismatch(f"middle variables differ: {M.right} vs {N.left}")
     if M.d != N.d:
@@ -427,47 +421,12 @@ def tensor_mf(M: MatrixBifact, N: MatrixBifact) -> MatrixBifact:
     if overlap:
         raise VariableMismatch(f"variable collision: {overlap}")
     d = M.d
-    zero = MPoly.zero(d)
-
-    def kron(A, B, sign=1):
-        rows = len(A) * len(B)
-        out = []
-        for i in range(len(A)):
-            for bi in range(len(B)):
-                row = []
-                for j in range(len(A[0])):
-                    for bj in range(len(B[0])):
-                        a = A[i][j]
-                        b = B[bi][bj]
-                        if (entry_is_poly(a) and a.is_zero()) or (entry_is_poly(b) and b.is_zero()):
-                            row.append(zero)
-                        else:
-                            e = _entry_factor_product(a, b, d)
-                            row.append(e * sign if entry_is_poly(e) else e.scaled(sign))
-                out.append(row)
-        return out
-
-    idm0 = _identity_matrix(M.rank0, d)
-    idm1 = _identity_matrix(M.rank1, d)
-    idn0 = _identity_matrix(N.rank0, d)
-    idn1 = _identity_matrix(N.rank1, d)
-
-    def hstack(A, B):
-        return [ra + rb for ra, rb in zip(A, B)]
-
-    def vstack(A, B):
-        return A + B
-
-    # degree-1 part (M1N0 | M0N1) -> degree-0 part (M0N0 | M1N1)
-    d1 = vstack(
-        hstack(kron(M.d1, idn0), kron(idm0, N.d1)),
-        hstack(kron(idm1, N.d0, -1), kron(M.d0, idn1)),
-    )
-    # degree-0 part (M0N0 | M1N1) -> degree-1 part (M1N0 | M0N1)
-    d0 = vstack(
-        hstack(kron(M.d0, idn0), kron(idm1, N.d1, -1)),
-        hstack(kron(idm0, N.d0), kron(M.d1, idn1)),
-    )
+    rank0 = M.rank0 * N.rank0 + M.rank1 * N.rank1
+    rank1 = M.rank1 * N.rank0 + M.rank0 * N.rank1
+    d0, d1 = _zero_matrix(rank1, rank0, d), _zero_matrix(rank0, rank1, d)
+    # each differential as an odd endomorphism
+    _write_tensor_blocks([d0, d1], MFMorphism(M, M, 1, M.d0, M.d1), identity_morphism(N))
+    _write_tensor_blocks([d0, d1], identity_morphism(M), MFMorphism(N, N, 1, N.d0, N.d1))
     tags0 = tuple(a + b for a in M.tags0 for b in N.tags0) + tuple(a + b for a in M.tags1 for b in N.tags1)
     tags1 = tuple(a + b for a in M.tags1 for b in N.tags0) + tuple(a + b for a in M.tags0 for b in N.tags1)
     int_vars = M.int_vars + (M.right,) + N.int_vars
@@ -476,65 +435,13 @@ def tensor_mf(M: MatrixBifact, N: MatrixBifact) -> MatrixBifact:
 
 def tensor_morphism(f: MFMorphism, g: MFMorphism) -> MFMorphism:
     """f (x) g with the Koszul sign (-1)^{|g| * |m|} on the M_i summands."""
-    M, N = f.src, g.src
-    src = tensor_mf(M, N)
+    src = tensor_mf(f.src, g.src)
     tgt = tensor_mf(f.tgt, g.tgt)
     d = f.d
     deg = (f.z2_degree + g.z2_degree) % 2
-    zero = MPoly.zero(d)
-
-    fc = {0: f.f0, 1: f.f1}
-    gc = {0: g.f0, 1: g.f1}
-
-    def src_summands(par):
-        # (i, j, block_row_rank, block_col_rank) in storage order
-        if par == 0:
-            return [(0, 0, M.rank0, N.rank0), (1, 1, M.rank1, N.rank1)]
-        return [(1, 0, M.rank1, N.rank0), (0, 1, M.rank0, N.rank1)]
-
-    def tgt_index(par, i, j, T, U):
-        # offset of summand T_i (x) U_j inside (T (x) U)_par
-        if par == 0:
-            order = [(0, 0, T.rank0 * U.rank0), (1, 1, T.rank1 * U.rank1)]
-        else:
-            order = [(1, 0, T.rank1 * U.rank0), (0, 1, T.rank0 * U.rank1)]
-        off = 0
-        for a, b, size in order:
-            if (a, b) == (i, j):
-                return off
-            off += size
-        raise AssertionError
-
-    def build(par):
-        src_rank = src.rank0 if par == 0 else src.rank1
-        tpar = (par + deg) % 2
-        tgt_rank = tgt.rank0 if tpar == 0 else tgt.rank1
-        out = [[zero for _ in range(src_rank)] for _ in range(tgt_rank)]
-        col_off = 0
-        for (i, j, ri, rj) in src_summands(par):
-            fi = fc[i]
-            gj = gc[j]
-            ti = (i + f.z2_degree) % 2
-            tj = (j + g.z2_degree) % 2
-            row_off = tgt_index(tpar, ti, tj, f.tgt, g.tgt)
-            sign = -1 if (g.z2_degree % 2 and i % 2) else 1
-            tgN = g.tgt.rank0 if tj == 0 else g.tgt.rank1
-            for a in range(len(fi)):
-                for b in range(len(gj)):
-                    for a2 in range(len(fi[0])):
-                        for b2 in range(len(gj[0])):
-                            fa = fi[a][a2]
-                            gb = gj[b][b2]
-                            if (entry_is_poly(fa) and fa.is_zero()) or (entry_is_poly(gb) and gb.is_zero()):
-                                continue
-                            e = _entry_factor_product(fa, gb, d)
-                            if sign == -1:
-                                e = e * -1 if entry_is_poly(e) else e.scaled(-1)
-                            out[row_off + a * tgN + b][col_off + a2 * rj + b2] = e
-            col_off += ri * rj
-        return out
-
-    return MFMorphism(src, tgt, deg, build(0), build(1))
+    out = [_zero_matrix(_rank(tgt, par + deg), _rank(src, par), d) for par in (0, 1)]
+    _write_tensor_blocks(out, f, g)
+    return MFMorphism(src, tgt, deg, *out)
 
 
 def direct_sum_mf(A: MatrixBifact, B: MatrixBifact) -> MatrixBifact:
@@ -564,7 +471,6 @@ def sum_morphism(f: MFMorphism, g: MFMorphism) -> MFMorphism:
     if not (f.tgt.same_shape(g.tgt) and f.z2_degree == g.z2_degree == 0):
         raise MorphismShapeMismatch(f"cannot sum {f!r} and {g!r} into one target")
     src = direct_sum_mf(f.src, g.src)
-    d = f.d
     f0 = [rf + rg for rf, rg in zip(f.f0, g.f0)]
     f1 = [rf + rg for rf, rg in zip(f.f1, g.f1)]
     return MFMorphism(src, f.tgt, 0, f0, f1)
@@ -772,9 +678,7 @@ def twist_morphism(f: MFMorphism, a: int, l: int = 1) -> MFMorphism:
     out_map = Subst(d, {v: (e, v) for v in f.tgt.all_vars})
     in_map = Subst(d, {v: (einv, v) for v in f.src.all_vars})
 
-    def conv(entry):
-        return _simplify_entry(as_linop(entry, d).conjugated(out_map, in_map))
-
+    conv = lambda e: as_linop(e, d).conjugated(out_map, in_map)
     return MFMorphism(
         diag_twist_mf(f.src, a, l), diag_twist_mf(f.tgt, a, l), f.z2_degree,
         [[conv(x) for x in row] for row in f.f0],

@@ -26,6 +26,7 @@ from .mfcore import (
     unit_mf,
     unit_sections,
 )
+from .polyring import MPoly
 
 __all__ = [
     "StrandMismatch",
@@ -437,9 +438,7 @@ def cup_layer(d: int, m: int, i: int, l: int = 1) -> MFMorphism:
     F = _fold_tensor(factors) if len(factors) > 1 else factors[0]
     g = F.compose(reassoc(src_obj, F.src))
     # insert n into the freshly created unit slot
-    pos = i  # index of the unit factor in the target chain
     chain = []
-    idx = 0
     for k in range(m):
         if k == i - 1 and i > 0:
             chain.append(identity_morphism(_T_obj(d, v[i - 1], "w1", l)))
@@ -459,7 +458,7 @@ def _factor_diagram(dg: TLDiagram):
     """(caps, cups): peel positions; caps applied in order, cups in reverse."""
     nb, nt = dg.n_bottom, dg.n_top
 
-    def peel(points, is_bottom):
+    def peel(points):
         out = []
         pts = list(points)
         changed = True
@@ -474,8 +473,8 @@ def _factor_diagram(dg: TLDiagram):
                     break
         return out, pts
 
-    caps, through_b = peel(range(nb), True)
-    cups, through_t = peel(range(nb, nb + nt), False)
+    caps, through_b = peel(range(nb))
+    cups, through_t = peel(range(nb, nb + nt))
     if len(through_b) != len(through_t):
         raise AssertionError("factorisation lost strands")
     for p, q in zip(through_b, through_t):
@@ -510,8 +509,6 @@ def evaluate_F(f: TLMorphism) -> MFMorphism:
         piece = morph.scaled(c)
         total = piece if total is None else total + piece
     if total is None:
-        from .polyring import MPoly
-
         src = strand_object(d, f.src, l)
         tgt = strand_object(d, f.tgt, l)
         return MFMorphism(

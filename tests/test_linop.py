@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permfact.cyclofield import CycNum, eta_power, kappa
+from permfact.graded import _entry_degree
 from permfact.linop import LinOp, ResidueCore, ResidueVariableClash, Subst, Term
 from permfact.polyring import MPoly, exact_div
 
@@ -200,7 +201,11 @@ ZERO_TEST_CASES = [
 
 @pytest.mark.parametrize("name,zero,perturbed,variables", ZERO_TEST_CASES, ids=[c[0] for c in ZERO_TEST_CASES])
 def test_zero_test_decides_and_agrees_with_grid(name, zero, perturbed, variables):
-    assert not zero.is_zero_form()
+    if name == "injection scalars differing by a root of unity":
+        # injc enters only through injc**step, so the normal form cancels the two terms
+        assert not zero.terms
+    else:
+        assert zero.terms
     assert zero.is_zero() and zero.equals(LinOp.zero(D))
     assert grid_zero(zero, variables)
     assert not perturbed.is_zero() and not perturbed.equals(LinOp.zero(D))
@@ -231,3 +236,44 @@ def test_zero_test_on_combinations(coeffs, probe, c0):
         op = op + case[1].scaled(CycNum.from_rational(D, c))
     op = op + ZERO_TEST_CASES[probe][2].scaled(CycNum.from_rational(D, c0))
     assert op.is_zero() == (c0 == 0)
+
+
+def test_constant_numerators_on_one_core_cancel_in_the_normal_form():
+    assert LinOp(D, [res(P, num=-ONE), res(P, num=ONE)]).terms == ()
+
+
+def test_zero_entry_of_mixed_degree_shifts_has_no_degree_but_is_fine():
+    z = ZERO_TEST_CASES[0][1] + ZERO_TEST_CASES[1][1]
+    assert len(z.terms) == 5 and z.degree_shift() is None
+    assert _entry_degree(z, D) == (None, True)
+
+
+# -- the operator protocol of matrix entries ----------------------------------------
+
+OPERATORS = [op for case in ZERO_TEST_CASES for op in case[1:3]]
+
+
+@pytest.mark.parametrize("op", OPERATORS)
+@pytest.mark.parametrize("p", [X * Z - Y**2 + 3 * ONE, MPoly.constant(D, OMEGA)], ids=["poly", "constant"])
+def test_operators_combine_with_polynomials(op, p):
+    assert isinstance(p * op, LinOp) and p * op == op.scaled(p)
+    assert op * p == op.compose(p)
+    assert p + op == op + p
+    assert (op == p) == op.equals(p)
+    assert (op + p == p) == op.is_zero()
+
+
+@pytest.mark.parametrize("op", OPERATORS)
+@pytest.mark.parametrize("c", [-1, Fraction(2, 3), OMEGA], ids=["int", "fraction", "cycnum"])
+def test_operators_combine_with_scalars(op, c):
+    assert c * op == op.scaled(c)
+    assert op * c == op.scaled(c)
+    assert (op == c) == op.equals(c)
+
+
+def test_operators_are_unhashable_and_unequal_to_other_types():
+    op = ZERO_TEST_CASES[0][2]
+    with pytest.raises(TypeError):
+        hash(op)
+    assert op != "op" and op != None  # noqa: E711
+    assert ZERO_TEST_CASES[0][1] == 0 and 0 == ZERO_TEST_CASES[0][1]

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -40,6 +41,8 @@ from permfact.mfcore import (
     zigzag_morphisms,
 )
 from permfact.polyring import MPoly, exact_div, perm_product
+
+TENSOR_PINS = Path(__file__).parent / "reference" / "tensor-blocks.d5.json"
 
 
 class TestPermObjects:
@@ -110,6 +113,44 @@ class TestTensor:
         assert al.is_cycle()
         back = reassoc(left, right)
         assert al.compose(back).equals(identity_morphism(right))
+
+
+def _odd_differential(M):
+    return MFMorphism(M, M, 1, M.d0, M.d1)
+
+
+def _tensor_pin_cases():
+    d = 5
+    A = perm_mf(d, {0, 1}, "x", "y1")
+    B = perm_mf(d, {2}, "y1", "y2")
+    C = perm_mf(d, {1, 2, 3}, "y2", "z")
+    lam_B, _ = unit_isos(B, mid="y3")
+    lam_A, _ = unit_isos(A, mid="y3")
+    return {
+        "tensor_mf(tensor_mf(A, B), C)": tensor_mf(tensor_mf(A, B), C),
+        "tensor_mf(A, tensor_mf(B, C))": tensor_mf(A, tensor_mf(B, C)),
+        "tensor_morphism(dA, lambda_B)": tensor_morphism(_odd_differential(A), lam_B),
+        "tensor_morphism(dA, dB)": tensor_morphism(_odd_differential(A), _odd_differential(B)),
+        "tensor_morphism(lambda_A, dB)": tensor_morphism(lam_A, _odd_differential(B)),
+    }
+
+
+def _entry_reprs(obj):
+    reprs = lambda mat: [[repr(e) for e in row] for row in mat]
+    if isinstance(obj, MFMorphism):
+        return {"deg": obj.z2_degree, "f0": reprs(obj.f0), "f1": reprs(obj.f1)}
+    return {"d1": reprs(obj.d1), "d0": reprs(obj.d0), "tags0": reprs(obj.tags0), "tags1": reprs(obj.tags1)}
+
+
+class TestTensorBlocks:
+    """Every entry of iterated tensor objects and of tensor morphisms with an
+    odd first factor, against reprs recorded from the kron/hstack/vstack
+    construction: a block-order or sign change shows here even when a
+    verdict would not notice it."""
+
+    def test_entries_match_recorded(self):
+        pins = json.loads(TENSOR_PINS.read_text())
+        assert {name: _entry_reprs(obj) for name, obj in _tensor_pin_cases().items()} == pins
 
 
 class TestUnitIsos:
