@@ -11,6 +11,8 @@ with units, duals, and quantum dimensions.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .cftside import NSLabel, ParityViolation, cft_fusion_ring, quantum_dim
 from .cyclofield import eta_power, q_root, quantum_int
 from .graded import GradedLabel, mf_fusion_ring
@@ -41,7 +43,11 @@ __all__ = [
 
 def tau(d: int, S, a: int, left="x", right="y", l: int = 1) -> MFMorphism:
     """tau_{S;a} = eta^{(d+1)/2 * a * (|S|-1)} * s_{a,-a}: P_S -> ((a)P_S(-a))."""
-    S = {s % d for s in S}
+    return _tau(d, frozenset(s % d for s in S), a, left, right, l)
+
+
+@lru_cache(maxsize=None)
+def _tau(d: int, S: frozenset, a: int, left: str, right: str, l: int) -> MFMorphism:
     base = s_iso(d, S, a, -a, left, right, l)
     scalar = eta_power(d, ((d + 1) // 2) * a * (len(S) - 1), l)
     return base.scaled(scalar)

@@ -155,7 +155,7 @@ class Subst:
 class ResidueCore:
     """f |-> sum_m (injc*inj)^{step*m} coeff_elim(prem*f, step*(m+1))."""
 
-    __slots__ = ("prem", "elim", "inj", "injc", "step")
+    __slots__ = ("prem", "elim", "inj", "injc", "step", "injc_step")
 
     def __init__(self, prem: MPoly, elim: str, inj: str, injc: CycNum, step: int):
         if elim == inj:
@@ -167,9 +167,11 @@ class ResidueCore:
         self.inj = inj
         self.injc = injc
         self.step = step
+        # the map depends on injc only through injc**step
+        self.injc_step = injc**step
 
     def modulus_rhs(self) -> MPoly:
-        return MPoly.var(self.prem.d, self.inj, self.step) * self.injc**self.step
+        return MPoly.var(self.prem.d, self.inj, self.step) * self.injc_step
 
     def apply(self, f: MPoly) -> MPoly:
         d = f.d
@@ -188,8 +190,7 @@ class ResidueCore:
         return out
 
     def key(self):
-        # the map depends on injc only through injc**step
-        return (self.elim, self.inj, self.injc**self.step, self.step)
+        return (self.elim, self.inj, self.injc_step, self.step)
 
     def output_vars(self):
         vars = {self.inj}
@@ -334,6 +335,17 @@ class LinOp:
         self.d = d
         self.terms = tuple(self._group(flat))
 
+    @classmethod
+    def _regrouped(cls, d: int, terms) -> "LinOp":
+        """A LinOp from terms already in normal form.
+
+        Sums and constant multiples of premultipliers reduced below
+        elim^step stay reduced, so such terms only need grouping."""
+        op = cls.__new__(cls)
+        op.d = d
+        op.terms = tuple(cls._group(terms))
+        return op
+
     @staticmethod
     def _group(terms):
         homs: dict = {}
@@ -418,7 +430,7 @@ class LinOp:
 
     def __add__(self, other):
         other = as_linop(other, self.d)
-        return LinOp(self.d, self.terms + other.terms)
+        return LinOp._regrouped(self.d, self.terms + other.terms)
 
     def __radd__(self, other):
         return as_linop(other, self.d) + self
@@ -432,7 +444,7 @@ class LinOp:
         return self.scaled(other)
 
     def __neg__(self):
-        return LinOp(self.d, [Term(-t.num, t.phi, t.core, t.den) for t in self.terms])
+        return LinOp._regrouped(self.d, [Term(-t.num, t.phi, t.core, t.den) for t in self.terms])
 
     def __sub__(self, other):
         other = as_linop(other, self.d)

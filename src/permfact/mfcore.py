@@ -14,9 +14,17 @@ Entries combine by `+`, `*` (a after b) and `==` whatever their type, so the
 matrix calculus never asks which kind an entry is.  The tensor product of
 morphisms carries the Koszul sign, and the differential of M (x) N is
 d_M (x) 1 + 1 (x) d_N, built by the same routine.
+
+The pure constructors (unit_mf, perm_mf, perm_dual_iso, s_iso, chi, mu,
+duality_un, zigzag_morphisms) are memoised for the life of the process; a
+subset S is keyed as the frozenset of its residues mod d, however it is
+spelled.  Every caller with the same arguments gets the same object, so no
+caller may write to a returned object or its matrices.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .cyclofield import CycNum, EvenModulus, ModulusMismatch, eta_power
 from .linop import LinOp, ResidueCore, Subst, Term, as_linop
@@ -338,6 +346,7 @@ def identity_morphism(M: MatrixBifact) -> MFMorphism:
 # -- constructors ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def unit_mf(d: int, left="x", right="y") -> MatrixBifact:
     """The tensor unit: d1 = left - right, d0 = (left^d - right^d)/(left - right)."""
     x = MPoly.var(d, left)
@@ -353,9 +362,13 @@ def perm_mf(d: int, S, left="x", right="y", l: int = 1) -> MatrixBifact:
         if S.d != d:
             raise ModulusMismatch(f"label of Z_{S.d} for an object over d = {d}")
         S = S.S
-    S = {s % d for s in S}
+    return _perm_mf(d, frozenset(s % d for s in S), left, right, l)
+
+
+@lru_cache(maxsize=None)
+def _perm_mf(d: int, S: frozenset, left: str, right: str, l: int) -> MatrixBifact:
     d1 = perm_product(d, S, left, right, l)
-    d0 = perm_product(d, sorted(set(range(d)) - S), left, right, l)
+    d0 = perm_product(d, frozenset(range(d)) - S, left, right, l)
     return MatrixBifact(d, left, right, (), [[d1]], [[d0]], tags0=((0,),), tags1=((1,),))
 
 
@@ -555,7 +568,11 @@ def dual_rank1(M: MatrixBifact) -> MatrixBifact:
 
 def perm_dual_iso(d: int, S, left="x", right="y", l: int = 1) -> MFMorphism:
     """The cycle P_{-S} -> (P_S)^+ with components ((-1)^{|S|+1} prod eta^{-lj}, 1)."""
-    S = {s % d for s in S}
+    return _perm_dual_iso(d, frozenset(s % d for s in S), left, right, l)
+
+
+@lru_cache(maxsize=None)
+def _perm_dual_iso(d: int, S: frozenset, left: str, right: str, l: int) -> MFMorphism:
     src = perm_mf(d, {(-s) % d for s in S}, left, right, l)
     tgt = dual_rank1(perm_mf(d, S, left, right, l))
     c = CycNum.one(d)
@@ -614,6 +631,7 @@ def ev_coev(M: MatrixBifact) -> tuple[MFMorphism, MFMorphism]:
     return ev, coev
 
 
+@lru_cache(maxsize=None)
 def duality_un(d: int, l: int = 1):
     """(u, n, T, t): the self-dual generator T and its duality maps.
 
@@ -688,18 +706,24 @@ def twist_morphism(f: MFMorphism, a: int, l: int = 1) -> MFMorphism:
 
 def s_iso(d: int, S, a: int, b: int, left="x", right="y", l: int = 1) -> MFMorphism:
     """The twist comparison P_{S-a-b} -> ((a)P_S(b)), components (1, eta^{-l|S|a})."""
-    S = {s % d for s in S}
+    return _s_iso(d, frozenset(s % d for s in S), a, b, left, right, l)
+
+
+@lru_cache(maxsize=None)
+def _s_iso(d: int, S: frozenset, a: int, b: int, left: str, right: str, l: int) -> MFMorphism:
     src = perm_mf(d, {(s - a - b) % d for s in S}, left, right, l)
     tgt = twist_mf(perm_mf(d, S, left, right, l), a, b, l)
     f1 = MPoly.constant(d, eta_power(d, -len(S) * a, l))
     return MFMorphism(src, tgt, 0, [[MPoly.one(d)]], [[f1]])
 
 
+@lru_cache(maxsize=None)
 def chi(d: int, a: int, left="x", right="y", l: int = 1) -> MatrixBifact:
     """chi(a) = ((a)I): d1 = eta^{la} left - right."""
     return twist_mf(unit_mf(d, left, right), a, 0, l)
 
 
+@lru_cache(maxsize=None)
 def mu(d: int, a: int, b: int, l: int = 1) -> MFMorphism:
     """mu_{a,b} = ((a)(lambda_{(b)I})): chi(a) (x) chi(b) -> chi(a+b).
 
@@ -720,6 +744,7 @@ def mu(d: int, a: int, b: int, l: int = 1) -> MFMorphism:
 # -- duality zig-zags --------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def zigzag_morphisms(d: int, l: int = 1) -> tuple[MFMorphism, MFMorphism]:
     """Both zig-zag composites for (T, u, n), reduced to endomorphisms of T.
 

@@ -14,6 +14,7 @@ term of the divisor; `exact_div` is the case of a zero remainder.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclofield import CycNum, ModulusMismatch, eta_power
 
@@ -360,10 +361,15 @@ def coeff_of(f: MPoly, v: str, k: int) -> MPoly:
 
 def perm_product(d: int, S, u: str, v: str, l: int = 1) -> MPoly:
     """prod_{j in S} (u - eta^{lj} v); the empty product is 1."""
+    return _perm_product(d, frozenset(s % d for s in S), u, v, l)
+
+
+@lru_cache(maxsize=None)
+def _perm_product(d: int, S: frozenset, u: str, v: str, l: int) -> MPoly:
     out = MPoly.one(d)
     uu = MPoly.var(d, u)
     vv = MPoly.var(d, v)
-    for j in sorted(s % d for s in S):
+    for j in sorted(S):
         out = out * (uu - vv * eta_power(d, j, l))
     return out
 

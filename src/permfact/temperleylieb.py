@@ -11,8 +11,6 @@ isomorphisms and their strict sections splice the tensor unit in and out.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .cyclofield import CycNum, EvenModulus, kappa, q_root, quantum_int
 from .mfcore import (
     MFMorphism,
@@ -347,7 +345,6 @@ def _strand_vars(m: int):
     return ["x"] + [f"y{i}" for i in range(1, m)] + ["z"]
 
 
-@lru_cache(maxsize=None)
 def _T_obj(d: int, left: str, right: str, l: int):
     return perm_mf(d, {(d - 1) // 2, (d + 1) // 2}, left, right, l)
 

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from permfact import cftside, correspondence, graded, invariants, mfcore, temperleylieb
-from permfact.cli import _tl_end_dimension, build_checks
+from permfact.cli import _hexagon_ok, _tl_end_dimension, build_checks
 from permfact.correspondence import label_map, verify_equivalence
 from permfact.cyclofield import CycNum, kappa, q_root, quantum_int
 from permfact.graded import GradedLabel
@@ -161,24 +161,33 @@ def test_criterion_07_cft_data_suite():
     report(7, "minimal-model data suite, d in {3,5,7}", ok)
 
 
+def _equivariance_suite_ok(d):
+    """tau cocycle over all proper subsets; u, n equivariant; strict hexagon
+    over all triples; chi(a) ~ P_{-a}."""
+    ok = True
+    for mask in range(1, 2**d - 1):
+        S = {i for i in range(d) if mask >> i & 1}
+        ok = ok and correspondence.tau_cocycle_ok(d, S)
+    ok = ok and correspondence.un_equivariant_ok(d)
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                ok = ok and _hexagon_ok(d, a, b, c)
+    for a in range(d):
+        si = mfcore.s_iso(d, {0}, a, 0)
+        ok = ok and si.is_cycle() and invariants.is_homotopy_iso(si)
+    return ok
+
+
 def test_criterion_08_equivariance_suite():
     """tau cocycle over all subsets; u, n equivariant; strict hexagon; chi(a) ~ P_{-a}."""
-    ok = True
-    for d in (3, 5):
-        for mask in range(1, 2**d - 1):
-            S = {i for i in range(d) if mask >> i & 1}
-            ok = ok and correspondence.tau_cocycle_ok(d, S)
-        ok = ok and correspondence.un_equivariant_ok(d)
-        from permfact.cli import _hexagon_ok
-
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    ok = ok and _hexagon_ok(d, a, b, c)
-        for a in range(d):
-            si = mfcore.s_iso(d, {0}, a, 0)
-            ok = ok and si.is_cycle() and invariants.is_homotopy_iso(si)
+    ok = _equivariance_suite_ok(3) and _equivariance_suite_ok(5)
     report(8, "equivariance suite, d in {3,5}", ok)
+
+
+def test_criterion_08_equivariance_suite_d7():
+    """Criterion 08 at d = 7: 126 proper subsets, 343 hexagon triples."""
+    report(8, "equivariance suite, d = 7", _equivariance_suite_ok(7))
 
 
 def test_criterion_09_galois_variant():

@@ -29,6 +29,10 @@ class TestTau:
         assert tau_cocycle_ok(5, {0, 2})
         assert tau_cocycle_ok(5, {1, 3, 4})
 
+    def test_spellings_of_one_subset_share_an_object(self):
+        for S in (frozenset({1, 2}), [2, 1], {6, 7}):
+            assert tau(5, S, 3) is tau(5, {1, 2}, 3)
+
     def test_unit_structure_is_bare_twist(self):
         # on P_{0} the prefactor eta^{...(|S|-1)} is 1
         from permfact.mfcore import s_iso

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import permfact
-from permfact import mfcore
+from permfact import cli, mfcore
+from permfact.correspondence import tau
 from permfact.cyclofield import CycNum, ModulusMismatch, eta_power, kappa
 from permfact.mfcore import (
     MatrixBifact,
@@ -423,3 +424,65 @@ class TestInputGuards:
             "StrandMismatch",
             "ValueError",
         ]
+
+
+def _snapshot(obj):
+    """The reprs of every matrix entry and tag of a constructor's result."""
+    if isinstance(obj, tuple):
+        return [_snapshot(x) for x in obj]
+    if isinstance(obj, MFMorphism):
+        return [_entry_reprs(obj), _entry_reprs(obj.src), _entry_reprs(obj.tgt)]
+    if isinstance(obj, MatrixBifact):
+        return _entry_reprs(obj)
+    return repr(obj)
+
+
+def _cached_results(d, l):
+    """What the cached constructors return at (d, l), keyed by the call."""
+    subsets = [frozenset(i for i in range(d) if mask >> i & 1) for mask in range(2**d)]
+    proper = subsets[1:-1]
+    out = {("duality_un",): duality_un(d, l), ("zigzag_morphisms",): zigzag_morphisms(d, l)}
+    for left, right in (("x", "y"), ("x", "z"), ("x", "y1"), ("y1", "y2"), ("y1", "z"), ("y2", "z")):
+        out["unit_mf", left, right] = unit_mf(d, left, right)
+        for a in range(d):
+            out["chi", a, left, right] = chi(d, a, left, right, l)
+        for S in subsets:
+            out["perm_product", S, left, right] = perm_product(d, S, left, right, l)
+            out["perm_mf", S, left, right] = perm_mf(d, S, left, right, l)
+    for S in proper:
+        out["perm_dual_iso", S] = perm_dual_iso(d, S, l=l)
+        for a in range(d):
+            out["tau", S, a] = tau(d, S, a, l=l)
+            for b in range(d):
+                out["s_iso", S, a, b] = s_iso(d, S, a, b, l=l)
+    for a in range(d):
+        for b in range(d):
+            out["mu", a, b] = mu(d, a, b, l)
+    return out
+
+
+class TestConstructorCache:
+    def test_spellings_of_one_subset_share_an_object(self):
+        spellings = ({1, 2}, frozenset({1, 2}), [2, 1], {6, 7})
+        for S in spellings + (PermLabel(5, a=1, lam=1),):
+            assert perm_mf(5, S) is perm_mf(5, {1, 2})
+        for S in spellings:
+            assert perm_product(5, S, "x", "y") is perm_product(5, {1, 2}, "x", "y")
+            assert perm_dual_iso(5, S) is perm_dual_iso(5, {1, 2})
+            assert s_iso(5, S, 1, 3) is s_iso(5, {1, 2}, 1, 3)
+
+    def test_modulus_guard_runs_before_the_lookup(self):
+        perm_mf(3, {0, 1})
+        with pytest.raises(ModulusMismatch):
+            perm_mf(3, PermLabel(5, a=0, lam=1))
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_shared_objects_unchanged_by_a_full_verify(self, l):
+        d = 3
+        before = _cached_results(d, l)
+        reprs = {key: _snapshot(obj) for key, obj in before.items()}
+        for check in cli.build_checks(d, l, set(cli.SUITES)):
+            assert check.run()["status"] == "pass", check.name
+        after = _cached_results(d, l)
+        assert all(after[key] is obj for key, obj in before.items())
+        assert {key: _snapshot(obj) for key, obj in before.items()} == reprs
