@@ -695,8 +695,15 @@ def twist_morphism(f: MFMorphism, a: int, l: int = 1) -> MFMorphism:
     einv = eta_power(d, -a, l)
     out_map = Subst(d, {v: (e, v) for v in f.tgt.all_vars})
     in_map = Subst(d, {v: (einv, v) for v in f.src.all_vars})
+    # the two scalings cancel on every source variable the target shares, so
+    # a constant entry commutes with them and is its own conjugate
+    keep_constants = set(f.src.all_vars) <= set(f.tgt.all_vars)
 
-    conv = lambda e: as_linop(e, d).conjugated(out_map, in_map)
+    def conv(e):
+        if keep_constants and isinstance(e, MPoly) and e.is_constant():
+            return e
+        return as_linop(e, d).conjugated(out_map, in_map)
+
     return MFMorphism(
         diag_twist_mf(f.src, a, l), diag_twist_mf(f.tgt, a, l), f.z2_degree,
         [[conv(x) for x in row] for row in f.f0],

@@ -7,6 +7,13 @@ functor into bifactorisations sends k strands to the k-fold product of the
 self-dual generator T (left-bracketed, strand variables x, y1, ..., z), a cap
 to the evaluation map u, and a cup to the coevaluation map n; the unit
 isomorphisms and their strict sections splice the tensor unit in and out.
+
+The Jones-Wenzl projector p_n is certified by its characterisation, not by
+expanding p_n p_n: identity coefficient 1, e_i p_n = p_n e_i = 0 for every i,
+and trace [n+1].  Idempotence follows from the Jones normal form: every
+diagram of TL_n other than the identity is a word e_{i_1} ... e_{i_k} in the
+generators with coefficient 1 (no closed loops), so p_n D = (p_n e_{i_1})
+e_{i_2} ... e_{i_k} = 0 for each such D, and p_n p_n = p_n . 1 = p_n.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .polyring import MPoly
 __all__ = [
     "StrandMismatch",
     "UndefinedProjector",
+    "NotJonesWenzl",
     "TLDiagram",
     "TLMorphism",
     "tl_identity",
@@ -38,6 +46,7 @@ __all__ = [
     "tl_dim",
     "enumerate_diagrams",
     "jw",
+    "certify_jw",
     "strand_object",
     "evaluate_F",
 ]
@@ -51,14 +60,19 @@ class UndefinedProjector(ValueError):
     pass
 
 
+class NotJonesWenzl(ValueError):
+    """A morphism fails the characterisation of the Jones-Wenzl projector."""
+
+
 class TLDiagram:
     """Planar matching on n_bottom + n_top boundary points.
 
     Points 0..n_bottom-1 run along the bottom left to right; points
-    n_bottom..n_bottom+n_top-1 along the top left to right.
+    n_bottom..n_bottom+n_top-1 along the top left to right.  Point p is
+    joined to mate[p].
     """
 
-    __slots__ = ("n_bottom", "n_top", "pairs", "_hash")
+    __slots__ = ("n_bottom", "n_top", "pairs", "mate", "_hash")
 
     def __init__(self, n_bottom: int, n_top: int, pairs):
         total = n_bottom + n_top
@@ -68,12 +82,27 @@ class TLDiagram:
         seen = [q for p in norm for q in p]
         if sorted(seen) != list(range(total)):
             raise ValueError(f"not a perfect matching on {total} points: {norm}")
+        mate = [0] * total
+        for p, q in norm:
+            mate[p], mate[q] = q, p
+        self._fill(n_bottom, n_top, norm, tuple(mate))
+        if not self._planar():
+            raise ValueError(f"matching is not planar: {norm}")
+
+    @classmethod
+    def _from_mate(cls, n_bottom: int, n_top: int, mate) -> "TLDiagram":
+        """The diagram joining p to mate[p], for a mate known to be a planar
+        perfect matching (a composite of diagrams); nothing is checked."""
+        dg = object.__new__(cls)
+        dg._fill(n_bottom, n_top, tuple((p, q) for p, q in enumerate(mate) if p < q), tuple(mate))
+        return dg
+
+    def _fill(self, n_bottom, n_top, norm, mate):
         self.n_bottom = n_bottom
         self.n_top = n_top
         self.pairs = norm
+        self.mate = mate
         self._hash = hash((n_bottom, n_top, norm))
-        if not self._planar():
-            raise ValueError(f"matching is not planar: {norm}")
 
     def _circle_pos(self, p: int) -> int:
         # circular boundary order: bottom left-to-right, then top right-to-left
@@ -88,14 +117,6 @@ class TLDiagram:
                 if (a < c < b) != (a < e < b):
                     return False
         return True
-
-    def partner(self, p: int) -> int:
-        for a, b in self.pairs:
-            if a == p:
-                return b
-            if b == p:
-                return a
-        raise KeyError(p)
 
     def __eq__(self, other):
         return (
@@ -133,52 +154,50 @@ def cup_diagram() -> TLDiagram:
     return TLDiagram(0, 2, [(0, 1)])
 
 
-def _compose_diagrams(f: TLDiagram, g: TLDiagram):
-    """(f . g) for g: a -> b, f: b -> c; returns (diagram, loop_count).
+def _compose_mates(f: TLDiagram, g: TLDiagram):
+    """(f . g) for g: a -> b, f: b -> c; returns (the composite's mate, loop_count).
 
     The union of the two matchings decomposes into alternating paths (between
-    outer boundary points) and alternating loops inside the interface."""
+    outer boundary points) and alternating loops inside the interface.  g
+    numbers the interface a..a+b-1 and f numbers it 0..b-1."""
     if g.n_top != f.n_bottom:
         raise StrandMismatch(f"{g!r} then {f!r}")
-    a, b, c = g.n_bottom, g.n_top, f.n_top
-    # node labels: 0..a-1 bottom, a..a+b-1 interface, a+b..a+b+c-1 top
-    gp = {}
-    for p, q in g.pairs:
-        gp[p], gp[q] = q, p
-    fp = {}
-    for p, q in f.pairs:
-        u = a + p if p < b else a + b + (p - b)
-        v = a + q if q < b else a + b + (q - b)
-        fp[u], fp[v] = v, u
-    visited = set()
-    pairs = []
-    for start in list(range(a)) + list(range(a + b, a + b + c)):
-        if start in visited:
+    a, b = g.n_bottom, g.n_top
+    gm, fm = g.mate, f.mate
+    mate = [-1] * (a + f.n_top)
+    seen = bytearray(b)
+    for start in range(len(mate)):
+        if mate[start] >= 0:
             continue
-        visited.add(start)
-        cur, use_g = start, start < a
+        # a point of the composite's top is f's point start - a + b
+        p, in_g = (gm[start], True) if start < a else (fm[start - a + b], False)
         while True:
-            cur = gp[cur] if use_g else fp[cur]
-            use_g = not use_g
-            visited.add(cur)
-            if cur < a or cur >= a + b:
-                break
-        pa = start if start < a else start - b
-        pb = cur if cur < a else cur - b
-        pairs.append((pa, pb))
+            if in_g:
+                if p < a:
+                    break
+                seen[p - a] = 1
+                p, in_g = fm[p - a], False
+            else:
+                if p >= b:
+                    p += a - b
+                    break
+                seen[p] = 1
+                p, in_g = gm[p + a], True
+        mate[start], mate[p] = p, start
     loops = 0
-    for start in range(a, a + b):
-        if start in visited:
+    for i in range(b):
+        if seen[i]:
             continue
         loops += 1
-        cur, use_g = start, True
+        j = i
         while True:
-            visited.add(cur)
-            cur = gp[cur] if use_g else fp[cur]
-            use_g = not use_g
-            if cur == start:
+            j = fm[j]
+            seen[j] = 1
+            j = gm[j + a] - a
+            seen[j] = 1
+            if j == i:
                 break
-    return TLDiagram(a, c, pairs), loops
+    return tuple(mate), loops
 
 
 class TLMorphism:
@@ -218,13 +237,24 @@ class TLMorphism:
         """self after other."""
         if other.tgt != self.src:
             raise StrandMismatch(f"{other.tgt} strands into {self.src}")
-        kap = kappa(self.d, self.l)
-        combo: dict = {}
+        # sum the c2 that share a composite (mate, loops) before one product
+        # with c1; kappa^loops once per composite; one diagram per mate
+        by_loops: dict = {}
         for dg1, c1 in other.combo.items():
+            inner: dict = {}
             for dg2, c2 in self.combo.items():
-                dg, loops = _compose_diagrams(dg2, dg1)
-                c = c1 * c2 * kap**loops
-                combo[dg] = combo.get(dg, CycNum.zero(self.d)) + c
+                key = _compose_mates(dg2, dg1)
+                inner[key] = inner[key] + c2 if key in inner else c2
+            for key, c2 in inner.items():
+                c = c1 * c2
+                by_loops[key] = by_loops[key] + c if key in by_loops else c
+        kap = kappa(self.d, self.l)
+        by_mate: dict = {}
+        for (mate, loops), c in by_loops.items():
+            if loops:
+                c = c * kap**loops
+            by_mate[mate] = by_mate[mate] + c if mate in by_mate else c
+        combo = {TLDiagram._from_mate(other.src, self.tgt, mate): c for mate, c in by_mate.items()}
         return TLMorphism(self.d, other.src, self.tgt, combo, self.l)
 
     def tensor(self, other: "TLMorphism") -> "TLMorphism":
@@ -275,7 +305,7 @@ class TLMorphism:
                 cur, use_diagram = start, True
                 while cur not in visited:
                     visited.add(cur)
-                    cur = dg.partner(cur) if use_diagram else closure[cur]
+                    cur = dg.mate[cur] if use_diagram else closure[cur]
                     use_diagram = not use_diagram
             total = total + c * kap**loops
         return total
@@ -334,6 +364,29 @@ def jw(n: int, d: int, l: int = 1) -> TLMorphism:
         correction = pk1.compose(tl_e(d, k + 1, k, l)).compose(pk1)
         p = pk1 - correction.scaled(coeff)
     return p
+
+
+def certify_jw(p: TLMorphism) -> None:
+    """Certify that p is the Jones-Wenzl projector on p.src strands.
+
+    Checks the characterisation: identity coefficient 1, e_i p = 0 and
+    p e_i = 0 for every i, and trace [n+1].  The first two determine p_n
+    uniquely and make it idempotent (Jones normal form, see the module
+    docstring).  Raises NotJonesWenzl naming the first condition that fails.
+    """
+    d, l, n = p.d, p.l, p.src
+    if p.tgt != n:
+        raise StrandMismatch(f"a projector is an endomorphism, got {n}->{p.tgt} strands")
+    if p.combo.get(tl_identity_diagram(n)) != CycNum.one(d):
+        raise NotJonesWenzl(f"identity coefficient of p_{n} != 1")
+    for i in range(1, n):
+        e = tl_e(d, n, i, l)
+        if e.compose(p).combo:
+            raise NotJonesWenzl(f"e_{i} p_{n} != 0")
+        if p.compose(e).combo:
+            raise NotJonesWenzl(f"p_{n} e_{i} != 0")
+    if p.trace() != quantum_int(n + 1, q_root(d, l)):
+        raise NotJonesWenzl(f"trace p_{n} != [{n + 1}]")
 
 
 # -- the functor into bifactorisations ---------------------------------------------
@@ -463,7 +516,7 @@ def _factor_diagram(dg: TLDiagram):
             changed = False
             for idx in range(len(pts) - 1):
                 p, q = pts[idx], pts[idx + 1]
-                if dg.partner(p) == q:
+                if dg.mate[p] == q:
                     out.append(idx)
                     del pts[idx : idx + 2]
                     changed = True
@@ -473,10 +526,10 @@ def _factor_diagram(dg: TLDiagram):
     caps, through_b = peel(range(nb))
     cups, through_t = peel(range(nb, nb + nt))
     if len(through_b) != len(through_t):
-        raise AssertionError("factorisation lost strands")
+        raise StrandMismatch(f"factorisation of {dg!r} lost strands")
     for p, q in zip(through_b, through_t):
-        if dg.partner(p) != q:
-            raise AssertionError("through strands are not order preserving")
+        if dg.mate[p] != q:
+            raise StrandMismatch(f"through strands of {dg!r} are not order preserving")
     return caps, cups
 
 
@@ -502,7 +555,8 @@ def evaluate_F(f: TLMorphism) -> MFMorphism:
             layer = cup_layer(d, m, pos, l)
             morph = layer.compose(morph)
             m += 2
-        assert m == dg.n_top
+        if m != dg.n_top:
+            raise StrandMismatch(f"the layers of {dg!r} end on {m} strands")
         piece = morph.scaled(c)
         total = piece if total is None else total + piece
     if total is None:

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from permfact.cftside import NSLabel, ParityViolation, cft_fusion_ring, ns_fuse
@@ -12,7 +16,9 @@ from permfact.correspondence import (
     verify_equivalence,
 )
 from permfact.graded import GradedLabel, decompose_product
-from permfact.mfcore import identity_morphism
+from permfact.mfcore import duality_un, identity_morphism, twist_morphism
+
+TWIST_PINS = Path(__file__).parent / "reference" / "twisted-morphisms.d5.json"
 
 
 class TestTau:
@@ -60,6 +66,33 @@ class TestEquivariance:
         f = identity_morphism(M)
         struct = lambda a: tau(d, S, a)
         assert check_equivariant(f, struct, struct, d)
+
+
+def _twist_pin_digests():
+    """Count and sha256 of the entry reprs of ((a)f(-a)) at d = 5, for
+    f = tau_{S;b} over every proper S and all a, b, and for f = u, n."""
+    d = 5
+
+    def digest(morphs):
+        h = hashlib.sha256()
+        for f in morphs:
+            h.update(repr((f.f0, f.f1)).encode())
+        return {"count": len(morphs), "sha256": h.hexdigest()}
+
+    subsets = [frozenset(i for i in range(d) if mask >> i & 1) for mask in range(1, 2**d - 1)]
+    u, n, _, _ = duality_un(d)
+    return {
+        "tau": digest([twist_morphism(tau(d, S, b), a) for S in subsets for a in range(d) for b in range(d)]),
+        "u, n": digest([twist_morphism(f, a) for f in (u, n) for a in range(d)]),
+    }
+
+
+class TestTwistPins:
+    """The twisted entries themselves, not only the verdicts built on them:
+    a constant entry and a residue operator must come out as recorded."""
+
+    def test_entries_match_recorded(self):
+        assert _twist_pin_digests() == json.loads(TWIST_PINS.read_text())
 
 
 class TestLabelMap:

@@ -1,16 +1,23 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
+from permfact import temperleylieb
+from permfact.cli import _tl_end_dimension
 from permfact.cyclofield import CycNum, kappa, q_root, quantum_int
 from permfact.graded import g_pair, graded_homotopy_degrees, graded_tensor, hat_p
-from permfact.invariants import homotopy_solve
+from permfact.invariants import homotopy_solve, row_reduce
 from permfact.mfcore import identity_morphism, morphism_poly_form
 from permfact.temperleylieb import (
+    NotJonesWenzl,
     StrandMismatch,
     TLDiagram,
     TLMorphism,
     UndefinedProjector,
     cap_diagram,
     cap_layer,
+    certify_jw,
     cup_diagram,
     cup_layer,
     enumerate_diagrams,
@@ -90,17 +97,48 @@ class TestTrace:
         assert tl_e(D, 2, 1).trace() == kappa(D)
 
 
+def _unchecked_diagram(n_bottom, n_top, pairs):
+    """A TLDiagram built without the planarity check."""
+    mate = [0] * (n_bottom + n_top)
+    for p, q in pairs:
+        mate[p], mate[q] = q, p
+    return TLDiagram._from_mate(n_bottom, n_top, mate)
+
+
 class TestJonesWenzl:
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_idempotent_killed_traced(self, d):
+        """The expansion of p p cross-checks the characterisation that
+        certify_jw uses in place of it."""
         q = q_root(d)
         for n in range(1, d):
             p = jw(n, d)
+            certify_jw(p)
             assert p.compose(p).equals(p)
             for i in range(1, n):
                 assert not tl_e(d, n, i).compose(p).combo
                 assert not p.compose(tl_e(d, n, i)).combo
             assert p.trace() == quantum_int(n + 1, q)
+
+    def test_perturbed_coefficient_fails_characterisation(self):
+        # e_1 D is a nonzero multiple of a diagram for every D, so e_1 is
+        # the first generator to see any single bumped coefficient
+        p = jw(4, D)
+        for dg in enumerate_diagrams(4, 4):
+            if dg == temperleylieb.tl_identity_diagram(4):
+                continue
+            bumped = p + TLMorphism.from_diagram(D, dg).scaled(Fraction(1, 3))
+            with pytest.raises(NotJonesWenzl, match=r"^e_1 p_4 != 0$"):
+                certify_jw(bumped)
+
+    def test_perturbed_identity_coefficient_fails_characterisation(self):
+        p = jw(4, D)
+        with pytest.raises(NotJonesWenzl, match="identity coefficient"):
+            certify_jw(p + tl_identity(D, 4))
+
+    def test_certificate_needs_an_endomorphism(self):
+        with pytest.raises(StrandMismatch):
+            certify_jw(TLMorphism.from_diagram(D, cap_diagram()))
 
     def test_p2_closed_form(self):
         p2 = jw(2, D)
@@ -120,6 +158,40 @@ class TestJonesWenzl:
                 assert not layer.compose(p).combo
 
 
+def _full_span_rank(d, l):
+    """Rank of the sandwiches of every diagram of TL_{d-1} by 1 (x) p_{d-2}."""
+    n = d - 1
+    proj = tl_identity(d, 1, l).tensor(jw(d - 2, d, l))
+    basis_index = {}
+
+    def vectorize(dg):
+        m = proj.compose(TLMorphism.from_diagram(d, dg, l)).compose(proj)
+        return {basis_index.setdefault(b, len(basis_index)): c for b, c in m.combo.items()}
+
+    return len(row_reduce(vectorize(dg) for dg in enumerate_diagrams(n, n)))
+
+
+def _joins_projector_strands(dg):
+    """Some cap or cup joins two points of one row on strands 2..n."""
+    n = dg.n_bottom
+    return any(a // n == b // n and a % n and b % n for a, b in dg.pairs)
+
+
+class TestEndDimensionSpanningSet:
+    """_tl_end_dimension spans by the identity and e_1 only."""
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_only_identity_and_e1_survive(self, n):
+        survivors = {dg for dg in enumerate_diagrams(n, n) if not _joins_projector_strands(dg)}
+        assert survivors == {temperleylieb.tl_identity_diagram(n), temperleylieb.e_diagram(n, 1)}
+
+    @pytest.mark.parametrize("d", [5, 7])
+    def test_two_diagrams_span_as_much_as_all(self, d):
+        for l in range(1, d):
+            if gcd(l, d) == 1:
+                assert _full_span_rank(d, l) == _tl_end_dimension(d, l) == 2
+
+
 class TestInputGuards:
     def test_add_needs_equal_strand_counts(self):
         with pytest.raises(StrandMismatch):
@@ -134,6 +206,22 @@ class TestInputGuards:
     def test_cup_slot_out_of_range(self, m, i):
         with pytest.raises(StrandMismatch):
             cup_layer(3, m, i)
+
+    def test_factorisation_that_loses_strands(self):
+        # bottom 1 sits inside the bottom arc 0-2 but runs to the top
+        dg = _unchecked_diagram(3, 1, [(0, 2), (1, 3)])
+        with pytest.raises(StrandMismatch, match="lost strands"):
+            evaluate_F(TLMorphism.from_diagram(3, dg))
+
+    def test_through_strands_that_cross(self):
+        dg = _unchecked_diagram(2, 2, [(0, 3), (1, 2)])
+        with pytest.raises(StrandMismatch, match="not order preserving"):
+            evaluate_F(TLMorphism.from_diagram(3, dg))
+
+    def test_layers_that_end_on_the_wrong_strand_count(self, monkeypatch):
+        monkeypatch.setattr(temperleylieb, "_factor_diagram", lambda dg: ([], [0]))
+        with pytest.raises(StrandMismatch, match="end on 3 strands"):
+            evaluate_F(tl_identity(3, 1))
 
 
 class TestFunctor:
