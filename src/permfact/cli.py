@@ -449,7 +449,7 @@ def _equivariance_checks(d, l):
 
 
 def _hexagon_ok(d, a, b, c, l=1):
-    mu_bc = mfcore.mu(d, b, c, l).renamed({"x": "y1", "y1": "y2"})
+    mu_bc = mfcore.renamed_mu(d, b, c, {"x": "y1", "y1": "y2"}, l)
     ca = mfcore.chi(d, a, "x", "y1", l)
     step1 = mfcore.tensor_morphism(mfcore.identity_morphism(ca), mu_bc)
     mu_a_bc = mfcore.mu(d, a, (b + c) % d, l)
@@ -457,10 +457,10 @@ def _hexagon_ok(d, a, b, c, l=1):
         mfcore.tensor_mf(ca, mfcore.chi(d, b, "y1", "y2", l)), mfcore.chi(d, c, "y2", "z", l)
     )
     p1 = mu_a_bc.compose(step1).compose(mfcore.reassoc(src_left, step1.src))
-    mu_ab = mfcore.mu(d, a, b, l).renamed({"z": "y2"})
+    mu_ab = mfcore.renamed_mu(d, a, b, {"z": "y2"}, l)
     cc = mfcore.chi(d, c, "y2", "z", l)
     step2 = mfcore.tensor_morphism(mu_ab, mfcore.identity_morphism(cc))
-    mu_ab_c = mfcore.mu(d, (a + b) % d, c, l).renamed({"y1": "y2"})
+    mu_ab_c = mfcore.renamed_mu(d, (a + b) % d, c, {"y1": "y2"}, l)
     p2 = mu_ab_c.compose(step2).compose(mfcore.reassoc(src_left, step2.src))
     return p1.equals(p2)
 

@@ -22,6 +22,12 @@ convolution followed by an integer reduction of t^k mod Phi_{2d} and one gcd;
 a sum of elements over the same denominator adds numerators.  The tables of a
 modulus are built on first use of that d: Phi_{2d}, all 2d powers of zeta
 (``zeta(d, k)`` is a lookup) and a memo of inverses.
+
+A product with a factor equal to one, tested by value since most ones are
+built by arithmetic, returns the other factor itself, and
+``from_rational(d, 0)`` and ``(d, 1)`` return the shared table elements.
+This is safe because elements are never mutated: nothing writes to ``num``
+or ``den`` after construction.
 """
 
 from __future__ import annotations
@@ -234,12 +240,15 @@ class CycNum:
 
     @staticmethod
     def from_rational(d: int, value) -> "CycNum":
+        """value as an element; 0 and 1 are the shared table elements."""
         data = _FieldData.get(d)
         if isinstance(value, int):
             top, den = int(value), 1
         else:
             value = Fraction(value)
             top, den = value.numerator, value.denominator
+        if den == 1 and top in (0, 1):
+            return data.zeta_powers[0] if top else data.zero
         return _make(d, (top,) + (0,) * (data.degree - 1), den)
 
     @staticmethod
@@ -268,6 +277,9 @@ class CycNum:
 
     def is_zero(self) -> bool:
         return not any(self.num)
+
+    def is_one(self) -> bool:
+        return self.den == 1 and self.num == _FieldData._cache[self.d].zeta_powers[0].num
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
@@ -310,6 +322,12 @@ class CycNum:
         if other is NotImplemented:
             return NotImplemented
         data = _FieldData._cache[self.d]
+        # a factor equal to one, however it was built, returns the other one
+        one = data.zeta_powers[0].num
+        if other.den == 1 and other.num == one:
+            return self
+        if self.den == 1 and self.num == one:
+            return other
         deg = data.degree
         terms = [(j, y) for j, y in enumerate(other.num) if y]
         prod = [0] * (2 * deg - 1)

@@ -16,10 +16,10 @@ morphisms carries the Koszul sign, and the differential of M (x) N is
 d_M (x) 1 + 1 (x) d_N, built by the same routine.
 
 The pure constructors (unit_mf, perm_mf, perm_dual_iso, s_iso, chi, mu,
-duality_un, zigzag_morphisms) are memoised for the life of the process; a
-subset S is keyed as the frozenset of its residues mod d, however it is
-spelled.  Every caller with the same arguments gets the same object, so no
-caller may write to a returned object or its matrices.
+renamed_mu, duality_un, zigzag_morphisms) are memoised for the life of the
+process; a subset S is keyed as the frozenset of its residues mod d, however
+it is spelled.  Every caller with the same arguments gets the same object, so
+no caller may write to a returned object or its matrices.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ __all__ = [
     "s_iso",
     "chi",
     "mu",
+    "renamed_mu",
     "tensor_morphism",
     "sum_morphism",
     "morphism_poly_form",
@@ -118,8 +119,10 @@ def _entry_factor_product(a, b):
 
 
 def mat_mul(A, B, d):
+    """A B, skipping every pair with a zero polynomial factor (a zero
+    polynomial is falsy, an operator entry is not)."""
     cols = range(len(B[0]) if B else 0)
-    return [[sum((a * b[j] for a, b in zip(row, B)), MPoly.zero(d)) for j in cols] for row in A]
+    return [[sum((a * b[j] for a, b in zip(row, B) if a and b[j]), MPoly.zero(d)) for j in cols] for row in A]
 
 
 def mat_add(A, B):
@@ -746,6 +749,16 @@ def mu(d: int, a: int, b: int, l: int = 1) -> MFMorphism:
     f0 = [[sub, zero]]
     f1 = [[zero, sub]]
     return MFMorphism(src, tgt, 0, f0, f1)
+
+
+def renamed_mu(d: int, a: int, b: int, mapping: dict, l: int = 1) -> MFMorphism:
+    """mu(d, a, b, l) with its variables renamed by `mapping`."""
+    return _renamed_mu(d, a, b, l, tuple(sorted(mapping.items())))
+
+
+@lru_cache(maxsize=None)
+def _renamed_mu(d: int, a: int, b: int, l: int, mapping: tuple) -> MFMorphism:
+    return mu(d, a, b, l).renamed(dict(mapping))
 
 
 # -- duality zig-zags --------------------------------------------------------------

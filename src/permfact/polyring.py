@@ -9,6 +9,13 @@ two polynomials are equal iff their term dicts coincide.  Substitution maps
 each variable to scalar * variable or to 0, so it rewrites monomials one term
 at a time.  `div_rem` is the one division routine, by the graded-lex leading
 term of the divisor; `exact_div` is the case of a zero remainder.
+
+A product with the unit polynomial returns the other operand itself, and a
+product with another nonzero constant scales the other operand's
+coefficients without forming monomial products.  This is safe because
+polynomials are never mutated: nothing writes to `terms` after construction.
+Arithmetic between polynomials or scalars of different moduli d raises
+ModulusMismatch.
 """
 
 from __future__ import annotations
@@ -133,9 +140,11 @@ class MPoly:
         return self.terms[_UNIT]
 
     def _coerce(self, other):
-        if isinstance(other, MPoly):
-            return other
-        if isinstance(other, (int, Fraction, CycNum)):
+        if isinstance(other, (MPoly, CycNum)):
+            if other.d != self.d:
+                raise ModulusMismatch(f"moduli differ: {self.d} vs {other.d}")
+            return other if isinstance(other, MPoly) else MPoly.constant(self.d, other)
+        if isinstance(other, (int, Fraction)):
             return MPoly.constant(self.d, other)
         return NotImplemented
 
@@ -175,6 +184,14 @@ class MPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        for c, f in ((self, other), (other, self)):
+            if len(c.terms) == 1 and _UNIT in c.terms:
+                # a nonzero constant: 1 * f is f, and c * f scales f's
+                # coefficients, none of which becomes zero
+                c = c.terms[_UNIT]
+                if c.is_one():
+                    return f
+                return MPoly(self.d, {m: c * x for m, x in f.terms.items()}, _normalize=False)
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -201,10 +218,12 @@ class MPoly:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, (MPoly, CycNum)) and other.d != self.d:
+            return False
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.d == other.d and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:

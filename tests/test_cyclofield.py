@@ -234,6 +234,31 @@ class TestKernel:
         for k in range(-2 * d, 0):
             assert _ref_mul(d, CycNum.zeta(d, k).coeffs, _ref_t_power(d, -k)) == _ref_one(d)
 
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_products_by_one(self, d):
+        x = CycNum(d, [Fraction(k - 2, k + 3) for k in range(len(CycNum.zero(d).coeffs))])
+        built_ones = [eta_power(d, a) * eta_power(d, -a) for a in range(1, d)]
+        assert all(y == 1 and y is not CycNum.one(d) for y in built_ones)
+        for one in [CycNum.one(d), 1, Fraction(1)] + built_ones:
+            for prod in (x * one, one * x):
+                assert prod.coeffs == _ref_mul(d, x.coeffs, _ref_one(d))
+                assert prod is x  # the other factor itself, with no arithmetic
+        assert (CycNum.one(d) * CycNum.one(d)) is CycNum.one(d)
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_zero_and_one_are_shared(self, d):
+        for value in (1, Fraction(1), Fraction(2, 2)):
+            assert CycNum.from_rational(d, value) is CycNum.one(d)
+        for value in (0, Fraction(0)):
+            assert CycNum.from_rational(d, value) is CycNum.zero(d)
+        assert CycNum.from_rational(d, 2) == 2 and CycNum.from_rational(d, Fraction(1, 2)) * 2 == 1
+
+    def test_product_by_one_checks_the_modulus(self):
+        with pytest.raises(ModulusMismatch):
+            CycNum.zeta(5, 1) * CycNum.one(3)
+        with pytest.raises(ModulusMismatch):
+            CycNum.one(3) * CycNum.zeta(5, 1)
+
     @pytest.mark.parametrize("d", KERNEL_DS)
     def test_galois_matches_substitution(self, d):
         x = CycNum(d, [Fraction(k + 1, k + 2) for k in range(len(CycNum.zero(d).coeffs))])

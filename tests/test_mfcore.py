@@ -24,11 +24,13 @@ from permfact.mfcore import (
     ev_coev,
     g_residue,
     identity_morphism,
+    mat_mul,
     morphism_poly_form,
     mu,
     perm_dual_iso,
     perm_mf,
     reassoc,
+    renamed_mu,
     s_iso,
     sum_morphism,
     tensor_mf,
@@ -41,6 +43,7 @@ from permfact.mfcore import (
     verify_factorisation,
     zigzag_morphisms,
 )
+from permfact.linop import LinOp
 from permfact.polyring import MPoly, exact_div, perm_product
 
 TENSOR_PINS = Path(__file__).parent / "reference" / "tensor-blocks.d5.json"
@@ -152,6 +155,60 @@ class TestTensorBlocks:
     def test_entries_match_recorded(self):
         pins = json.loads(TENSOR_PINS.read_text())
         assert {name: _entry_reprs(obj) for name, obj in _tensor_pin_cases().items()} == pins
+
+
+def _mat_mul_every_pair(A, B, d):
+    """The matrix product summing a * b over every pair, zero factors included."""
+    cols = range(len(B[0]) if B else 0)
+    return [[sum((a * b[j] for a, b in zip(row, B)), MPoly.zero(d)) for j in cols] for row in A]
+
+
+def _hexagon_composites(d, a, b, c):
+    """Both sides of the mu hexagon at (a, b, c), as cli._hexagon_ok builds them."""
+    ca, cc = chi(d, a, "x", "y1"), chi(d, c, "y2", "z")
+    src_left = tensor_mf(tensor_mf(ca, chi(d, b, "y1", "y2")), cc)
+    step1 = tensor_morphism(identity_morphism(ca), renamed_mu(d, b, c, {"x": "y1", "y1": "y2"}))
+    step2 = tensor_morphism(renamed_mu(d, a, b, {"z": "y2"}), identity_morphism(cc))
+    return {
+        "step1": step1,
+        "step2": step2,
+        "p1": mu(d, a, (b + c) % d).compose(step1).compose(reassoc(src_left, step1.src)),
+        "p2": renamed_mu(d, (a + b) % d, c, {"y1": "y2"}).compose(step2).compose(reassoc(src_left, step2.src)),
+        "delta": step1.delta(),
+    }
+
+
+class TestMatMul:
+    def test_zero_pairs_change_no_value(self):
+        d = 5
+        x, y1 = MPoly.var(d, "x"), MPoly.var(d, "y1")
+        L = LinOp.substitution(d, {"y1": (eta_power(d, 2), "x")})
+        Z, P = MPoly.zero(d), x - y1 * eta_power(d, 1)
+        A = [[P, Z, L], [Z, Z, P], [L, Z, Z]]
+        B = [[L, Z, P], [P, L, Z], [Z, P, L]]
+        fast, full = mat_mul(A, B, d), _mat_mul_every_pair(A, B, d)
+        changed = 0
+        for e, ref in zip(sum(fast, []), sum(full, [])):
+            assert e == ref
+            if repr(e) != repr(ref):
+                # a 0 * operator term made the whole sum an operator; the
+                # entry is now that operator's polynomial form
+                assert isinstance(ref, LinOp) and isinstance(e, MPoly)
+                assert repr(ref.as_poly()) == repr(e)
+                changed += 1
+        assert changed == 3
+
+    @pytest.mark.parametrize("abc", [(1, 2, 3), (0, 4, 2), (3, 3, 3)])
+    def test_composites_keep_their_entry_reprs(self, monkeypatch, abc):
+        fast = {name: _entry_reprs(f) for name, f in _hexagon_composites(5, *abc).items()}
+        monkeypatch.setattr(mfcore, "mat_mul", _mat_mul_every_pair)
+        full = {name: _entry_reprs(f) for name, f in _hexagon_composites(5, *abc).items()}
+        assert fast == full
+
+    def test_renamed_mu_is_shared(self):
+        f = renamed_mu(5, 1, 2, {"x": "y1", "y1": "y2"})
+        assert f is renamed_mu(5, 1, 2, {"y1": "y2", "x": "y1"})
+        assert _entry_reprs(f) == _entry_reprs(mu(5, 1, 2).renamed({"x": "y1", "y1": "y2"}))
 
 
 class TestUnitIsos:
@@ -458,7 +515,24 @@ def _cached_results(d, l):
     for a in range(d):
         for b in range(d):
             out["mu", a, b] = mu(d, a, b, l)
+            for mapping in ({"x": "y1", "y1": "y2"}, {"z": "y2"}, {"y1": "y2"}):
+                out["renamed_mu", a, b, tuple(mapping.items())] = renamed_mu(d, a, b, mapping, l)
     return out
+
+
+def _shared_scalars(d):
+    """The field's table elements, which products now return as they are."""
+    out = {("CycNum.one",): CycNum.one(d), ("CycNum.zero",): CycNum.zero(d)}
+    for k in range(2 * d):
+        out["CycNum.zeta", k] = CycNum.zeta(d, k)
+    return out
+
+
+def _state(x):
+    """Every stored field of a scalar or polynomial."""
+    if isinstance(x, MPoly):
+        return (x.d, sorted((sorted(m), _state(c)) for m, c in x.terms.items()))
+    return (x.d, x.num, x.den)
 
 
 class TestConstructorCache:
@@ -481,8 +555,16 @@ class TestConstructorCache:
         d = 3
         before = _cached_results(d, l)
         reprs = {key: _snapshot(obj) for key, obj in before.items()}
+        scalars = _shared_scalars(d)
+        unit = MPoly.one(d)
+        states = {key: _state(x) for key, x in scalars.items()}
+        unit_state = _state(unit)
         for check in cli.build_checks(d, l, set(cli.SUITES)):
             assert check.run()["status"] == "pass", check.name
         after = _cached_results(d, l)
         assert all(after[key] is obj for key, obj in before.items())
         assert {key: _snapshot(obj) for key, obj in before.items()} == reprs
+        shared_after = _shared_scalars(d)
+        assert all(shared_after[key] is x for key, x in scalars.items())
+        assert {key: _state(x) for key, x in scalars.items()} == states
+        assert _state(unit) == _state(MPoly.one(d)) == unit_state

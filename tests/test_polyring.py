@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,65 @@ class TestArithmetic:
     def test_commutativity(self, f, g):
         assert f * g == g * f
         assert f + g == g + f
+
+
+def _schoolbook(f, g):
+    """The term dict of f * g by every pair of terms, with zero sums dropped."""
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            e = dict(m1)
+            for v, k in m2:
+                e[v] = e.get(v, 0) + k
+            m = frozenset(e.items())
+            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+class TestTrivialProducts:
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_unit_operand_returns_the_other(self, d):
+        x, y = MPoly.var(d, "x"), MPoly.var(d, "y")
+        f = x**2 * y - y * eta_power(d, 1) + 3
+        built_one = MPoly.constant(d, eta_power(d, 2) * eta_power(d, -2))
+        assert built_one.terms[frozenset()] is not CycNum.one(d)
+        for one in (MPoly.one(d), built_one, 1, CycNum.one(d)):
+            for prod in (f * one, one * f):
+                assert prod.terms == _schoolbook(f, MPoly.constant(d, 1))
+                assert prod is f
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_constant_operand_scales(self, d):
+        x, y = MPoly.var(d, "x"), MPoly.var(d, "y")
+        f = x**2 * y - y * eta_power(d, 1) + Fraction(1, 2)
+        for c in (2, Fraction(-1, 3), eta_power(d, 1), eta_power(d, 1) - 1):
+            const = MPoly.constant(d, c)
+            for prod in (f * c, c * f, f * const, const * f):
+                assert prod.terms == _schoolbook(f, const)
+        zero = MPoly.zero(d)
+        for prod in (f * 0, 0 * f, f * zero, zero * f, zero * MPoly.one(d)):
+            assert prod.is_zero()
+
+
+class TestModulusGuard:
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_operands_of_another_modulus_raise(self, op):
+        mine = [MPoly.zero(3), MPoly.one(3), MPoly.constant(3, 2), X + Y]
+        theirs = [
+            MPoly.zero(5), MPoly.one(5), MPoly.constant(5, 2), MPoly.var(5, "x"),
+            CycNum.zero(5), CycNum.one(5), CycNum.zeta(5, 1),
+        ]
+        for f in mine:
+            for g in theirs:
+                with pytest.raises(ModulusMismatch):
+                    op(f, g)
+                with pytest.raises(ModulusMismatch):
+                    op(g, f)
+
+    def test_equality_across_moduli_is_false(self):
+        assert MPoly.one(3) != MPoly.one(5)
+        assert MPoly.zero(3) != MPoly.zero(5)
+        assert MPoly.one(3) != CycNum.one(5)
 
 
 class TestExactDiv:
