@@ -18,12 +18,17 @@ from .cyclofield import eta_power, q_root, quantum_int
 from .graded import GradedLabel, mf_fusion_ring
 from .mfcore import (
     MFMorphism,
+    chi,
     duality_un,
     ev_coev,
     identity_morphism,
+    mu,
     perm_dual_iso,
     perm_mf,
+    reassoc,
+    renamed_mu,
     s_iso,
+    tensor_mf,
     tensor_morphism,
     twist_morphism,
 )
@@ -32,6 +37,7 @@ from .polyring import MPoly, exact_div
 __all__ = [
     "tau",
     "tau_cocycle_ok",
+    "mu_hexagon_ok",
     "check_equivariant",
     "un_equivariant_ok",
     "coev_square_ok",
@@ -64,6 +70,23 @@ def tau_cocycle_ok(d: int, S, l: int = 1) -> bool:
             if not lhs.equals(rhs):
                 return False
     return True
+
+
+def mu_hexagon_ok(d: int, a: int, b: int, c: int, l: int = 1) -> bool:
+    """mu_{a,b+c} . (1 (x) mu_{b,c}) = mu_{a+b,c} . (mu_{a,b} (x) 1) strictly on
+    (chi(a) (x) chi(b)) (x) chi(c), each side reassociated from that source."""
+    mu_bc = renamed_mu(d, b, c, {"x": "y1", "y1": "y2"}, l)
+    ca = chi(d, a, "x", "y1", l)
+    step1 = tensor_morphism(identity_morphism(ca), mu_bc)
+    mu_a_bc = mu(d, a, (b + c) % d, l)
+    src_left = tensor_mf(tensor_mf(ca, chi(d, b, "y1", "y2", l)), chi(d, c, "y2", "z", l))
+    p1 = mu_a_bc.compose(step1).compose(reassoc(src_left, step1.src))
+    mu_ab = renamed_mu(d, a, b, {"z": "y2"}, l)
+    cc = chi(d, c, "y2", "z", l)
+    step2 = tensor_morphism(mu_ab, identity_morphism(cc))
+    mu_ab_c = renamed_mu(d, (a + b) % d, c, {"y1": "y2"}, l)
+    p2 = mu_ab_c.compose(step2).compose(reassoc(src_left, step2.src))
+    return p1.equals(p2)
 
 
 def check_equivariant(f: MFMorphism, src_tau, tgt_tau, d: int, l: int = 1) -> bool:

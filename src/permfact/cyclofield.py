@@ -281,14 +281,6 @@ class CycNum:
     def is_one(self) -> bool:
         return self.den == 1 and self.num == _FieldData._cache[self.d].zeta_powers[0].num
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.num[0], self.den)
-
     # -- ring/field operations ----------------------------------------------
 
     def __add__(self, other):

@@ -192,11 +192,6 @@ class ResidueCore:
     def key(self):
         return (self.elim, self.inj, self.injc_step, self.step)
 
-    def output_vars(self):
-        vars = {self.inj}
-        vars.update(v for v in self.prem.vars if v != self.elim)
-        return vars
-
 
 class Term:
     """f |-> num * phi(core(f)) / den, with core optional."""

@@ -105,7 +105,9 @@ class MPoly:
         return MPoly(d, {}, _normalize=False)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def one(d: int) -> "MPoly":
+        """The unit polynomial, one shared object per modulus (polynomials are never mutated)."""
         return MPoly.constant(d, 1)
 
     @staticmethod
@@ -240,11 +242,6 @@ class MPoly:
         if self.is_zero():
             return -1
         return max(sum(k for _, k in m) for m in self.terms)
-
-    def degree_in(self, v: str) -> int:
-        if self.is_zero():
-            return -1
-        return max(dict(m).get(v, 0) for m in self.terms)
 
     def is_homogeneous(self) -> bool:
         return len({sum(k for _, k in m) for m in self.terms}) <= 1

@@ -19,6 +19,7 @@ e_{i_2} ... e_{i_k} = 0 for each such D, and p_n p_n = p_n . 1 = p_n.
 from __future__ import annotations
 
 from .cyclofield import CycNum, EvenModulus, kappa, q_root, quantum_int
+from .invariants import row_reduce
 from .mfcore import (
     MFMorphism,
     duality_un,
@@ -47,6 +48,7 @@ __all__ = [
     "enumerate_diagrams",
     "jw",
     "certify_jw",
+    "tl_end_dimension",
     "strand_object",
     "evaluate_F",
 ]
@@ -387,6 +389,33 @@ def certify_jw(p: TLMorphism) -> None:
             raise NotJonesWenzl(f"p_{n} e_{i} != 0")
     if p.trace() != quantum_int(n + 1, q_root(d, l)):
         raise NotJonesWenzl(f"trace p_{n} != [{n + 1}]")
+
+
+def tl_end_dimension(d: int, l: int = 1) -> int:
+    """dim of (1 (x) p_{d-2}) TL_{d-1} (1 (x) p_{d-2}), spanned by 2 diagrams.
+
+    The sandwiches P D P of the diagrams D of TL_{d-1}, P = 1 (x) p with
+    p = p_{d-2} on strands 2..d-1, span the space.  Once p is certified
+    (certify_jw; raises NotJonesWenzl otherwise), all but two vanish: a
+    diagram with a bottom cap on strands i, i+1 >= 2 satisfies
+    D = kappa^{-1} D e_i, and e_i P = 0 because e_{i-1} p = 0; a top cup on
+    such strands gives D = kappa^{-1} e_i D, and P e_i = 0 likewise.  Every
+    cap of a diagram encloses an innermost one on adjacent points, so a
+    survivor's only possible bottom cap and top cup join strands 1 and 2:
+    the survivors are the identity and e_1.  The identity's sandwich is
+    P P = P, as p is idempotent; e_1's is expanded.  The rank of the two
+    vectors is the dimension.
+    """
+    p = jw(d - 2, d, l)
+    certify_jw(p)
+    proj = tl_identity(d, 1, l).tensor(p)
+    e1 = tl_e(d, d - 1, 1, l)
+    basis_index = {}
+
+    def vectorize(m):
+        return {basis_index.setdefault(b, len(basis_index)): c for b, c in m.combo.items()}
+
+    return len(row_reduce([vectorize(proj), vectorize(proj.compose(e1).compose(proj))]))
 
 
 # -- the functor into bifactorisations ---------------------------------------------

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from permfact import cftside, correspondence, graded, invariants, mfcore, temperleylieb
-from permfact.cli import _hexagon_ok, _tl_end_dimension, build_checks
+from permfact.checks import build_checks
 from permfact.correspondence import label_map, verify_equivalence
 from permfact.cyclofield import CycNum, kappa, q_root, quantum_int
 from permfact.graded import GradedLabel
@@ -140,7 +140,7 @@ def test_criterion_06_temperley_lieb_suite():
         single = len(summands) == 1
         mf_dim = graded.graded_hom_dim(d, summands[0].subset, summands[0].subset)
         cert = graded.g_pair_certified(d, aT, 0, d - 2)
-        tl_end = _tl_end_dimension(d, 1)
+        tl_end = temperleylieb.tl_end_dimension(d, 1)
         ok = ok and single and mf_dim == 1 and tl_end == 2 and cert["ok"]
     report(6, "diagram algebra, projectors, and the vanishing certificates", ok)
 
@@ -172,7 +172,7 @@ def _equivariance_suite_ok(d):
     for a in range(d):
         for b in range(d):
             for c in range(d):
-                ok = ok and _hexagon_ok(d, a, b, c)
+                ok = ok and correspondence.mu_hexagon_ok(d, a, b, c)
     for a in range(d):
         si = mfcore.s_iso(d, {0}, a, 0)
         ok = ok and si.is_cycle() and invariants.is_homotopy_iso(si)

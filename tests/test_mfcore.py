@@ -164,7 +164,7 @@ def _mat_mul_every_pair(A, B, d):
 
 
 def _hexagon_composites(d, a, b, c):
-    """Both sides of the mu hexagon at (a, b, c), as cli._hexagon_ok builds them."""
+    """Both sides of the mu hexagon at (a, b, c), as correspondence.mu_hexagon_ok builds them."""
     ca, cc = chi(d, a, "x", "y1"), chi(d, c, "y2", "z")
     src_left = tensor_mf(tensor_mf(ca, chi(d, b, "y1", "y2")), cc)
     step1 = tensor_morphism(identity_morphism(ca), renamed_mu(d, b, c, {"x": "y1", "y1": "y2"}))

@@ -4,7 +4,6 @@ from math import gcd
 import pytest
 
 from permfact import temperleylieb
-from permfact.cli import _tl_end_dimension
 from permfact.cyclofield import CycNum, kappa, q_root, quantum_int
 from permfact.graded import g_pair, graded_homotopy_degrees, graded_tensor, hat_p
 from permfact.invariants import homotopy_solve, row_reduce
@@ -26,6 +25,7 @@ from permfact.temperleylieb import (
     strand_object,
     tl_dim,
     tl_e,
+    tl_end_dimension,
     tl_identity,
 )
 
@@ -178,7 +178,7 @@ def _joins_projector_strands(dg):
 
 
 class TestEndDimensionSpanningSet:
-    """_tl_end_dimension spans by the identity and e_1 only."""
+    """tl_end_dimension spans by the identity and e_1 only."""
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_only_identity_and_e1_survive(self, n):
@@ -189,7 +189,7 @@ class TestEndDimensionSpanningSet:
     def test_two_diagrams_span_as_much_as_all(self, d):
         for l in range(1, d):
             if gcd(l, d) == 1:
-                assert _full_span_rank(d, l) == _tl_end_dimension(d, l) == 2
+                assert _full_span_rank(d, l) == tl_end_dimension(d, l) == 2
 
 
 class TestInputGuards:
