@@ -8,6 +8,10 @@ constants in the first case, polynomials in y alone in the second, divided by
 polyring.div_rem.  A degree-zero cycle between two objects is invertible up to
 homotopy exactly when the induced map on this homology is a linear
 isomorphism.
+
+The homotopy solver writes f - g = delta(h) as a linear system over the
+field in the coefficients of h on a monomial basis; each column is
+MFMorphism.delta of one basis map, so delta has one definition.
 """
 
 from __future__ import annotations
@@ -378,6 +382,17 @@ def default_degree_bound(f: MFMorphism, g: MFMorphism) -> int:
     return max(degs) + f.d
 
 
+def _system_entries(f: MFMorphism):
+    """((parity, i, j, monomial), coefficient) for every term of f's entries."""
+    for par, mat in ((0, f.f0), (1, f.f1)):
+        for i, row in enumerate(mat):
+            for j, e in enumerate(row):
+                if not isinstance(e, MPoly):
+                    raise ValueError("homotopy_solve needs polynomial difference entries")
+                for m, c in e.terms.items():
+                    yield (par, i, j, m), c
+
+
 def homotopy_solve(
     f: MFMorphism,
     g: MFMorphism,
@@ -389,33 +404,33 @@ def homotopy_solve(
     Entries of h are polynomials of total degree <= degree_bound; when
     `entry_degrees` = (table0, table1) is given (the graded case), entry
     (i, j) is instead exactly homogeneous of the stated degree, with None
-    entries forced to zero, and the outcome is definitive.
+    entries forced to zero, and the outcome is definitive.  The linear
+    system is delta on the monomial basis of h: its column k is
+    `MFMorphism.delta` of the odd map whose only entry is unknown k.
     """
     if not (f.src.same_shape(g.src) and f.tgt.same_shape(g.tgt) and f.z2_degree == g.z2_degree):
         raise MorphismShapeMismatch(f"cannot compare {f!r} with {g!r}")
     d = f.d
+    shapes = ((f.tgt.rank1, f.src.rank0), (f.tgt.rank0, f.src.rank1))
+
+    def odd_map(entries):
+        """The odd map src -> tgt with entries {(par, i, j): p}, zero elsewhere."""
+        h = [[[MPoly.zero(d) for _ in range(cols)] for _ in range(rows)] for rows, cols in shapes]
+        for (par, i, j), p in entries.items():
+            h[par][i][j] = p
+        return MFMorphism(f.src, f.tgt, 1, *h)
+
     diff = f - g
     if diff.is_zero():
-        h0 = [[MPoly.zero(d) for _ in range(f.src.rank0)] for _ in range(f.tgt.rank1)]
-        h1 = [[MPoly.zero(d) for _ in range(f.src.rank1)] for _ in range(f.tgt.rank0)]
-        return MFMorphism(f.src, f.tgt, 1, h0, h1)
-    for mat in (diff.f0, diff.f1):
-        for row in mat:
-            for e in row:
-                if not isinstance(e, MPoly):
-                    raise ValueError("homotopy_solve needs polynomial difference entries")
+        return odd_map({})
+    rhs = list(_system_entries(diff))
     vars = tuple(dict.fromkeys(f.src.all_vars + f.tgt.all_vars))
     if degree_bound is None:
         degree_bound = default_degree_bound(f, g)
 
+    # unknown k is the coefficient of one monomial in one entry of h
     unknowns = []
-    shapes = {
-        0: (f.tgt.rank1, f.src.rank0),
-        1: (f.tgt.rank0, f.src.rank1),
-    }
-    entries: dict = {0: {}, 1: {}}
-    for par in (0, 1):
-        rows, cols = shapes[par]
+    for par, (rows, cols) in enumerate(shapes):
         for i in range(rows):
             for j in range(cols):
                 if entry_degrees is not None:
@@ -423,76 +438,25 @@ def homotopy_solve(
                     monos = [] if deg is None else _monomials_exact(vars, deg, d)
                 else:
                     monos = _monomials_upto(vars, degree_bound, d)
-                cell = []
-                for mono in monos:
-                    idx = len(unknowns)
-                    unknowns.append((par, i, j, mono))
-                    cell.append((mono, idx))
-                entries[par][(i, j)] = cell
+                unknowns.extend(((par, i, j), mono) for mono in monos)
 
-    nunk = len(unknowns)
-    # delta(h)_par = d_tgt . h_par + h_{par+1} . d_src : src_par -> tgt_par
-    # rows of the linear system: (par, i, j, monomial) -> coeffs
+    # rows of the linear system: (par, i, j, monomial) of delta(h) -> coeffs
     system: dict = {}
-
-    def add_lin(par, i, j, mono_key, unk, coeff):
-        system.setdefault((par, i, j, mono_key), {})[unk] = (
-            system.get((par, i, j, mono_key), {}).get(unk, CycNum.zero(d)) + coeff
-        )
-
-    def accumulate(par_out, i, j, poly_entry, cell):
-        # contribution poly_entry * (sum over cell unknown monomials)
-        for mono, idx in cell:
-            for m, c in (poly_entry * mono).terms.items():
-                add_lin(par_out, i, j, m, idx, c)
-
-    # (delta h)_0 = d1_tgt . h0 + h1 . d0_src   (src0 -> tgt0)
-    for i in range(f.tgt.rank0):
-        for j in range(f.src.rank0):
-            for k in range(f.tgt.rank1):
-                e = f.tgt.d1[i][k]
-                if not e.is_zero():
-                    accumulate(0, i, j, e, entries[0][(k, j)])
-            for k in range(f.src.rank1):
-                e = f.src.d0[k][j]
-                if not e.is_zero():
-                    accumulate(0, i, j, e, entries[1][(i, k)])
-    # (delta h)_1 = d0_tgt . h1 + h0 . d1_src   (src1 -> tgt1)
-    for i in range(f.tgt.rank1):
-        for j in range(f.src.rank1):
-            for k in range(f.tgt.rank0):
-                e = f.tgt.d0[i][k]
-                if not e.is_zero():
-                    accumulate(1, i, j, e, entries[1][(k, j)])
-            for k in range(f.src.rank0):
-                e = f.src.d1[k][j]
-                if not e.is_zero():
-                    accumulate(1, i, j, e, entries[0][(i, k)])
-
-    # right-hand side from diff
-    rhs: dict = {}
-    for par, mat in ((0, diff.f0), (1, diff.f1)):
-        for i, row in enumerate(mat):
-            for j, e in enumerate(row):
-                if e.is_zero():
-                    continue
-                for m, c in e.terms.items():
-                    rhs[(par, i, j, m)] = c
-
+    for k, (cell, mono) in enumerate(unknowns):
+        for key, c in _system_entries(odd_map({cell: mono}).delta()):
+            system.setdefault(key, {})[k] = c
     # the right-hand side is column nunk: a pivot there means 0 = c != 0
-    for key, c in rhs.items():
+    nunk = len(unknowns)
+    for key, c in rhs:
         system.setdefault(key, {})[nunk] = c
     rref = row_reduce(system.values())
     if nunk in rref:
         return None
     # free unknowns are 0; each pivot unknown reads off its row's rhs entry
-    h0 = [[MPoly.zero(d) for _ in range(f.src.rank0)] for _ in range(f.tgt.rank1)]
-    h1 = [[MPoly.zero(d) for _ in range(f.src.rank1)] for _ in range(f.tgt.rank0)]
-    for idx in sorted(rref):
-        c = rref[idx].get(nunk)
-        if c is None:
-            continue
-        par, i, j, mono = unknowns[idx]
-        target = h0 if par == 0 else h1
-        target[i][j] = target[i][j] + mono * c
-    return MFMorphism(f.src, f.tgt, 1, h0, h1)
+    h: dict = {}
+    for k in sorted(rref):
+        c = rref[k].get(nunk)
+        if c is not None:
+            cell, mono = unknowns[k]
+            h[cell] = h.get(cell, MPoly.zero(d)) + mono * c
+    return odd_map(h)

@@ -394,16 +394,6 @@ class LinOp:
     def zero(d: int) -> "LinOp":
         return LinOp(d, [])
 
-    def as_poly(self) -> MPoly | None:
-        """The multiplication polynomial, if this operator is one."""
-        if not self.terms:
-            return MPoly.zero(self.d)
-        if len(self.terms) == 1:
-            t = self.terms[0]
-            if t.core is None and t.phi.is_identity() and t.den == MPoly.one(self.d):
-                return t.num
-        return None
-
     def as_multiplication(self, input_vars) -> MPoly | None:
         """Multiplication polynomial on inputs drawn from `input_vars`.
 

@@ -11,9 +11,12 @@ Morphism components are matrices whose entries are polynomials or the exact
 operators of :mod:`permfact.linop` (the unit isomorphisms substitute the
 middle variable into an external one; evaluation maps extract residues).
 Entries combine by `+`, `*` (a after b) and `==` whatever their type, so the
-matrix calculus never asks which kind an entry is.  The tensor product of
-morphisms carries the Koszul sign, and the differential of M (x) N is
-d_M (x) 1 + 1 (x) d_N, built by the same routine.
+matrix calculus never asks which kind an entry is.  One rule decides the
+stored type: a morphism prunes each operator entry for its source and stores
+it as a polynomial p when it acts on the source as multiplication by p
+(`LinOp.as_multiplication`), so such an entry is an MPoly from construction
+on.  The tensor product of morphisms carries the Koszul sign, and the
+differential of M (x) N is d_M (x) 1 + 1 (x) d_N, built by the same routine.
 
 The pure constructors (unit_mf, perm_mf, perm_dual_iso, s_iso, chi, mu,
 renamed_mu, duality_un, zigzag_morphisms) are memoised for the life of the
@@ -26,14 +29,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclofield import CycNum, EvenModulus, ModulusMismatch, eta_power
+from .cyclofield import CycNum, EvenModulus, eta_power
 from .linop import LinOp, ResidueCore, Subst, Term, as_linop
 from .polyring import MPoly, difference_quotient, exact_div, perm_product
 
 __all__ = [
     "MatrixBifact",
     "MFMorphism",
-    "PermLabel",
     "VariableMismatch",
     "MorphismShapeMismatch",
     "RankUnsupported",
@@ -60,7 +62,6 @@ __all__ = [
     "renamed_mu",
     "tensor_morphism",
     "sum_morphism",
-    "morphism_poly_form",
     "zigzag_morphisms",
 ]
 
@@ -75,36 +76,6 @@ class RankUnsupported(ValueError):
 
 class MorphismShapeMismatch(ValueError):
     """Morphisms that must share sources, targets or parities do not."""
-
-
-class PermLabel:
-    """A subset of Z_d, with the consecutive form a:lam for {a, ..., a+lam}."""
-
-    def __init__(self, d: int, S=None, a: int | None = None, lam: int | None = None):
-        if S is None:
-            if lam is None or a is None:
-                raise ValueError("give S or both a and lam")
-            if not (0 <= lam <= d - 2):
-                raise ValueError(f"lam = {lam} out of range 0..{d - 2}")
-            S = {(a + j) % d for j in range(lam + 1)}
-        self.d = d
-        self.S = frozenset(s % d for s in S)
-
-    def consecutive(self):
-        """(a, lam) with S = {a, ..., a+lam}, or None when S is not an arc."""
-        d, S = self.d, self.S
-        if not S or len(S) == d:
-            return None
-        for a in range(d):
-            if {(a + j) % d for j in range(len(S))} == S:
-                return (a, len(S) - 1)
-        return None
-
-    def minus(self) -> "PermLabel":
-        return PermLabel(self.d, {(-s) % self.d for s in self.S})
-
-    def __repr__(self):
-        return f"PermLabel(d={self.d}, S={sorted(self.S)})"
 
 
 def _entry_factor_product(a, b):
@@ -308,38 +279,13 @@ class MFMorphism:
 
 
 def _collapsed(e, src_vars):
-    """An operator entry pruned for its source, as a polynomial when it is one."""
+    """An operator entry pruned for its source; the polynomial it multiplies
+    by, when it acts on its source as a multiplication."""
     if not isinstance(e, LinOp):
         return e
     e = e.pruned_for_source(src_vars)
-    p = e.as_poly()
+    p = e.as_multiplication(src_vars)
     return e if p is None else p
-
-
-def morphism_poly_form(f: MFMorphism) -> MFMorphism | None:
-    """Rewrite every entry as a multiplication polynomial, or None if one resists."""
-    src_vars = f.src.all_vars
-
-    def conv(matrix):
-        out = []
-        for row in matrix:
-            new = []
-            for e in row:
-                if not isinstance(e, LinOp):
-                    new.append(e)
-                    continue
-                p = e.as_multiplication(src_vars)
-                if p is None:
-                    return None
-                new.append(p)
-            out.append(new)
-        return out
-
-    f0 = conv(f.f0)
-    f1 = conv(f.f1)
-    if f0 is None or f1 is None:
-        return None
-    return MFMorphism(f.src, f.tgt, f.z2_degree, f0, f1)
 
 
 def identity_morphism(M: MatrixBifact) -> MFMorphism:
@@ -361,10 +307,6 @@ def unit_mf(d: int, left="x", right="y") -> MatrixBifact:
 
 def perm_mf(d: int, S, left="x", right="y", l: int = 1) -> MatrixBifact:
     """Permutation-type object: d1 = prod_{j in S}(left - eta^{lj} right)."""
-    if isinstance(S, PermLabel):
-        if S.d != d:
-            raise ModulusMismatch(f"label of Z_{S.d} for an object over d = {d}")
-        S = S.S
     return _perm_mf(d, frozenset(s % d for s in S), left, right, l)
 
 
@@ -698,13 +640,13 @@ def twist_morphism(f: MFMorphism, a: int, l: int = 1) -> MFMorphism:
     einv = eta_power(d, -a, l)
     out_map = Subst(d, {v: (e, v) for v in f.tgt.all_vars})
     in_map = Subst(d, {v: (einv, v) for v in f.src.all_vars})
-    # the two scalings cancel on every source variable the target shares, so
-    # a constant entry commutes with them and is its own conjugate
-    keep_constants = set(f.src.all_vars) <= set(f.tgt.all_vars)
+    # when the target has every source variable the two scalings cancel on
+    # the input, so out_map . p . in_map is multiplication by out_map(p)
+    polys_twist_by_out_map = set(f.src.all_vars) <= set(f.tgt.all_vars)
 
     def conv(e):
-        if keep_constants and isinstance(e, MPoly) and e.is_constant():
-            return e
+        if polys_twist_by_out_map and isinstance(e, MPoly):
+            return out_map.apply(e)
         return as_linop(e, d).conjugated(out_map, in_map)
 
     return MFMorphism(

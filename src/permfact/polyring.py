@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from .cyclofield import CycNum, ModulusMismatch, eta_power
+from .cyclofield import CycNum, ModulusMismatch, NotCoprime, eta_power
 
 __all__ = [
     "MPoly",
@@ -376,7 +377,12 @@ def coeff_of(f: MPoly, v: str, k: int) -> MPoly:
 
 
 def perm_product(d: int, S, u: str, v: str, l: int = 1) -> MPoly:
-    """prod_{j in S} (u - eta^{lj} v); the empty product is 1."""
+    """prod_{j in S} (u - eta^{lj} v); the empty product is 1.
+
+    Raises NotCoprime unless gcd(l, d) = 1: otherwise eta^l is not a
+    primitive d-th root and the factors do not split x^d - y^d."""
+    if gcd(l, d) != 1:
+        raise NotCoprime(f"the root exponent {l} is not coprime to d = {d}")
     return _perm_product(d, frozenset(s % d for s in S), u, v, l)
 
 

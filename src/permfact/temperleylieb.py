@@ -354,7 +354,9 @@ def tl_dim(n: int) -> int:
 
 
 def jw(n: int, d: int, l: int = 1) -> TLMorphism:
-    """Jones-Wenzl idempotent on n strands at q = zeta_{2d}^{l-adjusted}."""
+    """Jones-Wenzl idempotent on n >= 1 strands at q = zeta_{2d}^{l-adjusted}."""
+    if n < 1:
+        raise ValueError(f"p_n needs n >= 1 strands, got n = {n}")
     q = q_root(d, l)
     p = tl_identity(d, 1, l)
     for k in range(1, n):

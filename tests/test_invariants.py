@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import permfact
 from permfact.cyclofield import CycNum
-from permfact.graded import g_pair, graded_homotopy_degrees, graded_tensor, hat_p
+from permfact.graded import GradedMF, g_pair, graded_homotopy_degrees, graded_tensor, hat_p
 from permfact.invariants import (
     HomologyData,
     MorphismShapeMismatch,
@@ -28,7 +29,6 @@ from permfact.mfcore import (
     MFMorphism,
     direct_sum_mf,
     identity_morphism,
-    morphism_poly_form,
     perm_dual_iso,
     perm_mf,
     s_iso,
@@ -330,7 +330,7 @@ class TestRowReduce:
         # the d = 3 jw_vanishing_direct system; h recorded with the dense solver
         d = 3
         gp = g_pair(d, 1, 1, 1)[1]
-        c_plus = morphism_poly_form(evaluate_F(jw(2, d)).compose(gp.renamed({"y": "y1"})))
+        c_plus = evaluate_F(jw(2, d)).compose(gp.renamed({"y": "y1"}))
         ABG = graded_tensor(hat_p(d, {1, 2}, "x", "y1"), hat_p(d, {1, 2}, "y1", "z"))
         tables = graded_homotopy_degrees(hat_p(d, {0, 1, 2}), ABG)
         h = homotopy_solve(c_plus, c_plus.scaled(0), entry_degrees=tables)
@@ -346,3 +346,54 @@ class TestRowReduce:
         h = homotopy_solve(bdry, identity_morphism(M).scaled(0), degree_bound=3)
         assert h.f0 == [[MPoly.var(d, "x")]]
         assert h.f1 == [[MPoly.var(d, "z")]]
+
+
+# -- the homotopy system is delta on a monomial basis ---------------------------
+
+
+def _monomials(vars, deg, d):
+    """Every monomial of total degree deg in vars."""
+    out = []
+    for combo in combinations_with_replacement(vars, deg):
+        m = MPoly.one(d)
+        for v in combo:
+            m = m * MPoly.var(d, v)
+        out.append(m)
+    return out
+
+
+def _arc(d, a, lam):
+    return {(a + j) % d for j in range(lam + 1)}
+
+
+class TestDeltaSystem:
+    @given(data=st.data(), d=fields)
+    @settings(max_examples=25, deadline=None)
+    def test_solves_back_the_boundary_of_a_random_graded_h(self, data, d):
+        # a random odd h of charge -1 (every entry a combination of the
+        # monomials of its forced degree); delta(h) must be solved back
+        arc = lambda: st.tuples(st.integers(0, d - 1), st.integers(0, d - 2)).map(lambda al: _arc(d, *al))
+        src = hat_p(d, data.draw(arc()), "x", "z")
+        if data.draw(st.booleans()):
+            tgt = hat_p(d, data.draw(arc()), "x", "z")
+        else:
+            tgt = graded_tensor(hat_p(d, data.draw(arc()), "x", "y1"), hat_p(d, data.draw(arc()), "y1", "z"))
+        # shift the target so that the first entry of h has degree 0, 1 or 2
+        deg = data.draw(st.integers(0, 2))
+        q = src.charges0[0] - tgt.charges1[0] - 1 - Fraction(2 * deg, d)
+        tgt = GradedMF(tgt.mf, [c + q for c in tgt.charges0], [c + q for c in tgt.charges1])
+        tables = graded_homotopy_degrees(src, tgt)
+        vars = tuple(dict.fromkeys(src.mf.all_vars + tgt.mf.all_vars))
+
+        def entry(deg):
+            if deg is None:
+                return MPoly.zero(d)
+            monos = _monomials(vars, deg, d)
+            coeffs = data.draw(st.lists(entries(d), min_size=len(monos), max_size=len(monos)))
+            return sum((m * c for m, c in zip(monos, coeffs)), MPoly.zero(d))
+
+        h = MFMorphism(src.mf, tgt.mf, 1, *[[[entry(deg) for deg in row] for row in t] for t in tables])
+        bdry = h.delta()
+        sol = homotopy_solve(bdry, bdry.scaled(0), entry_degrees=tables)
+        assert sol is not None
+        assert sol.delta().equals(bdry)

@@ -9,12 +9,11 @@ import pytest
 import permfact
 from permfact import cli, mfcore
 from permfact.correspondence import tau
-from permfact.cyclofield import CycNum, ModulusMismatch, eta_power, kappa
+from permfact.cyclofield import CycNum, NotCoprime, eta_power, kappa
 from permfact.mfcore import (
     MatrixBifact,
     MFMorphism,
     MorphismShapeMismatch,
-    PermLabel,
     RankUnsupported,
     VariableMismatch,
     chi,
@@ -25,7 +24,6 @@ from permfact.mfcore import (
     g_residue,
     identity_morphism,
     mat_mul,
-    morphism_poly_form,
     mu,
     perm_dual_iso,
     perm_mf,
@@ -43,7 +41,7 @@ from permfact.mfcore import (
     verify_factorisation,
     zigzag_morphisms,
 )
-from permfact.linop import LinOp
+from permfact.linop import LinOp, Subst, as_linop
 from permfact.polyring import MPoly, exact_div, perm_product
 
 TENSOR_PINS = Path(__file__).parent / "reference" / "tensor-blocks.d5.json"
@@ -70,15 +68,6 @@ class TestPermObjects:
         bad = MatrixBifact(5, "x", "y", (), [[M.d1[0][0] + 1]], [[M.d0[0][0]]])
         assert not verify_factorisation(bad)
 
-    def test_perm_label_consecutive(self):
-        lab = PermLabel(5, a=3, lam=2)
-        assert lab.S == frozenset({3, 4, 0})
-        assert lab.consecutive() == (3, 2)
-        assert PermLabel(5, {0, 2}).consecutive() is None
-        assert PermLabel(5, {1, 2}).minus().S == frozenset({3, 4})
-        assert perm_mf(5, lab) == perm_mf(5, {3, 4, 0})
-        with pytest.raises(ValueError):
-            PermLabel(5, a=0, lam=4)
 
 
 class TestTensor:
@@ -139,6 +128,11 @@ def _tensor_pin_cases():
     }
 
 
+def _entries(f):
+    """Every entry of a morphism's components, f0 first."""
+    return [e for mat in (f.f0, f.f1) for row in mat for e in row]
+
+
 def _entry_reprs(obj):
     reprs = lambda mat: [[repr(e) for e in row] for row in mat]
     if isinstance(obj, MFMorphism):
@@ -194,7 +188,7 @@ class TestMatMul:
                 # a 0 * operator term made the whole sum an operator; the
                 # entry is now that operator's polynomial form
                 assert isinstance(ref, LinOp) and isinstance(e, MPoly)
-                assert repr(ref.as_poly()) == repr(e)
+                assert repr(ref.as_multiplication(("x", "y1"))) == repr(e)
                 changed += 1
         assert changed == 3
 
@@ -218,16 +212,18 @@ class TestUnitIsos:
         lam, rho = unit_isos(M)
         sl, sr = unit_sections(M)
         assert lam.is_cycle() and rho.is_cycle() and sl.is_cycle() and sr.is_cycle()
-        assert morphism_poly_form(lam.compose(sl)).equals(identity_morphism(M))
-        assert morphism_poly_form(rho.compose(sr)).equals(identity_morphism(M))
+        for f in (lam.compose(sl), rho.compose(sr)):
+            # a multiplication on its source: stored as polynomials when built
+            assert all(isinstance(e, MPoly) for e in _entries(f))
+            assert f.equals(identity_morphism(M))
 
     def test_lambda_rho_agree_on_unit_square(self):
         # both unit isos of I (x) I compose with the same section to the identity
         I = unit_mf(3, "x", "z")
         lam, rho = unit_isos(I)
         sl, _ = unit_sections(I)
-        assert morphism_poly_form(lam.compose(sl)).equals(identity_morphism(I))
-        assert morphism_poly_form(rho.compose(sl)).equals(identity_morphism(I))
+        assert lam.compose(sl).equals(identity_morphism(I))
+        assert rho.compose(sl).equals(identity_morphism(I))
 
 
 class TestDuals:
@@ -327,7 +323,9 @@ class TestDualityMaps:
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_un_equals_kappa(self, d):
         u, n, T, t = duality_un(d)
-        un = morphism_poly_form(u.compose(n))
+        un = u.compose(n)
+        # u.n multiplies by kappa, so its entries are stored as polynomials
+        assert all(isinstance(e, MPoly) for e in _entries(un))
         k = MPoly.constant(d, kappa(d))
         assert un.f0[0][0] == k
         assert un.f1[0][0] == k
@@ -347,8 +345,8 @@ class TestDualityMaps:
     def test_zigzags_reduce_to_identity(self, d):
         zz1, zz2 = zigzag_morphisms(d)
         idT = identity_morphism(zz1.src)
-        assert morphism_poly_form(zz1).equals(idT)
-        assert morphism_poly_form(zz2).equals(idT)
+        assert zz1.equals(idT)
+        assert zz2.equals(idT)
 
 
 class TestTwists:
@@ -388,6 +386,23 @@ class TestTwists:
         lhs = diag_twist_mf(tensor_mf(A, B), 1)
         rhs = tensor_mf(diag_twist_mf(A, 1), diag_twist_mf(B, 1))
         assert lhs == rhs
+
+    @pytest.mark.parametrize("a", [1, 3])
+    def test_twist_of_a_polynomial_entry(self, a):
+        # sec_l: M -> I (x) M has nonconstant polynomial entries and every
+        # source variable is a target variable: p twists to out_map(p)
+        d = 5
+        M = perm_mf(d, {1, 2}, "x", "z")
+        sec_l, _ = unit_sections(M)
+        tw = twist_morphism(sec_l, a)
+        assert tw.is_cycle()
+        e, einv = eta_power(d, a), eta_power(d, -a)
+        out_map = Subst(d, {v: (e, v) for v in sec_l.tgt.all_vars})
+        in_map = Subst(d, {v: (einv, v) for v in sec_l.src.all_vars})
+        g = MPoly.var(d, "x") ** 2 * MPoly.var(d, "z") + 1  # a source polynomial
+        for p, q in zip(_entries(sec_l), _entries(tw)):
+            assert isinstance(q, MPoly) and q == out_map.apply(p)
+            assert q * g == as_linop(p, d).conjugated(out_map, in_map).apply(g)
 
     def test_twist_morphism_functorial(self):
         d = 5
@@ -429,9 +444,13 @@ class TestInputGuards:
         with pytest.raises(MorphismShapeMismatch):
             sum_morphism(odd, odd)
 
-    def test_perm_mf_label_of_another_modulus(self):
-        with pytest.raises(ModulusMismatch):
-            perm_mf(3, PermLabel(5, a=0, lam=1))
+    @pytest.mark.parametrize("d,S,l", [(5, {0}, 5), (9, {0, 1}, 3), (15, {2}, 6), (3, {0}, 0)])
+    def test_perm_mf_rejects_a_root_exponent_not_coprime_to_d(self, d, S, l):
+        # eta^l is then no primitive d-th root: the object would not factorise
+        with pytest.raises(NotCoprime):
+            perm_mf(d, S, l=l)
+        with pytest.raises(NotCoprime):
+            perm_product(d, S, "x", "y", l)
 
     def test_duality_un_checks_the_dual_comparison_source(self, monkeypatch):
         other = identity_morphism(perm_mf(3, {0}))
@@ -444,7 +463,7 @@ class TestInputGuards:
         script = (
             "from permfact.graded import GradedMF\n"
             "from permfact.invariants import _ParityHomology\n"
-            "from permfact.mfcore import MFMorphism, PermLabel, identity_morphism, perm_mf, sum_morphism\n"
+            "from permfact.mfcore import MFMorphism, identity_morphism, perm_mf, sum_morphism\n"
             "from permfact.polyring import MPoly\n"
             "from permfact.temperleylieb import cap_layer, cup_layer, tl_e, tl_identity\n"
             "M = perm_mf(3, {1, 2})\n"
@@ -454,7 +473,7 @@ class TestInputGuards:
             "cases = [\n"
             "    lambda: idm + odd,\n"
             "    lambda: sum_morphism(odd, odd),\n"
-            "    lambda: perm_mf(3, PermLabel(5, a=0, lam=1)),\n"
+            "    lambda: perm_mf(5, {0}, l=5),\n"
             "    lambda: GradedMF(M, [0, 0], [0]),\n"
             "    lambda: tl_identity(3, 2) + tl_e(3, 3, 1),\n"
             "    lambda: cap_layer(3, 2, 1),\n"
@@ -474,7 +493,7 @@ class TestInputGuards:
         assert out.stdout.split() == [
             "MorphismShapeMismatch",
             "MorphismShapeMismatch",
-            "ModulusMismatch",
+            "NotCoprime",
             "ChargeCountMismatch",
             "StrandMismatch",
             "StrandMismatch",
@@ -538,17 +557,11 @@ def _state(x):
 class TestConstructorCache:
     def test_spellings_of_one_subset_share_an_object(self):
         spellings = ({1, 2}, frozenset({1, 2}), [2, 1], {6, 7})
-        for S in spellings + (PermLabel(5, a=1, lam=1),):
-            assert perm_mf(5, S) is perm_mf(5, {1, 2})
         for S in spellings:
+            assert perm_mf(5, S) is perm_mf(5, {1, 2})
             assert perm_product(5, S, "x", "y") is perm_product(5, {1, 2}, "x", "y")
             assert perm_dual_iso(5, S) is perm_dual_iso(5, {1, 2})
             assert s_iso(5, S, 1, 3) is s_iso(5, {1, 2}, 1, 3)
-
-    def test_modulus_guard_runs_before_the_lookup(self):
-        perm_mf(3, {0, 1})
-        with pytest.raises(ModulusMismatch):
-            perm_mf(3, PermLabel(5, a=0, lam=1))
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_shared_objects_unchanged_by_a_full_verify(self, l):

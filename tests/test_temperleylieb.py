@@ -7,7 +7,8 @@ from permfact import temperleylieb
 from permfact.cyclofield import CycNum, kappa, q_root, quantum_int
 from permfact.graded import g_pair, graded_homotopy_degrees, graded_tensor, hat_p
 from permfact.invariants import homotopy_solve, row_reduce
-from permfact.mfcore import identity_morphism, morphism_poly_form
+from permfact.mfcore import identity_morphism
+from permfact.polyring import MPoly
 from permfact.temperleylieb import (
     NotJonesWenzl,
     StrandMismatch,
@@ -149,6 +150,12 @@ class TestJonesWenzl:
         with pytest.raises(UndefinedProjector):
             jw(D, D)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_at_least_one_strand(self, n):
+        # jw(0) used to return the 1-strand identity, which certify_jw accepts as p_1
+        with pytest.raises(ValueError):
+            jw(n, D)
+
     def test_cap_layers_kill(self):
         for n in (2, 3):
             p = jw(n, D)
@@ -272,9 +279,12 @@ class TestFunctor:
         gm, gp, Qm, Qp, AB = g_pair(d, 1, 1, 1)
         gm1 = gm.renamed({"y": "y1"})
         gp1 = gp.renamed({"y": "y1"})
-        c_minus = morphism_poly_form(Fp2.compose(gm1))
+        c_minus = Fp2.compose(gm1)
         assert c_minus.is_zero()
-        c_plus = morphism_poly_form(Fp2.compose(gp1))
+        c_plus = Fp2.compose(gp1)
+        # both composites act as multiplications, so they are stored as polynomials
+        for f in (c_minus, c_plus):
+            assert all(isinstance(e, MPoly) for mat in (f.f0, f.f1) for row in mat for e in row)
         QpG = hat_p(d, {0, 1, 2})
         ABG = graded_tensor(hat_p(d, {1, 2}, "x", "y1"), hat_p(d, {1, 2}, "y1", "z"))
         tables = graded_homotopy_degrees(QpG, ABG)
