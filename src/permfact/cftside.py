@@ -5,7 +5,7 @@ weight h = l(l+2)/4d + s^2/8 - r^2/4d (mod 1).  Induction along the order-two
 algebra object pairs [l,r,s] with [d-2-l, r+d, s+2]; local modules are the
 labels with l+r+s even, and the NS sector keeps even s.  NS simples are
 written [l, r] with l+r even, and their fusion is su(2) level d-2 on l with
-charge addition on r.
+charge addition on r; su2_fusion_ring is that su(2) part as a ring of its own.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "ParityViolation",
     "h_weight",
     "su2_fuse",
+    "su2_fusion_ring",
     "is_local",
     "induce",
     "ns_simples",
@@ -117,6 +118,12 @@ def su2_fuse(d: int, l: int, lp: int) -> list[int]:
     if not (0 <= l <= d - 2 and 0 <= lp <= d - 2):
         raise ValueError("labels out of range")
     return list(range(abs(l - lp), min(l + lp, 2 * d - 4 - l - lp) + 1, 2))
+
+
+def su2_fusion_ring(d: int) -> FusionRing:
+    """The su(2) part of NS fusion: su2_fuse on the labels 0..d-2."""
+    labels = range(d - 1)
+    return FusionRing(labels, 0, {(a, b): dict.fromkeys(su2_fuse(d, a, b), 1) for a in labels for b in labels})
 
 
 def is_local(d: int, l: int, r: int, s: int) -> bool:

@@ -471,4 +471,6 @@ def kappa(d: int, l: int = 1) -> CycNum:
     """-(eta^{l(d-1)/2} + eta^{l(d+1)/2}) = 2*cos(pi*l~/d) with l~ = l or d-l."""
     if d % 2 == 0 or d < 3:
         raise EvenModulus("kappa needs odd d >= 3")
+    if gcd(l, d) != 1:
+        raise NotCoprime(f"the root exponent {l} is not coprime to d = {d}")
     return -(eta_power(d, (d - 1) // 2, l) + eta_power(d, (d + 1) // 2, l))

@@ -143,24 +143,8 @@ def _entry_degree(entry, d):
 
 
 def graded_check(A: GradedMF) -> bool:
-    """Every nonzero differential entry is homogeneous of charge exactly 1."""
-    d = A.d
-    q = Fraction(2, d)
-    for i in range(A.mf.rank0):
-        for j in range(A.mf.rank1):
-            deg, ok = _entry_degree(A.mf.d1[i][j], d)
-            if not ok:
-                return False
-            if deg is not None and A.charges0[i] + q * deg != A.charges1[j] + 1:
-                return False
-    for i in range(A.mf.rank1):
-        for j in range(A.mf.rank0):
-            deg, ok = _entry_degree(A.mf.d0[i][j], d)
-            if not ok:
-                return False
-            if deg is not None and A.charges1[i] + q * deg != A.charges0[j] + 1:
-                return False
-    return True
+    """The differential, as an odd endomorphism, has charge exactly 1."""
+    return morphism_c_degree(MFMorphism(A.mf, A.mf, 1, A.mf.d0, A.mf.d1), A, A) == 1
 
 
 def morphism_c_degree(f: MFMorphism, srcg: GradedMF, tgtg: GradedMF) -> Fraction | None:
@@ -303,6 +287,10 @@ def decompose_product(d: int, a: int, lam: int, b: int, mu: int, l: int = 1, ind
     The first index of each summand is a + b + index_sign*(lam + mu - nu)/2;
     index_sign=+1 is the convention certified by the homology oracle
     (index_sign=-1 fails rigidity: the unit drops out of T (x) T)."""
+    if d < 3 or d % 2 == 0:
+        raise ValueError(f"d must be an odd integer >= 3, got {d}")
+    if not (0 <= lam <= d - 2 and 0 <= mu <= d - 2):
+        raise ValueError(f"lambda indices must lie in 0..{d - 2}, got {lam} and {mu}")
     out = []
     for nu in range(abs(lam - mu), min(lam + mu, 2 * d - 4 - lam - mu) + 1, 2):
         shift = index_sign * (lam + mu - nu) // 2

@@ -9,9 +9,11 @@ polyring.div_rem.  A degree-zero cycle between two objects is invertible up to
 homotopy exactly when the induced map on this homology is a linear
 isomorphism.
 
-The homotopy solver writes f - g = delta(h) as a linear system over the
-field in the coefficients of h on a monomial basis; each column is
-MFMorphism.delta of one basis map, so delta has one definition.
+The homotopy solver has one mode, the graded one: the entry degrees of h are
+forced by the charges and passed in, and it writes f - g = delta(h) as a
+linear system over the field in the coefficients of h on that monomial
+basis.  Each column is MFMorphism.delta of one basis map, so delta has one
+definition.
 """
 
 from __future__ import annotations
@@ -359,27 +361,13 @@ def is_homotopy_iso(f: MFMorphism) -> bool:
 # -- homotopy solving -----------------------------------------------------------
 
 
-def _monomials_upto(vars, bound, d):
-    """The monomials in `vars` of total degree <= bound, as one-term MPolys."""
+def _monomials(vars, total, d):
+    """The monomials in `vars` of total degree `total`, in lexicographic order
+    of their exponents."""
     out = [(0, MPoly.one(d))]
     for v in vars:
-        out = [(n + k, p * MPoly.var(d, v, k)) for n, p in out for k in range(bound + 1 - n)]
-    return [p for n, p in out if n <= bound]
-
-
-def _monomials_exact(vars, total, d):
-    """The monomials in `vars` of total degree exactly `total`."""
-    return [p for p in _monomials_upto(vars, total, d) if p.degree() == total]
-
-
-def default_degree_bound(f: MFMorphism, g: MFMorphism) -> int:
-    degs = [0]
-    for mat in (f.f0, f.f1, g.f0, g.f1, f.src.d1, f.src.d0, f.tgt.d1, f.tgt.d0):
-        for row in mat:
-            for e in row:
-                if isinstance(e, MPoly) and not e.is_zero():
-                    degs.append(e.degree())
-    return max(degs) + f.d
+        out = [(n + k, p * MPoly.var(d, v, k)) for n, p in out for k in range(total + 1 - n)]
+    return [p for n, p in out if n == total]
 
 
 def _system_entries(f: MFMorphism):
@@ -393,20 +381,15 @@ def _system_entries(f: MFMorphism):
                     yield (par, i, j, m), c
 
 
-def homotopy_solve(
-    f: MFMorphism,
-    g: MFMorphism,
-    degree_bound: int | None = None,
-    entry_degrees=None,
-) -> MFMorphism | None:
-    """An odd h with f - g = d_tgt . h + h . d_src, or None at this bound.
+def homotopy_solve(f: MFMorphism, g: MFMorphism, entry_degrees) -> MFMorphism | None:
+    """An odd h with f - g = d_tgt . h + h . d_src, or None when none exists.
 
-    Entries of h are polynomials of total degree <= degree_bound; when
-    `entry_degrees` = (table0, table1) is given (the graded case), entry
-    (i, j) is instead exactly homogeneous of the stated degree, with None
-    entries forced to zero, and the outcome is definitive.  The linear
-    system is delta on the monomial basis of h: its column k is
-    `MFMorphism.delta` of the odd map whose only entry is unknown k.
+    `entry_degrees` = (table0, table1) are the forced degrees of the graded
+    case (`graded.graded_homotopy_degrees`): entry (i, j) of h_p is
+    homogeneous of degree table_p[i][j], or zero where that is None, so the
+    outcome is definitive.  The linear system is delta on the monomial basis
+    of h: its column k is `MFMorphism.delta` of the odd map whose only entry
+    is unknown k.
     """
     if not (f.src.same_shape(g.src) and f.tgt.same_shape(g.tgt) and f.z2_degree == g.z2_degree):
         raise MorphismShapeMismatch(f"cannot compare {f!r} with {g!r}")
@@ -425,19 +408,14 @@ def homotopy_solve(
         return odd_map({})
     rhs = list(_system_entries(diff))
     vars = tuple(dict.fromkeys(f.src.all_vars + f.tgt.all_vars))
-    if degree_bound is None:
-        degree_bound = default_degree_bound(f, g)
 
     # unknown k is the coefficient of one monomial in one entry of h
     unknowns = []
     for par, (rows, cols) in enumerate(shapes):
         for i in range(rows):
             for j in range(cols):
-                if entry_degrees is not None:
-                    deg = entry_degrees[par][i][j]
-                    monos = [] if deg is None else _monomials_exact(vars, deg, d)
-                else:
-                    monos = _monomials_upto(vars, degree_bound, d)
+                deg = entry_degrees[par][i][j]
+                monos = [] if deg is None else _monomials(vars, deg, d)
                 unknowns.extend(((par, i, j), mono) for mono in monos)
 
     # rows of the linear system: (par, i, j, monomial) of delta(h) -> coeffs

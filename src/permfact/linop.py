@@ -460,8 +460,9 @@ class LinOp:
         A term's substitution acts on the residue-core output, whose variables
         lie in (src_vars minus the eliminated one) + the injection variable +
         the premultiplier's variables; assignments outside that set are
-        vacuous and only obstruct composition rewrites."""
-        terms = []
+        vacuous and only obstruct composition rewrites.  Returns self when no
+        assignment is vacuous."""
+        terms, pruned = [], False
         for t in self.terms:
             allowed = set(src_vars)
             if t.core is not None:
@@ -469,8 +470,10 @@ class LinOp:
                 allowed.add(t.core.inj)
                 allowed.update(v for v in t.core.prem.vars if v != t.core.elim)
             mapping = {v: img for v, img in t.phi.mapping.items() if v in allowed}
-            terms.append(Term(t.num, Subst(self.d, mapping), t.core, t.den))
-        return LinOp(self.d, terms)
+            if len(mapping) < len(t.phi.mapping):
+                t, pruned = Term(t.num, Subst(self.d, mapping), t.core, t.den), True
+            terms.append(t)
+        return LinOp(self.d, terms) if pruned else self
 
     def renamed(self, mapping: dict) -> "LinOp":
         """Rename variables throughout (mapping must be injective where applied)."""

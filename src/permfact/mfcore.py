@@ -18,6 +18,11 @@ it as a polynomial p when it acts on the source as multiplication by p
 on.  The tensor product of morphisms carries the Koszul sign, and the
 differential of M (x) N is d_M (x) 1 + 1 (x) d_N, built by the same routine.
 
+delta(f) has one definition: `delta` and `is_cycle` share the two products
+d_tgt . f and f . d_src.  Renaming and both object twists are one routine,
+`MatrixBifact.substituted`, a monomial map applied to every differential
+entry.
+
 The pure constructors (unit_mf, perm_mf, perm_dual_iso, s_iso, chi, mu,
 renamed_mu, duality_un, zigzag_morphisms) are memoised for the life of the
 process; a subset S is keyed as the frozenset of its residues mod d, however
@@ -153,20 +158,19 @@ class MatrixBifact:
             return NotImplemented
         return self.same_shape(other) and self.d1 == other.d1 and self.d0 == other.d0
 
+    def substituted(self, sub: dict) -> "MatrixBifact":
+        """The monomial map v -> c * w (sub[v] = (c, w)) applied to every entry
+        of d1 and d0, with each such variable v renamed w."""
+        name = lambda v: sub[v][1] if v in sub else v
+        subs = lambda mat: [[e.subs(sub) for e in row] for row in mat]
+        return MatrixBifact(
+            self.d, name(self.left), name(self.right), tuple(map(name, self.int_vars)),
+            subs(self.d1), subs(self.d0), self.tags0, self.tags1,
+        )
+
     def renamed(self, mapping: dict) -> "MatrixBifact":
         """Rename variables (an isomorphism of the presentation)."""
-        sub = {v: (1, w) for v, w in mapping.items()}
-        rn = lambda e: e.subs(sub)
-        return MatrixBifact(
-            self.d,
-            mapping.get(self.left, self.left),
-            mapping.get(self.right, self.right),
-            tuple(mapping.get(v, v) for v in self.int_vars),
-            [[rn(e) for e in row] for row in self.d1],
-            [[rn(e) for e in row] for row in self.d0],
-            self.tags0,
-            self.tags1,
-        )
+        return self.substituted({v: (1, w) for v, w in mapping.items()})
 
     def __repr__(self):
         return (
@@ -220,32 +224,26 @@ class MFMorphism:
     def scaled(self, c) -> "MFMorphism":
         return MFMorphism(self.src, self.tgt, self.z2_degree, mat_scale(self.f0, c), mat_scale(self.f1, c))
 
-    def is_cycle(self) -> bool:
-        """Both commuting-square conditions, checked exactly."""
+    def _delta_terms(self):
+        """[(d_tgt . f_p, f_{p+1} . d_src) for p = 0, 1]: the two products of
+        component p of delta(f), the one starting at src_p."""
         d = self.d
-        if self.z2_degree == 0:
-            lhs1 = mat_mul(self.f0, self.src.d1, d)
-            rhs1 = mat_mul(self.tgt.d1, self.f1, d)
-            lhs2 = mat_mul(self.f1, self.src.d0, d)
-            rhs2 = mat_mul(self.tgt.d0, self.f0, d)
-        else:
-            # odd cycles anticommute with the differentials
-            lhs1 = mat_mul(self.f0, self.src.d1, d)
-            rhs1 = mat_scale(mat_mul(self.tgt.d0, self.f1, d), -1)
-            lhs2 = mat_mul(self.f1, self.src.d0, d)
-            rhs2 = mat_scale(mat_mul(self.tgt.d1, self.f0, d), -1)
-        return lhs1 == rhs1 and lhs2 == rhs2
+        out_of = (self.tgt.d0, self.tgt.d1)  # the target differential leaving tgt_0, tgt_1
+        return [
+            (mat_mul(out_of[self.z2_degree], self.f0, d), mat_mul(self.f1, self.src.d0, d)),
+            (mat_mul(out_of[1 - self.z2_degree], self.f1, d), mat_mul(self.f0, self.src.d1, d)),
+        ]
+
+    def is_cycle(self) -> bool:
+        """delta(f) = 0, checked exactly as d_tgt . f = (-1)^{|f|} f . d_src."""
+        if self.z2_degree:  # odd cycles anticommute with the differentials
+            return all(a == mat_scale(b, -1) for a, b in self._delta_terms())
+        return all(a == b for a, b in self._delta_terms())
 
     def delta(self) -> "MFMorphism":
         """delta(f) = d_tgt . f - (-1)^{|f|} f . d_src, as component matrices."""
-        d = self.d
-        if self.z2_degree == 0:
-            c0 = mat_add(mat_mul(self.tgt.d0, self.f0, d), mat_scale(mat_mul(self.f1, self.src.d0, d), -1))
-            c1 = mat_add(mat_mul(self.tgt.d1, self.f1, d), mat_scale(mat_mul(self.f0, self.src.d1, d), -1))
-            return MFMorphism(self.src, self.tgt, 1, c0, c1)
-        c0 = mat_add(mat_mul(self.tgt.d1, self.f0, d), mat_mul(self.f1, self.src.d0, d))
-        c1 = mat_add(mat_mul(self.tgt.d0, self.f1, d), mat_mul(self.f0, self.src.d1, d))
-        return MFMorphism(self.src, self.tgt, 0, c0, c1)
+        c0, c1 = (mat_add(a, b if self.z2_degree else mat_scale(b, -1)) for a, b in self._delta_terms())
+        return MFMorphism(self.src, self.tgt, 1 - self.z2_degree, c0, c1)
 
     def equals(self, other: "MFMorphism") -> bool:
         return self.z2_degree == other.z2_degree and self.f0 == other.f0 and self.f1 == other.f1
@@ -608,29 +606,13 @@ def duality_un(d: int, l: int = 1):
 
 def twist_mf(M: MatrixBifact, a: int, b: int, l: int = 1) -> MatrixBifact:
     """((a)M(b)) in honest form: left var scaled by eta^{la}, right by eta^{-lb}."""
-    d = M.d
-    sub = {M.left: (eta_power(d, a, l), M.left), M.right: (eta_power(d, -b, l), M.right)}
-    tw = lambda e: e.subs(sub)
-    return MatrixBifact(
-        d, M.left, M.right, M.int_vars,
-        [[tw(e) for e in row] for row in M.d1],
-        [[tw(e) for e in row] for row in M.d0],
-        M.tags0, M.tags1,
-    )
+    return M.substituted({M.left: (eta_power(M.d, a, l), M.left), M.right: (eta_power(M.d, -b, l), M.right)})
 
 
 def diag_twist_mf(M: MatrixBifact, a: int, l: int = 1) -> MatrixBifact:
     """((a)M(-a)) with every variable scaled: the per-factor form for tensor words."""
-    d = M.d
-    e = eta_power(d, a, l)
-    sub = {v: (e, v) for v in M.all_vars}
-    tw = lambda q: q.subs(sub)
-    return MatrixBifact(
-        d, M.left, M.right, M.int_vars,
-        [[tw(q) for q in row] for row in M.d1],
-        [[tw(q) for q in row] for row in M.d0],
-        M.tags0, M.tags1,
-    )
+    e = eta_power(M.d, a, l)
+    return M.substituted({v: (e, v) for v in M.all_vars})
 
 
 def twist_morphism(f: MFMorphism, a: int, l: int = 1) -> MFMorphism:

@@ -18,6 +18,7 @@ from permfact.cftside import (
     qform,
     quantum_dim,
     su2_fuse,
+    su2_fusion_ring,
     twist_additive,
 )
 from permfact.cyclofield import CycNum, kappa, quantum_int, q_root
@@ -150,6 +151,20 @@ class TestRing:
         assert R.is_commutative()
         assert R.is_associative()
         assert R.rigid_dual_ok(lambda L: L.dual())
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_ns_ring_associative(self, d):
+        # ns_fusion_ring checks associativity on the su(2) part only; this is
+        # the full (d(d-1))^3 check it stands in for
+        assert cft_fusion_ring(d).is_associative()
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_su2_part(self, d):
+        R = su2_fusion_ring(d)
+        assert R.labels == list(range(d - 1)) and R.unit == 0
+        assert R.unit_ok() and R.is_commutative() and R.is_associative()
+        assert R.rigid_dual_ok(lambda a: a)
+        assert R.product(1, d - 2) == {d - 3: 1}
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_generated_and_factorised(self, d):

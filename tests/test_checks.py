@@ -9,6 +9,7 @@ from permfact import cli
 from permfact.checks import REGISTRY, SUITES, build_checks
 
 REFERENCE = Path(__file__).parent / "reference"
+GOLDEN = Path(__file__).parents[1] / "perfbench" / "golden"
 
 
 class TestRegistry:
@@ -66,3 +67,19 @@ class TestBoundary:
         assert rc == 2
         assert err.getvalue() == "error: unknown suites: ['nope']\n"
         assert out.getvalue() == ""
+
+
+class TestBenchmarkGolden:
+    """Each benchmark reference report is rebuilt byte for byte, as the
+    benchmark's child process serialises it."""
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+    def test_report_bytes(self, path):
+        golden = path.read_text()
+        ref = json.loads(golden)
+        d, l = ref["d"], ref["root_exponent"]
+        names = [c["name"] for c in ref["checks"]]
+        checks = [c for c in build_checks(d, l, set(SUITES)) if c.name in names]
+        assert [c.name for c in checks] == names
+        report = json.dumps(cli.report_json(d, l, [c.run() for c in checks]), sort_keys=True, indent=2, default=str)
+        assert report == golden

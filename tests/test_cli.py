@@ -28,8 +28,9 @@ class TestUsage:
         assert rc == 2
 
     def test_out_of_range_label(self):
-        rc, _, _ = run(["decompose", "--d", "5", "0:4", "0:2"])
+        rc, _, err = run(["decompose", "--d", "5", "0:4", "0:2"])
         assert rc == 2
+        assert err == "error: lambda indices must lie in 0..3\n"
 
     def test_bad_label_syntax(self):
         rc, _, _ = run(["decompose", "--d", "5", "01", "0:2"])

@@ -69,6 +69,12 @@ class TestQuantumData:
         with pytest.raises(EvenModulus):
             kappa(4)
 
+    @pytest.mark.parametrize("d, l", [(5, 5), (5, 0), (9, 3), (15, 10)])
+    def test_kappa_needs_a_coprime_root_exponent(self, d, l):
+        # unguarded, kappa(5, 5) is -2: a loop value no coprime root gives
+        with pytest.raises(NotCoprime):
+            kappa(d, l)
+
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_quantum_int_identities(self, d):
         q = CycNum.zeta(d)

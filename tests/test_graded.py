@@ -150,6 +150,17 @@ class TestDecompose:
         assert [s.key() for s in decompose_product(3, 1, 1, 1, 1)] == [(0, 0)]
         assert [s.key() for s in decompose_product(5, 0, 0, 2, 3)] == [(2, 3)]
 
+    @pytest.mark.parametrize("args", [(5, 0, 7, 0, 1), (5, 0, 1, 0, 4), (5, 0, -1, 0, 1), (5, 0, 1, 0, -2)])
+    def test_labels_out_of_range_raise(self, args):
+        # unguarded, (5, 0, 7, 0, 1) gives [], an empty product
+        with pytest.raises(ValueError, match="lambda indices"):
+            decompose_product(*args)
+
+    @pytest.mark.parametrize("d", [4, 1, 2, -3])
+    def test_modulus_must_be_odd_and_at_least_3(self, d):
+        with pytest.raises(ValueError, match="odd integer >= 3"):
+            decompose_product(d, 0, 0, 0, 0)
+
     def test_rigidity_selects_index_convention(self):
         d = 5
         aT = (d - 1) // 2

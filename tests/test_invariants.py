@@ -17,7 +17,6 @@ from permfact.invariants import (
     MorphismShapeMismatch,
     TooManyInternalVariables,
     _ParityHomology,
-    default_degree_bound,
     homotopy_solve,
     induced_h,
     is_homotopy_iso,
@@ -164,11 +163,14 @@ class TestInducedMaps:
             assert is_homotopy_iso(f)
 
 
+NO_HOMOTOPY = ([[None]], [[None]])  # forced degrees of a rank-(1,1) map with every entry zero
+
+
 class TestHomotopySolve:
     def test_equal_inputs_give_zero(self):
         M = perm_mf(3, {1, 2})
         idm = identity_morphism(M)
-        h = homotopy_solve(idm, idm)
+        h = homotopy_solve(idm, idm, NO_HOMOTOPY)
         assert h is not None and h.is_zero()
 
     def test_finds_null_homotopy_of_boundary(self):
@@ -177,21 +179,17 @@ class TestHomotopySolve:
         h0 = MFMorphism(M, M, 1, [[MPoly.var(d, "x")]], [[MPoly.var(d, "z")]])
         bdry = h0.delta()
         zero = identity_morphism(M).scaled(0)
-        sol = homotopy_solve(bdry, zero, degree_bound=2)
+        sol = homotopy_solve(bdry, zero, ([[1]], [[1]]))
         assert sol is not None
         assert sol.delta().equals(bdry)
 
     def test_obstructed_case_returns_none(self):
-        # the identity of a nonzero object is not null-homotopic
+        # the identity of a nonzero object is not null-homotopic at any degree
         M = perm_mf(3, {1, 2})
         idm = identity_morphism(M)
         zero = idm.scaled(0)
-        assert homotopy_solve(idm, zero, degree_bound=3) is None
-
-    def test_default_bound(self):
-        M = perm_mf(3, {1, 2})
-        idm = identity_morphism(M)
-        assert default_degree_bound(idm, idm) >= 3
+        for deg in range(4):
+            assert homotopy_solve(idm, zero, ([[deg]], [[deg]])) is None
 
     def test_rows_keyed_by_monomial(self):
         # delta(h) = y^2 in both components, while the differentials carry x:
@@ -202,7 +200,7 @@ class TestHomotopySolve:
         h = MFMorphism(M, M, 1, [[(x + y * 2) * Fraction(-1, 3)]], [[MPoly.constant(d, Fraction(1, 3))]])
         bdry = h.delta()
         assert bdry.f0 == [[y**2]] and bdry.f1 == [[y**2]]
-        sol = homotopy_solve(bdry, identity_morphism(M).scaled(0), degree_bound=2)
+        sol = homotopy_solve(bdry, identity_morphism(M).scaled(0), ([[1]], [[0]]))
         assert sol is not None
         assert sol.delta().equals(bdry)
 
@@ -210,10 +208,10 @@ class TestHomotopySolve:
         idm = identity_morphism(perm_mf(3, {1, 2}))
         other = identity_morphism(perm_mf(3, {1, 2}, "x", "z"))
         with pytest.raises(MorphismShapeMismatch):
-            homotopy_solve(idm, other)
+            homotopy_solve(idm, other, NO_HOMOTOPY)
         odd = MFMorphism(idm.src, idm.tgt, 1, idm.f0, idm.f1)
         with pytest.raises(MorphismShapeMismatch):
-            homotopy_solve(idm, odd)
+            homotopy_solve(idm, odd, NO_HOMOTOPY)
 
     def test_boundary_checks_survive_optimize_flag(self):
         # python -O strips assert statements; these checks must still raise
@@ -230,7 +228,7 @@ class TestHomotopySolve:
             "f = identity_morphism(perm_mf(3, {1, 2}))\n"
             "g = identity_morphism(perm_mf(3, {1, 2}, 'x', 'z'))\n"
             "try:\n"
-            "    homotopy_solve(f, g)\n"
+            "    homotopy_solve(f, g, ([[None]], [[None]]))\n"
             "except MorphismShapeMismatch:\n"
             "    print('raised')\n"
         )
@@ -324,7 +322,7 @@ class TestRowReduce:
     def test_inconsistent_system_solves_to_none(self):
         # 0 = 1 with no unknowns: the right-hand side is the pivot
         idm = identity_morphism(perm_mf(3, {1, 2}))
-        assert homotopy_solve(idm, idm.scaled(0), entry_degrees=([[None]], [[None]])) is None
+        assert homotopy_solve(idm, idm.scaled(0), NO_HOMOTOPY) is None
 
     def test_pinned_jw_null_homotopy(self):
         # the d = 3 jw_vanishing_direct system; h recorded with the dense solver
@@ -339,13 +337,17 @@ class TestRowReduce:
         assert h.f1 == [[one], [zero]]
 
     def test_pinned_free_unknowns_are_zero(self):
-        # delta(x, z) at degree bound 3 also admits odd cycles; the solver returns (x, z)
+        # at entry degrees (2, 3) the odd cycles ((x - z) t, -(x^2 + xz + z^2) t),
+        # t linear, are free unknowns; set to 0 they leave delta's preimage (x^2, z^3)
         d = 3
         M = perm_mf(d, {1, 2}, "x", "z")
-        bdry = MFMorphism(M, M, 1, [[MPoly.var(d, "x")]], [[MPoly.var(d, "z")]]).delta()
-        h = homotopy_solve(bdry, identity_morphism(M).scaled(0), degree_bound=3)
-        assert h.f0 == [[MPoly.var(d, "x")]]
-        assert h.f1 == [[MPoly.var(d, "z")]]
+        x, z = MPoly.var(d, "x"), MPoly.var(d, "z")
+        cycle = MFMorphism(M, M, 1, [[M.d0[0][0] * x]], [[-(M.d1[0][0] * x)]])
+        assert cycle.is_cycle() and not cycle.is_zero()
+        bdry = MFMorphism(M, M, 1, [[x**2]], [[z**3]]).delta()
+        h = homotopy_solve(bdry, identity_morphism(M).scaled(0), ([[2]], [[3]]))
+        assert h.f0 == [[x**2]]
+        assert h.f1 == [[z**3]]
 
 
 # -- the homotopy system is delta on a monomial basis ---------------------------

@@ -85,6 +85,15 @@ def test_collapse_through_eliminated_variable():
         assert outer.apply(f) == G.apply((X + Z) * G.apply(f))
 
 
+def test_pruning_for_a_source():
+    # y -> x is vacuous on a source in x, z alone; on one with y it acts
+    op = LinOp.substitution(D, {"y": (1, "x"), "z": (2, "z")})
+    pruned = op.pruned_for_source(("x", "z"))
+    assert pruned.terms[0].phi.mapping == {"z": (CycNum.from_rational(D, 2), "z")}
+    assert pruned.pruned_for_source(("x", "z")) is pruned
+    assert op.pruned_for_source(("x", "y", "z")) is op
+
+
 def test_degree_shift():
     d0 = exact_div(Y**3 - Z**3, Y - Z)
     G = residue_op(d0)
