@@ -21,7 +21,10 @@ Phi_{2d} is monic with integer coefficients, so a product is an integer
 convolution followed by an integer reduction of t^k mod Phi_{2d} and one gcd;
 a sum of elements over the same denominator adds numerators.  The tables of a
 modulus are built on first use of that d: Phi_{2d}, all 2d powers of zeta
-(``zeta(d, k)`` is a lookup) and a memo of inverses.
+(``zeta(d, k)`` is a lookup), the exponent of each of them, and a memo of
+inverses.  A power of an element equal to zeta^k, however it was built, is
+the lookup zeta^{k*e mod 2d}, for negative e too, with no inverse; any other
+base is raised by repeated squaring.  ``quantum_int`` is memoised per (n, q).
 
 A product with a factor equal to one, tested by value since most ones are
 built by arithmetic, returns the other factor itself, and
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 __all__ = [
@@ -171,6 +175,7 @@ class _FieldData:
 
     ``phi_poly``: the integer coefficients of Phi_{2d}, low to high.
     ``zeta_powers``: zeta^k for k in range(2d), as elements.
+    ``zeta_exponent``: k for the numerators of zeta^k (each has den 1).
     ``reduction``: for k = degree .. 2*degree - 2 (every power a product of
     two reduced elements reaches), the nonzero terms (i, c) of t^k mod Phi.
     ``inverses``: the memo of ``CycNum.inverse``, keyed by (num, den).
@@ -196,6 +201,7 @@ class _FieldData:
             if top:
                 row = [r - top * p for r, p in zip(row, phi)]
         self.zeta_powers = tuple(_make(d, p, 1) for p in powers)
+        self.zeta_exponent = {p: k for k, p in enumerate(powers)}
         self.reduction = tuple(
             tuple((i, c) for i, c in enumerate(powers[k]) if c) for k in range(deg, 2 * deg - 1)
         )
@@ -379,6 +385,11 @@ class CycNum:
         return self.inverse() * other
 
     def __pow__(self, k: int):
+        if self.den == 1:
+            data = _FieldData._cache[self.d]
+            j = data.zeta_exponent.get(self.num)
+            if j is not None:
+                return data.zeta_powers[j * k % data.n]
         if k < 0:
             return self.inverse() ** (-k)
         out = CycNum.one(self.d)
@@ -459,6 +470,7 @@ def q_root(d: int, l: int = 1) -> CycNum:
     return CycNum.zeta(d, e % (2 * d))
 
 
+@lru_cache(maxsize=None)
 def quantum_int(n: int, q: CycNum) -> CycNum:
     """[n]_q = (q^n - q^{-n}) / (q - q^{-1})."""
     denom = q - q.inverse()

@@ -266,7 +266,7 @@ def g_pair_certified(d: int, a: int, b: int, mu: int, l: int = 1) -> dict:
     }
     paired = sum_morphism(g_minus, g_plus)
     out["homology_iso"] = is_homotopy_iso(paired)
-    H = HomologyData(AB.mf)
+    H = HomologyData.of(AB.mf)  # the target's, shared with is_homotopy_iso
     out["dims"] = (H.dim_h0, H.dim_h1)
     out["dims_expected"] = (1, 1) if mu == d - 2 else (2, 2)
     out["ok"] = (

@@ -7,7 +7,9 @@ normal form (one internal variable).  Matrix entries stay MPoly throughout:
 constants in the first case, polynomials in y alone in the second, divided by
 polyring.div_rem.  A degree-zero cycle between two objects is invertible up to
 homotopy exactly when the induced map on this homology is a linear
-isomorphism.
+isomorphism.  The homology of an object is built once: `HomologyData.of(M)`
+keeps it on M, so is_homotopy_iso, induced_h and graded.g_pair_certified
+share it, and it dies with M.
 
 The homotopy solver has one mode, the graded one: the entry degrees of h are
 forced by the charges and passed in, and it writes f - g = delta(h) as a
@@ -253,13 +255,19 @@ class HomologyData:
         def reduce_mat(mat):
             return [[_univariate(e.subs(kill), var) for e in row] for row in mat]
 
-        self.object = M
         self.var = var
         self.d = d
         self.d1_bar = reduce_mat(M.d1)  # C1 -> C0
         self.d0_bar = reduce_mat(M.d0)  # C0 -> C1
         self.h0 = _ParityHomology(d, var, self.d0_bar, self.d1_bar)
         self.h1 = _ParityHomology(d, var, self.d1_bar, self.d0_bar)
+
+    @classmethod
+    def of(cls, M: MatrixBifact) -> "HomologyData":
+        """The homology of M, built on first request and kept on M."""
+        if M._homology is None:
+            M._homology = cls(M)
+        return M._homology
 
     @property
     def dim_h0(self):
@@ -278,12 +286,12 @@ def _apply_reduced_entry(entry, vec_poly, kill):
     return image.subs(kill)
 
 
-def induced_h(f: MFMorphism, src_h: HomologyData | None = None, tgt_h: HomologyData | None = None):
+def induced_h(f: MFMorphism):
     """Matrices of H(f) on (H_0, H_1), as lists of K-coordinate columns."""
     if f.z2_degree != 0:
         raise ValueError("induced map is defined for even morphisms")
-    src_h = src_h or HomologyData(f.src)
-    tgt_h = tgt_h or HomologyData(f.tgt)
+    src_h = HomologyData.of(f.src)
+    tgt_h = HomologyData.of(f.tgt)
     d = f.d
     kill = {v: None for v in (f.tgt.left, f.tgt.right, f.src.left, f.src.right)}
     out = []
@@ -348,9 +356,8 @@ def row_reduce(rows) -> dict[int, dict[int, CycNum]]:
 
 def is_homotopy_iso(f: MFMorphism) -> bool:
     """True iff H(f) is a linear isomorphism in both parities."""
-    src_h = HomologyData(f.src)
-    tgt_h = HomologyData(f.tgt)
-    m0, m1 = induced_h(f, src_h, tgt_h)
+    m0, m1 = induced_h(f)
+    src_h, tgt_h = HomologyData.of(f.src), HomologyData.of(f.tgt)
     if src_h.dim_h0 != tgt_h.dim_h0 or src_h.dim_h1 != tgt_h.dim_h1:
         return False
     # rank H(f) = rank H(f)^T: each K-coordinate column enters as one row

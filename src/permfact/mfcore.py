@@ -26,12 +26,18 @@ entry.
 The pure constructors (unit_mf, perm_mf, perm_dual_iso, s_iso, chi, mu,
 renamed_mu, duality_un, zigzag_morphisms) are memoised for the life of the
 process; a subset S is keyed as the frozenset of its residues mod d, however
-it is spelled.  Every caller with the same arguments gets the same object, so
-no caller may write to a returned object or its matrices.
+it is spelled.  The twists of an object are memoised on the object itself:
+twist_mf and diag_twist_mf build ((a)M(b)) once per (M, a mod d, b mod d, l),
+through `MatrixBifact.rescaled`, keyed by the variable scalings, and the memo
+dies with M.  A twist of a twisted object is a twist of its base, so the
+twists of P_S that tau and its cocycle reach are d objects, not d^2.  Every
+caller with the same arguments gets the same object, so no caller may write
+to a returned object or its matrices.
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 
 from .cyclofield import CycNum, EvenModulus, eta_power
@@ -133,6 +139,9 @@ class MatrixBifact:
         self.rank1 = len(d0)
         self.tags0 = tuple(tags0) if tags0 is not None else tuple((("0", i),) for i in range(self.rank0))
         self.tags1 = tuple(tags1) if tags1 is not None else tuple((("1", i),) for i in range(self.rank1))
+        self._rescaled = None  # {scales: object}, filled by rescaled
+        self._origin = None  # (weak reference to the base, scales) of a rescaled object
+        self._homology = None  # filled by invariants.HomologyData.of
 
     @property
     def all_vars(self):
@@ -167,6 +176,31 @@ class MatrixBifact:
             self.d, name(self.left), name(self.right), tuple(map(name, self.int_vars)),
             subs(self.d1), subs(self.d0), self.tags0, self.tags1,
         )
+
+    def rescaled(self, scales: tuple) -> "MatrixBifact":
+        """This object with the variable all_vars[i] scaled by scales[i].
+
+        A rescaled object is its base rescaled by the products of the two
+        scalings, so a twist of a twist is a twist of the base.  Each scaling
+        of a base is built once and kept on the base, and it dies with the base;
+        the rescaled object refers to its base weakly, so no cycle keeps either
+        alive.
+        """
+        base = self
+        if self._origin is not None:
+            root, prior = self._origin[0](), self._origin[1]
+            if root is not None:
+                base, scales = root, tuple(p * c for p, c in zip(prior, scales))
+        if all(c.is_one() for c in scales):
+            return base
+        if base._rescaled is None:
+            base._rescaled = {}
+        out = base._rescaled.get(scales)
+        if out is None:
+            out = base.substituted({v: (c, v) for v, c in zip(base.all_vars, scales) if not c.is_one()})
+            out._origin = (weakref.ref(base), scales)
+            base._rescaled[scales] = out
+        return out
 
     def renamed(self, mapping: dict) -> "MatrixBifact":
         """Rename variables (an isomorphism of the presentation)."""
@@ -606,13 +640,13 @@ def duality_un(d: int, l: int = 1):
 
 def twist_mf(M: MatrixBifact, a: int, b: int, l: int = 1) -> MatrixBifact:
     """((a)M(b)) in honest form: left var scaled by eta^{la}, right by eta^{-lb}."""
-    return M.substituted({M.left: (eta_power(M.d, a, l), M.left), M.right: (eta_power(M.d, -b, l), M.right)})
+    inner = (CycNum.one(M.d),) * len(M.int_vars)
+    return M.rescaled((eta_power(M.d, a, l),) + inner + (eta_power(M.d, -b, l),))
 
 
 def diag_twist_mf(M: MatrixBifact, a: int, l: int = 1) -> MatrixBifact:
     """((a)M(-a)) with every variable scaled: the per-factor form for tensor words."""
-    e = eta_power(M.d, a, l)
-    return M.substituted({v: (e, v) for v in M.all_vars})
+    return M.rescaled((eta_power(M.d, a, l),) * len(M.all_vars))
 
 
 def twist_morphism(f: MFMorphism, a: int, l: int = 1) -> MFMorphism:

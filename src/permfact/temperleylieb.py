@@ -36,6 +36,7 @@ from .polyring import MPoly
 
 __all__ = [
     "StrandMismatch",
+    "RootMismatch",
     "UndefinedProjector",
     "NotJonesWenzl",
     "TLDiagram",
@@ -56,6 +57,10 @@ __all__ = [
 
 class StrandMismatch(ValueError):
     pass
+
+
+class RootMismatch(ValueError):
+    """Morphisms of different moduli d or root exponents l are combined."""
 
 
 class UndefinedProjector(ValueError):
@@ -219,7 +224,12 @@ class TLMorphism:
     def from_diagram(d: int, dg: TLDiagram, l: int = 1) -> "TLMorphism":
         return TLMorphism(d, dg.n_bottom, dg.n_top, {dg: CycNum.one(d)}, l)
 
+    def _same_root(self, other: "TLMorphism") -> None:
+        if (self.d, self.l) != (other.d, other.l):
+            raise RootMismatch(f"(d, l) = {(other.d, other.l)} meets (d, l) = {(self.d, self.l)}")
+
     def __add__(self, other):
+        self._same_root(other)
         if (self.src, self.tgt) != (other.src, other.tgt):
             raise StrandMismatch(f"cannot add a {other.src}->{other.tgt} to a {self.src}->{self.tgt} morphism")
         combo = dict(self.combo)
@@ -237,6 +247,7 @@ class TLMorphism:
 
     def compose(self, other: "TLMorphism") -> "TLMorphism":
         """self after other."""
+        self._same_root(other)
         if other.tgt != self.src:
             raise StrandMismatch(f"{other.tgt} strands into {self.src}")
         # sum the c2 that share a composite (mate, loops) before one product
@@ -260,6 +271,7 @@ class TLMorphism:
         return TLMorphism(self.d, other.src, self.tgt, combo, self.l)
 
     def tensor(self, other: "TLMorphism") -> "TLMorphism":
+        self._same_root(other)
         combo: dict = {}
         for dg1, c1 in self.combo.items():
             for dg2, c2 in other.combo.items():

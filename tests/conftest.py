@@ -1,8 +1,8 @@
 import pytest
 
-from permfact import correspondence, mfcore, polyring
+from permfact import correspondence, cyclofield, mfcore, polyring
 
-CACHED_MODULES = (polyring, mfcore, correspondence)
+CACHED_MODULES = (cyclofield, polyring, mfcore, correspondence)
 
 
 def clear_constructor_caches():

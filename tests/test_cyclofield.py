@@ -92,6 +92,14 @@ class TestQuantumData:
         with pytest.raises(DegenerateRoot):
             quantum_int(2, CycNum.one(3))
 
+    def test_quantum_int_is_memoised_by_value(self):
+        d = 7
+        q = CycNum.zeta(d)
+        built = CycNum.zeta(d, 3) * CycNum.zeta(d, -2)
+        assert built is not q and built == q
+        assert quantum_int(3, built) is quantum_int(3, q)
+        assert quantum_int(3, q) == q**2 + 1 + q**-2
+
     def test_q_root_squares_to_eta(self):
         for d, l in ((5, 1), (5, 2), (5, 3), (7, 2), (7, 4)):
             q = q_root(d, l)
@@ -239,6 +247,44 @@ class TestKernel:
             power = power * z
         for k in range(-2 * d, 0):
             assert _ref_mul(d, CycNum.zeta(d, k).coeffs, _ref_t_power(d, -k)) == _ref_one(d)
+
+    @pytest.mark.parametrize("d", [3, 5, 7, 9, 15])
+    def test_zeta_powers_by_table(self, d):
+        for k in range(2 * d):
+            x = CycNum.zeta(d, k)
+            inv = x.inverse()
+            up = down = CycNum.one(d)  # x^e and x^{-e} by repeated multiplication
+            for e in range(2 * d + 1):
+                for exp, ref in ((e, up), (-e, down)):
+                    power = x**exp
+                    assert power is CycNum.zeta(d, k * exp)
+                    assert power == ref
+                up, down = up * x, down * inv
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_pow_lookup_decides_by_value(self, d, monkeypatch):
+        # a power of zeta built by arithmetic takes the lookup, with no inverse
+        def no_inverse(self):
+            raise AssertionError("the lookup must not invert")
+
+        z = CycNum.zeta(d, 1)
+        built = z * z * z
+        assert built is not CycNum.zeta(d, 3)
+        monkeypatch.setattr(CycNum, "inverse", no_inverse)
+        assert built ** -1 is CycNum.zeta(d, -3)
+        assert (eta_power(d, 1) * eta_power(d, -1)) ** -5 is CycNum.one(d)
+
+    @pytest.mark.parametrize("d", [3, 5, 7, 9])
+    def test_pow_of_other_elements(self, d):
+        k = kappa(d)
+        assert k**3 == k * k * k
+        assert k**-3 * k**3 == 1 and k**-3 == (k * k * k).inverse()
+        half = CycNum.from_rational(d, Fraction(1, 2))
+        assert half**-2 == 4 and half**0 == 1
+        zero = CycNum.zero(d)
+        assert zero**2 == 0
+        with pytest.raises(DivisionByZero):
+            zero**-1
 
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_products_by_one(self, d):

@@ -20,6 +20,7 @@ from permfact.graded import (
     mf_fusion_ring,
     morphism_c_degree,
 )
+from permfact.invariants import HomologyData
 from permfact.mfcore import perm_mf
 from permfact.polyring import MPoly, perm_product
 
@@ -136,6 +137,26 @@ class TestGPair:
         for mu, expect in ((1, (2, 2)), (3, (1, 1))):
             res = g_pair_certified(d, 0, 0, mu)
             assert res["dims"] == expect
+
+    def test_certificate_builds_the_product_homology_once(self, monkeypatch):
+        built = []
+        init = HomologyData.__init__
+
+        def counting(self, M):
+            built.append(M)
+            init(self, M)
+
+        monkeypatch.setattr(HomologyData, "__init__", counting)
+        d = 5
+        for mu in range(1, d - 1):
+            built.clear()
+            res = g_pair_certified(d, 1, 2, mu)
+            assert res["ok"]
+            # the summands' direct sum and the tensor product A (x) B, once each
+            products = [M for M in built if M.int_vars]
+            assert len(built) == 2 and len(products) == 1
+            H = HomologyData.of(products[0])
+            assert res["dims"] == (H.dim_h0, H.dim_h1) and len(built) == 2
 
     def test_charge_zero(self):
         d = 5

@@ -136,6 +136,37 @@ class TestHomology:
             HomologyData(triple)
 
 
+class TestSharedHomology:
+    def test_consecutive_objects_d5(self):
+        d = 5
+        for a in range(d):
+            for lam in range(d - 1):
+                M = perm_mf(d, {(a + j) % d for j in range(lam + 1)})
+                H = HomologyData.of(M)
+                assert H is HomologyData.of(M)
+                fresh = HomologyData(M)
+                assert (H.dim_h0, H.dim_h1) == (fresh.dim_h0, fresh.dim_h1) == (1, 1)
+
+    def test_is_homotopy_iso_shares_the_homology(self, monkeypatch):
+        built = []
+        init = HomologyData.__init__
+
+        def counting(self, M):
+            built.append(M)
+            init(self, M)
+
+        monkeypatch.setattr(HomologyData, "__init__", counting)
+        d = 5
+        f = s_iso(d, {0, 1}, 2, 0)
+        H_tgt = HomologyData.of(f.tgt)
+        assert is_homotopy_iso(f) and is_homotopy_iso(f)
+        assert len(built) == 2 and built[1] is f.src
+        # equal objects built apart build their own homology, with the same induced map
+        apart = MFMorphism(f.src.renamed({}), f.tgt.renamed({}), 0, f.f0, f.f1)
+        assert induced_h(apart) == induced_h(f)
+        assert HomologyData.of(f.tgt) is H_tgt and len(built) == 4
+
+
 class TestInducedMaps:
     def test_identity_and_zero(self):
         M = perm_mf(5, {0})

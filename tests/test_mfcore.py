@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -409,6 +410,68 @@ class TestTwists:
         f = perm_dual_iso(d, {1, 2})
         tw = twist_morphism(f, 2)
         assert tw.is_cycle()
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_twisted_objects_are_built_once_per_object(self, l):
+        d = 5
+        M = perm_mf(d, {1, 2}, l=l)
+        for a in range(d):
+            for b in (0, 1, d - 1):
+                tw = twist_mf(M, a, b, l)
+                assert tw is twist_mf(M, a + d, b, l) is twist_mf(M, a, b - d, l)
+                fresh = M.substituted({"x": (eta_power(d, a, l), "x"), "y": (eta_power(d, -b, l), "y")})
+                assert tw == fresh and tw is not fresh
+            diag = diag_twist_mf(M, a, l)
+            assert diag is diag_twist_mf(M, a - d, l)
+            assert diag == M.substituted({v: (eta_power(d, a, l), v) for v in M.all_vars})
+        assert twist_mf(M, 1, 0, 1) != twist_mf(M, 1, 0, 3)
+        assert twist_mf(M, 1, 0, l) is twist_mf(M, 1, 0, l + d)  # eta^l depends on l mod d
+        # an equal object built apart keeps its own memo
+        assert twist_mf(M.renamed({}), 1, 0, l) is not twist_mf(M, 1, 0, l)
+
+    def test_both_twists_share_one_memo_without_collision(self):
+        d = 5
+        T = tensor_mf(perm_mf(d, {0, 1}, "x", "y1"), perm_mf(d, {1, 2}, "y1", "z"))
+        for a in range(1, d):
+            # the diagonal twist also scales the internal variable y1
+            diag, ends = diag_twist_mf(T, a), twist_mf(T, a, -a)
+            assert diag != ends
+            assert diag == T.substituted({v: (eta_power(d, a), v) for v in T.all_vars})
+            assert ends == T.substituted({v: (eta_power(d, a), v) for v in ("x", "z")})
+        f = identity_morphism(T)
+        assert twist_morphism(f, 2).src is diag_twist_mf(T, 2) is twist_morphism(f, 2).tgt
+        # with no internal variable the two twists are one substitution
+        P = perm_mf(d, {1, 2})
+        assert diag_twist_mf(P, 2) is twist_mf(P, 2, -2)
+
+    def test_a_twist_of_a_twist_is_a_twist_of_the_base(self):
+        d = 5
+        P = perm_mf(d, {1, 2})
+        assert twist_mf(P, 0, 0) is P and diag_twist_mf(P, d) is P
+        for a in range(d):
+            for b in range(d):
+                twice = diag_twist_mf(twist_mf(P, b, -b), a)
+                assert twice is twist_mf(P, a + b, -a - b)
+        T = tensor_mf(perm_mf(d, {0, 1}, "x", "y1"), perm_mf(d, {1, 2}, "y1", "z"))
+        e = lambda k: eta_power(d, k)
+        inner = twist_mf(T, 1, 0)
+        twice = diag_twist_mf(inner, 2)
+        assert twice is twist_mf(diag_twist_mf(T, 2), 1, 0)
+        # the products of the scalings give what substituting twice gives
+        assert twice == inner.substituted({v: (e(2), v) for v in T.all_vars})
+        assert twice == T.substituted({"x": (e(3), "x"), "y1": (e(2), "y1"), "z": (e(2), "z")})
+
+    def test_a_twisted_object_does_not_keep_its_base_alive(self):
+        d = 5
+        M = perm_mf(d, {1, 2}).renamed({})  # a base no cache holds
+        tw = twist_mf(M, 1, -1)
+        base = weakref.ref(M)
+        del M
+        assert base() is None
+        # with its base gone the twisted object is its own base
+        again = twist_mf(tw, 2, -2)
+        assert again is twist_mf(tw, 2, -2)
+        assert again == tw.substituted({v: (eta_power(d, 2), v) for v in ("x", "y")})
 
 
 class TestMu:

@@ -11,6 +11,7 @@ from permfact.mfcore import identity_morphism
 from permfact.polyring import MPoly
 from permfact.temperleylieb import (
     NotJonesWenzl,
+    RootMismatch,
     StrandMismatch,
     TLDiagram,
     TLMorphism,
@@ -203,6 +204,32 @@ class TestInputGuards:
     def test_add_needs_equal_strand_counts(self):
         with pytest.raises(StrandMismatch):
             tl_identity(D, 2) + tl_e(D, 3, 1)
+
+    def test_add_needs_one_root_exponent(self):
+        # unguarded, the sum of an l = 1 and an l = 2 generator was an l = 1 morphism
+        with pytest.raises(RootMismatch):
+            tl_e(D, 2, 1, 1) + tl_e(D, 2, 1, 2)
+        with pytest.raises(RootMismatch):
+            tl_e(D, 2, 1, 1) - tl_e(7, 2, 1, 1)
+        assert isinstance(RootMismatch(), ValueError)
+
+    def test_compose_needs_one_root_exponent(self):
+        # unguarded, e1 . e1 took kappa from the left factor: the two orders differed
+        e1, e1_l2 = tl_e(D, 2, 1, 1), tl_e(D, 2, 1, 2)
+        with pytest.raises(RootMismatch):
+            e1.compose(e1_l2)
+        with pytest.raises(RootMismatch):
+            e1_l2.compose(e1)
+        with pytest.raises(RootMismatch):
+            tl_identity(D, 2, 1).compose(tl_identity(3, 2, 1))
+        assert e1.compose(e1).equals(e1.scaled(kappa(D, 1)))
+
+    def test_tensor_needs_one_root_exponent(self):
+        with pytest.raises(RootMismatch):
+            tl_identity(D, 1, 1).tensor(tl_identity(D, 1, 2))
+        with pytest.raises(RootMismatch):
+            tl_identity(D, 1, 1).tensor(tl_identity(3, 1, 1))
+        assert tl_identity(D, 1, 2).tensor(tl_identity(D, 1, 2)).equals(tl_identity(D, 2, 2))
 
     @pytest.mark.parametrize("m, i", [(2, 1), (2, -1), (1, 0), (0, 0)])
     def test_cap_slot_out_of_range(self, m, i):
