@@ -114,7 +114,7 @@ def dual_comparison_isos(d, l):
 
 @check("core", "lambda_M, rho_M with strict sections")
 def unit_isomorphisms(d, l):
-    T = mfcore.perm_mf(d, {(d - 1) // 2, (d + 1) // 2}, "x", "z", l=l)
+    T = mfcore.perm_mf(d, mfcore.self_dual_subset(d), "x", "z", l=l)
     lam, rho = mfcore.unit_isos(T)
     sl, sr = mfcore.unit_sections(T)
     ok = lam.is_cycle() and rho.is_cycle() and sl.is_cycle() and sr.is_cycle()
@@ -126,7 +126,7 @@ def unit_isomorphisms(d, l):
 
 @check("core", "residue-operator duality maps")
 def ev_coev_cycles(d, l):
-    T = mfcore.perm_mf(d, {(d - 1) // 2, (d + 1) // 2}, l=l)
+    T = mfcore.perm_mf(d, mfcore.self_dual_subset(d), l=l)
     ev, coev = mfcore.ev_coev(T)
     return ev.is_cycle() and coev.is_cycle(), "ev and coev are cycles"
 
@@ -149,8 +149,7 @@ def zigzag_identities(d, l):
     zz1, zz2 = mfcore.zigzag_morphisms(d, l)
     # an odd charge -1 homotopy hat(T) -> hat(T) has every entry forced to
     # zero, so homotopic to 1_T means equal to 1_T
-    a = (d - 1) // 2
-    T_hat = graded.hat_p(d, {a, a + 1}, l=l)
+    T_hat = graded.hat_p(d, mfcore.self_dual_subset(d), l=l)
     table0, table1 = graded.graded_homotopy_degrees(T_hat, T_hat)
     if any(deg is not None for row in table0 + table1 for deg in row):
         return False, "graded degrees leave room for a nonzero homotopy"

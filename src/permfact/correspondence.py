@@ -19,20 +19,17 @@ from .graded import GradedLabel, mf_fusion_ring
 from .mfcore import (
     MFMorphism,
     chi,
+    coev_into_dual,
     duality_un,
-    ev_coev,
     identity_morphism,
     mu,
-    perm_dual_iso,
-    perm_mf,
     reassoc,
     renamed_mu,
     s_iso,
-    tensor_mf,
+    self_dual_subset,
     tensor_morphism,
     twist_morphism,
 )
-from .polyring import MPoly, exact_div
 
 __all__ = [
     "tau",
@@ -76,16 +73,12 @@ def mu_hexagon_ok(d: int, a: int, b: int, c: int, l: int = 1) -> bool:
     """mu_{a,b+c} . (1 (x) mu_{b,c}) = mu_{a+b,c} . (mu_{a,b} (x) 1) strictly on
     (chi(a) (x) chi(b)) (x) chi(c), each side reassociated from that source."""
     mu_bc = renamed_mu(d, b, c, {"x": "y1", "y1": "y2"}, l)
-    ca = chi(d, a, "x", "y1", l)
-    step1 = tensor_morphism(identity_morphism(ca), mu_bc)
-    mu_a_bc = mu(d, a, (b + c) % d, l)
-    src_left = tensor_mf(tensor_mf(ca, chi(d, b, "y1", "y2", l)), chi(d, c, "y2", "z", l))
-    p1 = mu_a_bc.compose(step1).compose(reassoc(src_left, step1.src))
+    step1 = tensor_morphism(identity_morphism(chi(d, a, "x", "y1", l)), mu_bc)
     mu_ab = renamed_mu(d, a, b, {"z": "y2"}, l)
-    cc = chi(d, c, "y2", "z", l)
-    step2 = tensor_morphism(mu_ab, identity_morphism(cc))
-    mu_ab_c = renamed_mu(d, (a + b) % d, c, {"y1": "y2"}, l)
-    p2 = mu_ab_c.compose(step2).compose(reassoc(src_left, step2.src))
+    step2 = tensor_morphism(mu_ab, identity_morphism(chi(d, c, "y2", "z", l)))
+    # step2 starts at (chi(a) (x) chi(b)) (x) chi(c) itself
+    p1 = mu(d, a, (b + c) % d, l).compose(step1).compose(reassoc(step2.src, step1.src))
+    p2 = renamed_mu(d, (a + b) % d, c, {"y1": "y2"}, l).compose(step2)
     return p1.equals(p2)
 
 
@@ -106,7 +99,7 @@ def _tau_unit(d: int, a: int, l: int = 1) -> MFMorphism:
 def un_equivariant_ok(d: int, l: int = 1) -> bool:
     """u and n intertwine the twists of T (x) T and of the unit."""
     u, n, T, _ = duality_un(d, l)
-    S = {(d - 1) // 2, (d + 1) // 2}
+    S = self_dual_subset(d)
 
     def tt_tau(a):
         t1 = tau(d, S, a, "x", "y", l)
@@ -120,21 +113,12 @@ def un_equivariant_ok(d: int, l: int = 1) -> bool:
 
 def coev_square_ok(d: int, S, l: int = 1) -> bool:
     """The coevaluation of P_S, rewritten to land in P_S (x) P_{-S}, is equivariant."""
-    S = {s % d for s in S}
-    minusS = {(-s) % d for s in S}
-    M = perm_mf(d, S, "x", "y", l)
-    ev, coev = ev_coev(M)
-    # identify (P_S)^+ with P_{-S}: invert the comparison cycle
-    iso = perm_dual_iso(d, S, "y", "z", l)  # P_{-S}(y,z) -> (P_S)+(y,z)
-    inv0 = exact_div(MPoly.one(d), iso.f0[0][0])
-    inv1 = MPoly.constant(d, iso.f1[0][0].constant_value().inverse())
-    iso_inv = MFMorphism(iso.tgt, iso.src, 0, [[inv0]], [[inv1]])
-    n_S = tensor_morphism(identity_morphism(M), iso_inv).compose(coev)
+    minusS = {-s for s in S}
 
     def pair_tau(a):
         return tensor_morphism(tau(d, S, a, "x", "y", l), tau(d, minusS, a, "y", "z", l))
 
-    return check_equivariant(n_S, lambda a: _tau_unit(d, a, l), pair_tau, d, l)
+    return check_equivariant(coev_into_dual(d, S, l), lambda a: _tau_unit(d, a, l), pair_tau, d, l)
 
 
 # -- the label dictionary -----------------------------------------------------------

@@ -23,10 +23,16 @@ d_tgt . f and f . d_src.  Renaming and both object twists are one routine,
 `MatrixBifact.substituted`, a monomial map applied to every differential
 entry.
 
+The duality maps u and n of the self-dual generator T are spliced between
+strands once, by `duality_pieces`: the caps rho . (1 (x) u) and
+lambda . (u (x) 1) and the cups (1 (x) n) . sec_rho and (n (x) 1) . sec_lambda.
+Each zig-zag is a cup spliced in on one side followed by a cap spliced out on
+the other, and the Temperley-Lieb functor's layers are the same pieces.
+
 The pure constructors (unit_mf, perm_mf, perm_dual_iso, s_iso, chi, mu,
-renamed_mu, duality_un, zigzag_morphisms) are memoised for the life of the
-process; a subset S is keyed as the frozenset of its residues mod d, however
-it is spelled.  The twists of an object are memoised on the object itself:
+renamed_mu, coev_into_dual, duality_un, duality_pieces, zigzag_morphisms) are
+memoised for the life of the process; a subset S is keyed as the frozenset of
+its residues mod d, however it is spelled.  The twists of an object are memoised on the object itself:
 twist_mf and diag_twist_mf build ((a)M(b)) once per (M, a mod d, b mod d, l),
 through `MatrixBifact.rescaled`, keyed by the variable scalings, and the memo
 dies with M.  A twist of a twisted object is a twist of its base, so the
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import weakref
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cyclofield import CycNum, EvenModulus, eta_power
 from .linop import LinOp, ResidueCore, Subst, Term, as_linop
@@ -63,7 +70,11 @@ __all__ = [
     "perm_dual_iso",
     "g_residue",
     "ev_coev",
+    "self_dual_subset",
+    "coev_into_dual",
     "duality_un",
+    "DualityPieces",
+    "duality_pieces",
     "twist_mf",
     "diag_twist_mf",
     "twist_morphism",
@@ -608,31 +619,79 @@ def ev_coev(M: MatrixBifact) -> tuple[MFMorphism, MFMorphism]:
     return ev, coev
 
 
+def self_dual_subset(d: int) -> frozenset:
+    """The subset {(d-1)/2, (d+1)/2} of the generator T = P_S; -S = S for odd d."""
+    return frozenset({(d - 1) // 2, (d + 1) // 2})
+
+
+def coev_into_dual(d: int, S, l: int = 1) -> MFMorphism:
+    """n_S = (1 (x) iso^{-1}) . coev: I(x,z) -> P_S(x,y) (x) P_{-S}(y,z), where
+    iso = perm_dual_iso(d, S, "y", "z") is the comparison P_{-S} -> (P_S)^+."""
+    return _coev_into_dual(d, frozenset(s % d for s in S), l)
+
+
+@lru_cache(maxsize=None)
+def _coev_into_dual(d: int, S: frozenset, l: int) -> MFMorphism:
+    M = perm_mf(d, S, "x", "y", l)
+    _, coev = ev_coev(M)
+    iso = perm_dual_iso(d, S, "y", "z", l)
+    inv0 = exact_div(MPoly.one(d), iso.f0[0][0])
+    inv1 = MPoly.constant(d, iso.f1[0][0].constant_value().inverse())
+    iso_inv = MFMorphism(iso.tgt, iso.src, 0, [[inv0]], [[inv1]])
+    return tensor_morphism(identity_morphism(M), iso_inv).compose(coev)
+
+
 @lru_cache(maxsize=None)
 def duality_un(d: int, l: int = 1):
     """(u, n, T, t): the self-dual generator T and its duality maps.
 
     u = ev_T . (t (x) 1): T(x,y) (x) T(y,z) -> I(x,z)
-    n = (1 (x) t^{-1}) . coev_T : I(x,z) -> T(x,y) (x) T(y,z)
+    n = (1 (x) t^{-1}) . coev_T: I(x,z) -> T(x,y) (x) T(y,z), coev_into_dual at T's subset
     """
     if d % 2 == 0:
         raise EvenModulus("the self-dual consecutive pair needs odd d")
-    a = (d - 1) // 2
-    S = {a, a + 1}
+    S = self_dual_subset(d)
     T = perm_mf(d, S, "x", "y", l)
     t = perm_dual_iso(d, S, "x", "y", l)  # source is P_{-S} = T
     if t.src != T:
         raise MorphismShapeMismatch(f"the dual comparison starts at {t.src!r}, not at {T!r}")
-    ev, coev = ev_coev(T)
-    Tyz = T.renamed({"x": "y", "y": "z"})
-    tinv0 = [[exact_div(MPoly.one(d), t.f0[0][0])]]
-    tinv1 = [[MPoly.constant(d, t.f1[0][0].constant_value().inverse())]]
-    t_yz = MFMorphism(Tyz, t.tgt.renamed({"x": "y", "y": "z"}), 0,
-                      [[t.f0[0][0]]], [[t.f1[0][0]]])
-    tinv_yz = MFMorphism(t_yz.tgt, Tyz, 0, tinv0, tinv1)
-    u = ev.compose(tensor_morphism(t, identity_morphism(Tyz)))
-    n = tensor_morphism(identity_morphism(T), tinv_yz).compose(coev)
-    return u, n, T, t
+    ev, _ = ev_coev(T)
+    u = ev.compose(tensor_morphism(t, identity_morphism(perm_mf(d, S, "y", "z", l))))
+    return u, coev_into_dual(d, S, l), T, t
+
+
+class DualityPieces(NamedTuple):
+    """u, n and the four pieces splicing them between strands x, y1, y2, z."""
+
+    u: MFMorphism  # T(x,y) (x) T(y,z) -> I(x,z)
+    n: MFMorphism  # I(x,z) -> T(x,y) (x) T(y,z)
+    cap_rho: MFMorphism  # rho . (1 (x) u): T(x,y1) (x) (T(y1,y2) (x) T(y2,z)) -> T(x,z)
+    cap_lambda: MFMorphism  # lambda . (u (x) 1): (T(x,y1) (x) T(y1,y2)) (x) T(y2,z) -> T(x,z)
+    cup_rho: MFMorphism  # (1 (x) n) . sec_rho: T(x,z) -> T(x,y1) (x) (T(y1,y2) (x) T(y2,z))
+    cup_lambda: MFMorphism  # (n (x) 1) . sec_lambda: T(x,z) -> (T(x,y1) (x) T(y1,y2)) (x) T(y2,z)
+
+
+@lru_cache(maxsize=None)
+def duality_pieces(d: int, l: int = 1) -> DualityPieces:
+    """The spliced duality maps of T, shared by the zig-zags and the TL functor."""
+    u, n, _, _ = duality_un(d, l)
+    S = self_dual_subset(d)
+    T = perm_mf(d, S, "x", "z", l)
+    id_left = identity_morphism(perm_mf(d, S, "x", "y1", l))
+    id_right = identity_morphism(perm_mf(d, S, "y2", "z", l))
+    on_right, on_left = {"x": "y1", "y": "y2"}, {"y": "y1", "z": "y2"}
+    _, rho = unit_isos(T, mid="y1")
+    lam, _ = unit_isos(T, mid="y2")
+    _, sec_rho = unit_sections(T, mid="y1")
+    sec_lambda, _ = unit_sections(T, mid="y2")
+    return DualityPieces(
+        u,
+        n,
+        rho.compose(tensor_morphism(id_left, u.renamed(on_right))),
+        lam.compose(tensor_morphism(u.renamed(on_left), id_right)),
+        tensor_morphism(id_left, n.renamed(on_right)).compose(sec_rho),
+        tensor_morphism(n.renamed(on_left), id_right).compose(sec_lambda),
+    )
 
 
 # -- Z_d twists -------------------------------------------------------------------
@@ -724,36 +783,14 @@ def _renamed_mu(d: int, a: int, b: int, l: int, mapping: tuple) -> MFMorphism:
 
 @lru_cache(maxsize=None)
 def zigzag_morphisms(d: int, l: int = 1) -> tuple[MFMorphism, MFMorphism]:
-    """Both zig-zag composites for (T, u, n), reduced to endomorphisms of T.
-
-    The unit isomorphisms are invertible only up to homotopy, so the
-    composites are precomposed with the strict polynomial sections of
-    lambda/rho (certified homotopy inverses); each returned morphism is a
-    T -> T endomorphism which the duality identities make homotopic to 1_T.
+    """Both zig-zag composites for (T, u, n): a cup spliced in on one side, then
+    a cap spliced out on the other, zz1 = cap_rho . reassoc . cup_lambda and
+    zz2 = cap_lambda . reassoc . cup_rho.  The duality identities make each
+    T -> T endomorphism homotopic to 1_T.  The unit isomorphisms are invertible
+    only up to homotopy, so a cup enters the unit by a strict polynomial
+    section of lambda or rho (a certified homotopy inverse).
     """
-    S = {(d - 1) // 2, (d + 1) // 2}
-    T_xz = perm_mf(d, S, "x", "z", l)
-    T_xy1 = perm_mf(d, S, "x", "y1", l)
-    T_y2z = perm_mf(d, S, "y2", "z", l)
-    u, n, _, _ = duality_un(d, l)
-
-    n_right = n.renamed({"x": "y1", "y": "y2"})  # I(y1,z) -> T(y1,y2) (x) T(y2,z)
-    u_left = u.renamed({"y": "y1", "z": "y2"})  # T(x,y1) (x) T(y1,y2) -> I(x,y2)
-    n_left = n.renamed({"y": "y1", "z": "y2"})  # I(x,y2) -> T(x,y1) (x) T(y1,y2)
-    u_right = u.renamed({"x": "y1", "y": "y2"})  # T(y1,y2) (x) T(y2,z) -> I(y1,z)
-
-    lam1, rho1 = unit_isos(T_xz, mid="y1")
-    lam2, rho2 = unit_isos(T_xz, mid="y2")
-    sec_l2, _ = unit_sections(T_xz, mid="y2")
-    _, sec_r1 = unit_sections(T_xz, mid="y1")
-
-    # zz2 = lambda . (u (x) 1) . assoc . (1 (x) n) . sec_rho
-    step_a = tensor_morphism(identity_morphism(T_xy1), n_right)
-    step_b = tensor_morphism(u_left, identity_morphism(T_y2z))
-    zz2 = lam2.compose(step_b).compose(reassoc(step_a.tgt, step_b.src)).compose(step_a).compose(sec_r1)
-
-    # zz1 = rho . (1 (x) u) . assoc^{-1} . (n (x) 1) . sec_lambda
-    step_c = tensor_morphism(n_left, identity_morphism(T_y2z))
-    step_d = tensor_morphism(identity_morphism(T_xy1), u_right)
-    zz1 = rho1.compose(step_d).compose(reassoc(step_c.tgt, step_d.src)).compose(step_c).compose(sec_l2)
+    p = duality_pieces(d, l)
+    zz1 = p.cap_rho.compose(reassoc(p.cup_lambda.tgt, p.cap_rho.src)).compose(p.cup_lambda)
+    zz2 = p.cap_lambda.compose(reassoc(p.cup_rho.tgt, p.cap_lambda.src)).compose(p.cup_rho)
     return zz1, zz2

@@ -5,8 +5,10 @@ left to right, then top row); composition stacks diagrams and converts each
 closed loop into a factor of the loop parameter kappa = 2 cos(pi/d).  The
 functor into bifactorisations sends k strands to the k-fold product of the
 self-dual generator T (left-bracketed, strand variables x, y1, ..., z), a cap
-to the evaluation map u, and a cup to the coevaluation map n; the unit
-isomorphisms and their strict sections splice the tensor unit in and out.
+to the evaluation map u, and a cup to the coevaluation map n.  Each layer is
+one of the spliced pieces of `mfcore.duality_pieces` (u or n with the unit
+absorbed by rho or lambda, or made by a strict section), renamed into its slot
+and tensored with identities.
 
 The Jones-Wenzl projector p_n is certified by its characterisation, not by
 expanding p_n p_n: identity coefficient 1, e_i p_n = p_n e_i = 0 for every i,
@@ -18,19 +20,20 @@ e_{i_2} ... e_{i_k} = 0 for each such D, and p_n p_n = p_n . 1 = p_n.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .cyclofield import CycNum, EvenModulus, kappa, q_root, quantum_int
 from .invariants import row_reduce
 from .mfcore import (
     MFMorphism,
-    duality_un,
+    duality_pieces,
     identity_morphism,
     perm_mf,
     reassoc,
+    self_dual_subset,
     tensor_mf,
     tensor_morphism,
-    unit_isos,
     unit_mf,
-    unit_sections,
 )
 from .polyring import MPoly
 
@@ -441,110 +444,53 @@ def _strand_vars(m: int):
     return ["x"] + [f"y{i}" for i in range(1, m)] + ["z"]
 
 
-def _T_obj(d: int, left: str, right: str, l: int):
-    return perm_mf(d, {(d - 1) // 2, (d + 1) // 2}, left, right, l)
-
-
 def strand_object(d: int, m: int, l: int = 1):
     """T^{(x) m}, left-bracketed, on variables x, y1, ..., y_{m-1}, z."""
     if m == 0:
         return unit_mf(d, "x", "z")
     v = _strand_vars(m)
-    out = _T_obj(d, v[0], v[1], l)
-    for i in range(1, m):
-        out = tensor_mf(out, _T_obj(d, v[i], v[i + 1], l))
-    return out
-
-
-def _fold_tensor(morphs):
-    out = morphs[0]
-    for f in morphs[1:]:
-        out = tensor_morphism(out, f)
-    return out
-
-
-def _finish_layer(F: MFMorphism, src_obj, tgt_obj, rename: dict) -> MFMorphism:
-    g = F.compose(reassoc(src_obj, F.src))
-    if rename:
-        g = g.rename_target(rename)
-    return reassoc(g.tgt, tgt_obj).compose(g)
+    return reduce(tensor_mf, (perm_mf(d, self_dual_subset(d), a, b, l) for a, b in zip(v, v[1:])))
 
 
 def cap_layer(d: int, m: int, i: int, l: int = 1) -> MFMorphism:
     """id^i (x) u (x) id^{m-i-2} followed by splicing out the unit: T^m -> T^{m-2}."""
     if not 0 <= i <= m - 2:
         raise StrandMismatch(f"no cap at slot {i} of {m} strands")
-    v = _strand_vars(m)
-    u, n, _, _ = duality_un(d, l)
-    u_loc = u.renamed({"x": v[i], "y": v[i + 1], "z": v[i + 2]})
-    src_obj = strand_object(d, m, l)
-    tgt_obj = strand_object(d, m - 2, l)
-    ids = [identity_morphism(_T_obj(d, v[k], v[k + 1], l)) for k in range(m)]
-    factors = ids[:i] + [u_loc] + ids[i + 2 :]
-    F = _fold_tensor(factors) if len(factors) > 1 else factors[0]
-    if m == 2:
-        return _finish_layer(F, src_obj, tgt_obj, {})
-    if i > 0:
-        # absorb I(v_i, v_{i+2}) into the left neighbour via rho
-        carrier = _T_obj(d, v[i - 1], v[i + 2], l)
-        _, rho = unit_isos(carrier, mid=v[i])
-        factors2 = ids[: i - 1] + [rho] + ids[i + 2 :]
-    else:
-        # absorb I(x, v_2) into the right neighbour via lambda
-        carrier = _T_obj(d, v[0], v[3], l)
-        lam, _ = unit_isos(carrier, mid=v[2])
-        factors2 = [lam] + ids[3:]
-    F2 = _fold_tensor(factors2) if len(factors2) > 1 else factors2[0]
-    g = F2.compose(reassoc(F.tgt, F2.src)).compose(F)
-    rename = {v[k]: v[k - 2] for k in range(i + 2, m)} if i > 0 else {v[k]: v[k - 2] for k in range(3, m)}
-    return _finish_layer(g, src_obj, tgt_obj, rename)
+    p = duality_pieces(d, l)
+    return _splice(d, m, i, m - 2, p.u if m == 2 else p.cap_rho if i else p.cap_lambda, l)
 
 
 def cup_layer(d: int, m: int, i: int, l: int = 1) -> MFMorphism:
     """Splice the unit in at slot i and apply n: T^m -> T^{m+2}."""
     if not 0 <= i <= m:
         raise StrandMismatch(f"no cup at slot {i} of {m} strands")
-    u, n, _, _ = duality_un(d, l)
-    src_obj = strand_object(d, m, l)
-    tgt_obj = strand_object(d, m + 2, l)
-    if m == 0:
-        g = n.renamed({"y": "y1"})
-        return reassoc(g.tgt, tgt_obj).compose(g)
-    v = _strand_vars(m)
-    ids = [identity_morphism(_T_obj(d, v[k], v[k + 1], l)) for k in range(m)]
-    if i > 0:
-        nbr = _T_obj(d, v[i - 1], v[i], l)
-        _, sec_r = unit_sections(nbr, mid="w1")
-        factors = ids[: i - 1] + [sec_r] + ids[i:]
-        n_loc = n.renamed({"x": "w1", "y": "w2", "z": v[i]})
-        rename = {"w1": f"y{i}", "w2": f"y{i + 1}"}
-        for k in range(i, m):
-            rename[v[k]] = f"y{k + 2}" if k + 2 <= m + 1 else "z"
-    else:
-        nbr = _T_obj(d, v[0], v[1], l)
-        sec_l, _ = unit_sections(nbr, mid="w1")
-        factors = [sec_l] + ids[1:]
-        n_loc = n.renamed({"y": "w2", "z": "w1"})  # I(x, w1) -> T(x, w2) (x) T(w2, w1)
-        rename = {"w2": "y1", "w1": "y2"}
-        for k in range(1, m):
-            rename[v[k]] = f"y{k + 2}" if k + 2 <= m + 1 else "z"
-    F = _fold_tensor(factors) if len(factors) > 1 else factors[0]
-    g = F.compose(reassoc(src_obj, F.src))
-    # insert n into the freshly created unit slot
-    chain = []
-    for k in range(m):
-        if k == i - 1 and i > 0:
-            chain.append(identity_morphism(_T_obj(d, v[i - 1], "w1", l)))
-            chain.append(n_loc)
-        elif k == 0 and i == 0:
-            chain.append(n_loc)
-            chain.append(identity_morphism(_T_obj(d, "w1", v[1], l)))
-        else:
-            chain.append(ids[k])
-    F2 = _fold_tensor(chain) if len(chain) > 1 else chain[0]
-    g2 = F2.compose(reassoc(g.tgt, F2.src)).compose(g)
-    g2 = g2.rename_target(rename)
-    return reassoc(g2.tgt, tgt_obj).compose(g2)
+    p = duality_pieces(d, l)
+    return _splice(d, m, i, m + 2, p.n if m == 0 else p.cup_rho if i else p.cup_lambda, l)
+
+
+def _splice(d: int, m: int, i: int, m_out: int, piece: MFMorphism, l: int) -> MFMorphism:
+    """The layer T^m -> T^{m_out} applying `piece` at slot i.
+
+    A rho piece starts on the strand left of the slot, any other at strand 0.
+    The piece is renamed onto its strands' variables, the variables only its
+    target has taking the names T^{m_out} has and T^m lacks; it is tensored
+    with identities, its target renamed to T^{m_out}'s variables, and both
+    ends reassociated to the left-bracketed strand objects.
+    """
+    v, w = _strand_vars(m), _strand_vars(m_out)
+    j, ins = max(i - 1, 0), piece.src.all_vars
+    place = dict(zip(ins, v[j:]))
+    place.update(zip((a for a in piece.tgt.all_vars if a not in ins), (b for b in w if b not in v)))
+    place = {a: b for a, b in place.items() if a != b}
+    if place:
+        piece = piece.renamed(place)
+    ids = [identity_morphism(perm_mf(d, self_dual_subset(d), v[k], v[k + 1], l)) for k in range(m)]
+    F = reduce(tensor_morphism, ids[:j] + [piece] + ids[j + len(ins) - 1 :])
+    g = F.compose(reassoc(strand_object(d, m, l), F.src))
+    rename = {a: b for a, b in zip(v[:j] + list(piece.tgt.all_vars) + v[j + len(ins) :], w) if a != b}
+    if rename:
+        g = g.rename_target(rename)
+    return reassoc(g.tgt, strand_object(d, m_out, l)).compose(g)
 
 
 def _factor_diagram(dg: TLDiagram):

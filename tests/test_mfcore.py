@@ -18,8 +18,10 @@ from permfact.mfcore import (
     RankUnsupported,
     VariableMismatch,
     chi,
+    coev_into_dual,
     diag_twist_mf,
     dual_rank1,
+    duality_pieces,
     duality_un,
     ev_coev,
     g_residue,
@@ -160,15 +162,13 @@ def _mat_mul_every_pair(A, B, d):
 
 def _hexagon_composites(d, a, b, c):
     """Both sides of the mu hexagon at (a, b, c), as correspondence.mu_hexagon_ok builds them."""
-    ca, cc = chi(d, a, "x", "y1"), chi(d, c, "y2", "z")
-    src_left = tensor_mf(tensor_mf(ca, chi(d, b, "y1", "y2")), cc)
-    step1 = tensor_morphism(identity_morphism(ca), renamed_mu(d, b, c, {"x": "y1", "y1": "y2"}))
-    step2 = tensor_morphism(renamed_mu(d, a, b, {"z": "y2"}), identity_morphism(cc))
+    step1 = tensor_morphism(identity_morphism(chi(d, a, "x", "y1")), renamed_mu(d, b, c, {"x": "y1", "y1": "y2"}))
+    step2 = tensor_morphism(renamed_mu(d, a, b, {"z": "y2"}), identity_morphism(chi(d, c, "y2", "z")))
     return {
         "step1": step1,
         "step2": step2,
-        "p1": mu(d, a, (b + c) % d).compose(step1).compose(reassoc(src_left, step1.src)),
-        "p2": renamed_mu(d, (a + b) % d, c, {"y1": "y2"}).compose(step2).compose(reassoc(src_left, step2.src)),
+        "p1": mu(d, a, (b + c) % d).compose(step1).compose(reassoc(step2.src, step1.src)),
+        "p2": renamed_mu(d, (a + b) % d, c, {"y1": "y2"}).compose(step2),
         "delta": step1.delta(),
     }
 
@@ -580,7 +580,11 @@ def _cached_results(d, l):
     """What the cached constructors return at (d, l), keyed by the call."""
     subsets = [frozenset(i for i in range(d) if mask >> i & 1) for mask in range(2**d)]
     proper = subsets[1:-1]
-    out = {("duality_un",): duality_un(d, l), ("zigzag_morphisms",): zigzag_morphisms(d, l)}
+    out = {
+        ("duality_un",): duality_un(d, l),
+        ("duality_pieces",): duality_pieces(d, l),
+        ("zigzag_morphisms",): zigzag_morphisms(d, l),
+    }
     for left, right in (("x", "y"), ("x", "z"), ("x", "y1"), ("y1", "y2"), ("y1", "z"), ("y2", "z")):
         out["unit_mf", left, right] = unit_mf(d, left, right)
         for a in range(d):
@@ -590,6 +594,7 @@ def _cached_results(d, l):
             out["perm_mf", S, left, right] = perm_mf(d, S, left, right, l)
     for S in proper:
         out["perm_dual_iso", S] = perm_dual_iso(d, S, l=l)
+        out["coev_into_dual", S] = coev_into_dual(d, S, l)
         for a in range(d):
             out["tau", S, a] = tau(d, S, a, l=l)
             for b in range(d):

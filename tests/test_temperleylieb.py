@@ -271,10 +271,19 @@ class TestFunctor:
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_layers_are_cycles(self, d):
-        for i in (0, 1):
-            assert cap_layer(d, 3, i).is_cycle()
-        for i in (0, 1):
-            assert cup_layer(d, 1, i).is_cycle()
+        # cap (5, 2) and cups (3, 1), (3, 2) have strands on both sides of the piece
+        for m, i in ((3, 0), (3, 1), (5, 2)):
+            assert cap_layer(d, m, i).is_cycle()
+        for m, i in ((1, 0), (1, 1), (3, 1), (3, 2)):
+            assert cup_layer(d, m, i).is_cycle()
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_four_strand_relations(self, d):
+        F = {i: evaluate_F(tl_e(d, 4, i)) for i in (1, 2, 3)}
+        for f in F.values():
+            assert f.compose(f).equals(f.scaled(kappa(d)))
+        assert F[1].compose(F[2]).compose(F[1]).equals(F[1])
+        assert F[2].compose(F[1]).compose(F[2]).equals(F[2])
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_e1_squared(self, d):
