@@ -10,20 +10,25 @@ one of the spliced pieces of `mfcore.duality_pieces` (u or n with the unit
 absorbed by rho or lambda, or made by a strict section), renamed into its slot
 and tensored with identities.
 
-The Jones-Wenzl projector p_n is certified by its characterisation, not by
-expanding p_n p_n: identity coefficient 1, e_i p_n = p_n e_i = 0 for every i,
-and trace [n+1].  Idempotence follows from the Jones normal form: every
-diagram of TL_n other than the identity is a word e_{i_1} ... e_{i_k} in the
-generators with coefficient 1 (no closed loops), so p_n D = (p_n e_{i_1})
-e_{i_2} ... e_{i_k} = 0 for each such D, and p_n p_n = p_n . 1 = p_n.
+The Jones-Wenzl projector p_n is built once per (n, d, l) by the one-sided
+expansion of Wenzl's recursion, p_{k+1} extending p_k (see `jw`), and is
+certified by its characterisation, not by expanding p_n p_n: identity
+coefficient 1, e_i p_n = p_n e_i = 0 for every i, and trace [n+1].
+Idempotence follows from the Jones normal form: every diagram of TL_n other
+than the identity is a word e_{i_1} ... e_{i_k} in the generators with
+coefficient 1 (no closed loops), so p_n D = (p_n e_{i_1}) e_{i_2} ... e_{i_k}
+= 0 for each such D, and p_n p_n = p_n . 1 = p_n.
+
+The functor is not faithful: End_TL(T (x) T_{d-2}) is 2-dimensional while its
+image is 1-dimensional.  `tl_end_dimension` gets the 2 from a spanning
+argument and one Markov trace, with no sandwich P e_1 P expanded.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .cyclofield import CycNum, EvenModulus, kappa, q_root, quantum_int
-from .invariants import row_reduce
 from .mfcore import (
     MFMorphism,
     duality_pieces,
@@ -42,6 +47,7 @@ __all__ = [
     "RootMismatch",
     "UndefinedProjector",
     "NotJonesWenzl",
+    "TraceVanishes",
     "TLDiagram",
     "TLMorphism",
     "tl_identity",
@@ -72,6 +78,10 @@ class UndefinedProjector(ValueError):
 
 class NotJonesWenzl(ValueError):
     """A morphism fails the characterisation of the Jones-Wenzl projector."""
+
+
+class TraceVanishes(ArithmeticError):
+    """The trace that separates P from P e_1 P in tl_end_dimension is zero."""
 
 
 class TLDiagram:
@@ -254,7 +264,7 @@ class TLMorphism:
         if other.tgt != self.src:
             raise StrandMismatch(f"{other.tgt} strands into {self.src}")
         # sum the c2 that share a composite (mate, loops) before one product
-        # with c1; kappa^loops once per composite; one diagram per mate
+        # with c1; kappa^loops once per composite; one diagram per surviving mate
         by_loops: dict = {}
         for dg1, c1 in other.combo.items():
             inner: dict = {}
@@ -264,13 +274,14 @@ class TLMorphism:
             for key, c2 in inner.items():
                 c = c1 * c2
                 by_loops[key] = by_loops[key] + c if key in by_loops else c
-        kap = kappa(self.d, self.l)
         by_mate: dict = {}
         for (mate, loops), c in by_loops.items():
             if loops:
-                c = c * kap**loops
+                c = c * _kappa_power(self.d, self.l, loops)
             by_mate[mate] = by_mate[mate] + c if mate in by_mate else c
-        combo = {TLDiagram._from_mate(other.src, self.tgt, mate): c for mate, c in by_mate.items()}
+        combo = {
+            TLDiagram._from_mate(other.src, self.tgt, mate): c for mate, c in by_mate.items() if not c.is_zero()
+        }
         return TLMorphism(self.d, other.src, self.tgt, combo, self.l)
 
     def tensor(self, other: "TLMorphism") -> "TLMorphism":
@@ -302,36 +313,37 @@ class TLMorphism:
         """Markov closure: join bottom i to top i, count loops.
 
         The diagram pairing and the closure pairing are two perfect matchings
-        on the same points; their union is a disjoint set of loops."""
+        on the same points; their union is a disjoint set of loops.  The
+        coefficients are summed per loop count before one power of kappa."""
         if self.src != self.tgt:
             raise StrandMismatch("trace needs equal strand counts")
-        kap = kappa(self.d, self.l)
-        total = CycNum.zero(self.d)
         n = self.src
+        closure = [(p + n) % (2 * n) for p in range(2 * n)]
+        by_loops: dict = {}
         for dg, c in self.combo.items():
-            closure = {}
-            for i in range(n):
-                closure[i] = n + i
-                closure[n + i] = i
-            visited = set()
-            loops = 0
+            mate, seen, loops = dg.mate, bytearray(2 * n), 0
             for start in range(2 * n):
-                if start in visited:
+                if seen[start]:
                     continue
                 loops += 1
-                cur, use_diagram = start, True
-                while cur not in visited:
-                    visited.add(cur)
-                    cur = dg.mate[cur] if use_diagram else closure[cur]
-                    use_diagram = not use_diagram
-            total = total + c * kap**loops
-        return total
+                cur = start
+                while not seen[cur]:
+                    seen[cur] = seen[mate[cur]] = 1
+                    cur = closure[mate[cur]]
+            by_loops[loops] = by_loops[loops] + c if loops in by_loops else c
+        return sum((c * _kappa_power(self.d, self.l, loops) for loops, c in by_loops.items()), CycNum.zero(self.d))
 
     def equals(self, other: "TLMorphism") -> bool:
         return (self - other).combo == {}
 
     def __repr__(self):
         return f"TLMorphism({self.src}->{self.tgt}, {len(self.combo)} diagrams)"
+
+
+@lru_cache(maxsize=None)
+def _kappa_power(d: int, l: int, k: int) -> CycNum:
+    """kappa^k, the weight of k closed loops, once per (d, l, k)."""
+    return kappa(d, l) ** k
 
 
 def tl_identity(d: int, n: int, l: int = 1) -> TLMorphism:
@@ -369,19 +381,48 @@ def tl_dim(n: int) -> int:
 
 
 def jw(n: int, d: int, l: int = 1) -> TLMorphism:
-    """Jones-Wenzl idempotent on n >= 1 strands at q = zeta_{2d}^{l-adjusted}."""
+    """Jones-Wenzl idempotent on n >= 1 strands at q = q_root(d, l).
+
+    Raises EvenModulus unless d is odd and >= 3, NotCoprime unless
+    gcd(l, d) = 1, ValueError for n < 1 and UndefinedProjector when some
+    [k + 1], k < n, vanishes (n >= d).  Built once per (n, d, l), however
+    l is spelled, by the one-sided expansion of Wenzl's recursion
+
+        p_{k+1} = P - sum_{j=1..k} (-1)^{k-j} [j]/[k+1] . P e_k e_{k-1} ... e_j,
+
+    P = p_k (x) 1, from the memoised p_k.  Derivation: Wenzl's two-sided
+    recursion is p_{k+1} = P - [k]/[k+1] . P e_k P.  Write Q_j for
+    p_j (x) 1 (x) ... (x) 1 on k + 1 strands, so P = Q_k and Q_1 = 1.  A
+    word W = e_k ... e_j commutes with Q_{j-1}, which lives on the strands
+    left of j, and P Q_{j-1} = P, so expanding Q_j by the recursion gives
+    P W Q_j = P W - [j-1]/[j] . P W e_{j-1} Q_{j-1}.  From P e_k P =
+    P e_k Q_k the coefficients telescope to P e_k P = sum_j (-1)^{k-j}
+    [j]/[k] . P e_k ... e_j.  One step composes P with k single diagrams,
+    in place of the C_k x C_k diagram pairs of P e_k P.  The projector is
+    unique, so this is the same p_n; certify_jw checks it.
+    """
+    kappa(d, l)  # the root is validated before the memo is consulted
     if n < 1:
         raise ValueError(f"p_n needs n >= 1 strands, got n = {n}")
-    q = q_root(d, l)
-    p = tl_identity(d, 1, l)
-    for k in range(1, n):
-        denom = quantum_int(k + 1, q)
-        if denom.is_zero():
-            raise UndefinedProjector(f"[{k + 1}] vanishes; p_{k + 1} undefined")
-        coeff = quantum_int(k, q) * denom.inverse()
-        pk1 = p.tensor(tl_identity(d, 1, l))
-        correction = pk1.compose(tl_e(d, k + 1, k, l)).compose(pk1)
-        p = pk1 - correction.scaled(coeff)
+    return _jw(n, d, l)
+
+
+@lru_cache(maxsize=None)
+def _jw(n: int, d: int, l: int) -> TLMorphism:
+    if n == 1:
+        return tl_identity(d, 1, l)
+    k, q = n - 1, q_root(d, l)
+    denom = quantum_int(n, q)
+    if denom.is_zero():
+        raise UndefinedProjector(f"[{n}] vanishes; p_{n} undefined")
+    inv = denom.inverse()
+    P = _jw(k, d, l).tensor(tl_identity(d, 1, l))
+    p, word = P, tl_e(d, n, k, l)
+    for j in range(k, 0, -1):
+        c = quantum_int(j, q) * inv
+        p = p + P.compose(word.scaled(c if (k - j) % 2 else -c))
+        if j > 1:
+            word = word.compose(tl_e(d, n, j - 1, l))
     return p
 
 
@@ -409,30 +450,33 @@ def certify_jw(p: TLMorphism) -> None:
 
 
 def tl_end_dimension(d: int, l: int = 1) -> int:
-    """dim of (1 (x) p_{d-2}) TL_{d-1} (1 (x) p_{d-2}), spanned by 2 diagrams.
+    """dim of (1 (x) p_{d-2}) TL_{d-1} (1 (x) p_{d-2}), which is 2.
 
-    The sandwiches P D P of the diagrams D of TL_{d-1}, P = 1 (x) p with
-    p = p_{d-2} on strands 2..d-1, span the space.  Once p is certified
-    (certify_jw; raises NotJonesWenzl otherwise), all but two vanish: a
-    diagram with a bottom cap on strands i, i+1 >= 2 satisfies
-    D = kappa^{-1} D e_i, and e_i P = 0 because e_{i-1} p = 0; a top cup on
-    such strands gives D = kappa^{-1} e_i D, and P e_i = 0 likewise.  Every
-    cap of a diagram encloses an innermost one on adjacent points, so a
-    survivor's only possible bottom cap and top cup join strands 1 and 2:
-    the survivors are the identity and e_1.  The identity's sandwich is
-    P P = P, as p is idempotent; e_1's is expanded.  The rank of the two
-    vectors is the dimension.
+    Validates d and l as jw does.  Upper bound: the sandwiches P D P of the
+    diagrams D of TL_{d-1}, P = 1 (x) p with p = p_{d-2} on strands 2..d-1,
+    span the space.  Once p is certified (certify_jw; raises NotJonesWenzl
+    otherwise), all but two vanish: a diagram with a bottom cap on strands
+    i, i+1 >= 2 satisfies D = kappa^{-1} D e_i, and e_i P = 0 because
+    e_{i-1} p = 0; a top cup on such strands gives D = kappa^{-1} e_i D, and
+    P e_i = 0 likewise.  Every cap of a diagram encloses an innermost one on
+    adjacent points, so a survivor's only possible bottom cap and top cup
+    join strands 1 and 2: the survivors are the identity and e_1, whose
+    sandwiches are P (p is idempotent) and P e_1 P.
+
+    Lower bound: two functionals separate P and P e_1 P.  The identity
+    coefficient is 1 on P and 0 on P e_1 P, since a composite through e_1
+    has fewer than d - 1 through-strands.  The Markov trace gives
+    tr(P e_1 P) = tr(e_1 P P) = tr(e_1 P) by cyclicity and P P = P.  So
+    a P + b P e_1 P = 0 forces a = 0 and then b = 0 when tr(e_1 P) != 0
+    (it is [d-1] = 1).  That trace composes P with one diagram; if it
+    vanishes, TraceVanishes is raised.
     """
     p = jw(d - 2, d, l)
     certify_jw(p)
     proj = tl_identity(d, 1, l).tensor(p)
-    e1 = tl_e(d, d - 1, 1, l)
-    basis_index = {}
-
-    def vectorize(m):
-        return {basis_index.setdefault(b, len(basis_index)): c for b, c in m.combo.items()}
-
-    return len(row_reduce([vectorize(proj), vectorize(proj.compose(e1).compose(proj))]))
+    if tl_e(d, d - 1, 1, l).compose(proj).trace().is_zero():
+        raise TraceVanishes(f"tr(e_1 (1 (x) p_{d - 2})) = 0 at d = {d}, l = {l}: the lower bound is unproven")
+    return 2
 
 
 # -- the functor into bifactorisations ---------------------------------------------

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from permfact import temperleylieb
-from permfact.cyclofield import CycNum, kappa, q_root, quantum_int
+from permfact.cyclofield import CycNum, EvenModulus, NotCoprime, kappa, q_root, quantum_int
 from permfact.graded import g_pair, graded_homotopy_degrees, graded_tensor, hat_p
 from permfact.invariants import homotopy_solve, row_reduce
 from permfact.mfcore import identity_morphism
@@ -15,6 +15,7 @@ from permfact.temperleylieb import (
     StrandMismatch,
     TLDiagram,
     TLMorphism,
+    TraceVanishes,
     UndefinedProjector,
     cap_diagram,
     cap_layer,
@@ -164,6 +165,67 @@ class TestJonesWenzl:
             for i in range(n - 1):
                 layer = tl_identity(D, i).tensor(cap).tensor(tl_identity(D, n - i - 2))
                 assert not layer.compose(p).combo
+
+
+def _two_sided_jw(n, d, l):
+    """p_1, ..., p_n by Wenzl's two-sided recursion p_{k+1} = P - [k]/[k+1] P e_k P,
+    P = p_k (x) 1: the reference for jw's one-sided expansion."""
+    q = q_root(d, l)
+    p = tl_identity(d, 1, l)
+    yield p
+    for k in range(1, n):
+        coeff = quantum_int(k, q) * quantum_int(k + 1, q).inverse()
+        pk1 = p.tensor(tl_identity(d, 1, l))
+        p = pk1 - pk1.compose(tl_e(d, k + 1, k, l)).compose(pk1).scaled(coeff)
+        yield p
+
+
+def _coprime(d):
+    return [l for l in range(1, d) if gcd(l, d) == 1]
+
+
+class TestOneSidedRecursion:
+    @pytest.mark.parametrize("d, n_max", [(3, 2), (5, 4), (7, 6), (9, 7)])
+    def test_equals_two_sided_recursion(self, d, n_max):
+        for l in _coprime(d):
+            for n, ref in enumerate(_two_sided_jw(n_max, d, l), start=1):
+                assert jw(n, d, l).combo == ref.combo, (n, l)
+
+    @pytest.mark.parametrize("d", [5, 7, 9])
+    def test_trace_separating_sandwich(self, d):
+        """tr(e_1 (1 (x) p_{d-2})) = [d-1] = 1: the functional tl_end_dimension uses."""
+        for l in _coprime(d):
+            proj = tl_identity(d, 1, l).tensor(jw(d - 2, d, l))
+            tr = tl_e(d, d - 1, 1, l).compose(proj).trace()
+            assert tr == quantum_int(d - 1, q_root(d, l)) == CycNum.one(d)
+
+    def test_built_once_however_l_is_spelled(self):
+        p = jw(3, D)
+        assert jw(3, D, 1) is p
+        assert jw(3, D, l=1) is p
+        assert jw(n=3, d=D, l=1) is p
+        assert jw(3, D, 2) is jw(3, D, l=2)
+
+    @pytest.mark.parametrize("fn, args", [(jw, (1, 4)), (jw, (1, 1)), (jw, (0, 4)), (tl_end_dimension, (4,))])
+    def test_even_or_small_modulus(self, fn, args):
+        # jw(1, 4) used to return the 1-strand identity
+        with pytest.raises(EvenModulus):
+            fn(*args)
+
+    @pytest.mark.parametrize(
+        "fn, args", [(jw, (1, 5, 5)), (jw, (2, 5, 5)), (jw, (2, 9, 3)), (tl_end_dimension, (5, 10))]
+    )
+    def test_root_exponent_not_coprime(self, fn, args):
+        # jw(1, 5, 5) used to return the identity and jw(2, 5, 5) to raise DegenerateRoot
+        with pytest.raises(NotCoprime):
+            fn(*args)
+
+    def test_vanishing_trace_is_not_a_dimension(self, monkeypatch):
+        # certify_jw still traces p_{d-2}; only the trace on d - 1 strands is zeroed
+        trace = TLMorphism.trace
+        monkeypatch.setattr(TLMorphism, "trace", lambda m: CycNum.zero(D) if m.src == D - 1 else trace(m))
+        with pytest.raises(TraceVanishes):
+            tl_end_dimension(D)
 
 
 def _full_span_rank(d, l):
