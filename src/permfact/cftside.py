@@ -18,7 +18,6 @@ from .fusionring import FusionRing
 __all__ = [
     "SimpleE",
     "NSLabel",
-    "OddModulus",
     "ParityViolation",
     "h_weight",
     "su2_fuse",
@@ -29,15 +28,10 @@ __all__ = [
     "ns_fuse",
     "quantum_dim",
     "twist_additive",
-    "qform",
     "cft_fusion_ring",
     "generators_reach_all",
     "factorisation_ok",
 ]
-
-
-class OddModulus(ValueError):
-    pass
 
 
 class ParityViolation(ValueError):
@@ -162,13 +156,6 @@ def twist_additive(d: int, A: SimpleE, B: SimpleE) -> bool:
         if _mod1(hC - hA - hB) != 0:
             return False
     return True
-
-
-def qform(m: int, r: int) -> Fraction:
-    """The quadratic-form exponent r^2/(2m) mod 1 (even modulus m)."""
-    if m % 2:
-        raise OddModulus(f"m = {m} must be even")
-    return _mod1(Fraction((r % m) * (r % m), 2 * m))
 
 
 def cft_fusion_ring(d: int) -> FusionRing:

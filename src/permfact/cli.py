@@ -58,27 +58,23 @@ def fusion_table(d, l, side):
 
 
 def render_markdown_table(table):
+    """One line per left label: fusion_table emits its rows label-major."""
     labels = table["labels"]
+    n = len(labels)
     def name(lab):
         if "lambda" in lab:
             return f"{lab['a']}:{lab['lambda']}"
         return f"[{lab['l']},{lab['r']}]"
-    index = {json.dumps(lab, sort_keys=True): k for k, lab in enumerate(labels)}
-    lines = ["| (x) | " + " | ".join(name(lab) for lab in labels) + " |"]
-    lines.append("|" + "---|" * (len(labels) + 1))
-    grid = {}
-    for row in table["products"]:
-        i = index[json.dumps(row["left"], sort_keys=True)]
-        j = index[json.dumps(row["right"], sort_keys=True)]
-        cell = " + ".join(
+    def cell(row):
+        return " + ".join(
             (f"{s['multiplicity']}." if s["multiplicity"] > 1 else "") + name(s["label"])
             for s in row["summands"]
-        )
-        grid[(i, j)] = cell or "0"
+        ) or "0"
+    lines = ["| (x) | " + " | ".join(name(lab) for lab in labels) + " |"]
+    lines.append("|" + "---|" * (n + 1))
     for i, lab in enumerate(labels):
-        lines.append(
-            "| " + name(lab) + " | " + " | ".join(grid[(i, j)] for j in range(len(labels))) + " |"
-        )
+        row_cells = (cell(row) for row in table["products"][i * n : (i + 1) * n])
+        lines.append("| " + name(lab) + " | " + " | ".join(row_cells) + " |")
     return "\n".join(lines)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cftside import NSLabel, ParityViolation, cft_fusion_ring, quantum_dim
+from .cftside import ParityViolation, cft_fusion_ring, quantum_dim
 from .cyclofield import eta_power, q_root, quantum_int
 from .graded import GradedLabel, mf_fusion_ring
 from .mfcore import (
@@ -39,7 +39,6 @@ __all__ = [
     "un_equivariant_ok",
     "coev_square_ok",
     "label_map",
-    "label_map_inverse",
     "verify_equivalence",
 ]
 
@@ -130,10 +129,6 @@ def label_map(d: int, l: int, r: int) -> GradedLabel:
         raise ParityViolation(f"l + r must be even, got ({l}, {r})")
     m = ((r - l) // 2) % d
     return GradedLabel(d, m, l)
-
-
-def label_map_inverse(d: int, lbl: GradedLabel) -> NSLabel:
-    return NSLabel(d, lbl.lam, (lbl.lam + 2 * lbl.a) % (2 * d))
 
 
 def verify_equivalence(d: int, root_exponent: int = 1):

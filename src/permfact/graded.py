@@ -32,7 +32,6 @@ __all__ = [
     "ChargeCountMismatch",
     "hat_p",
     "graded_tensor",
-    "graded_dual",
     "graded_check",
     "morphism_c_degree",
     "graded_hom_dim",
@@ -117,20 +116,6 @@ def graded_tensor(A: GradedMF, B: GradedMF) -> GradedMF:
     c0 = [a + b for a in A.charges0 for b in B.charges0] + [a + b for a in A.charges1 for b in B.charges1]
     c1 = [a + b for a in A.charges1 for b in B.charges0] + [a + b for a in A.charges0 for b in B.charges1]
     return GradedMF(mf, c0, c1)
-
-
-def graded_dual(A: GradedMF) -> GradedMF:
-    """Dual charges for a rank-(1,1) object per the duality-degree bookkeeping."""
-    from .mfcore import dual_rank1
-
-    if A.mf.rank0 != 1:
-        raise ValueError("graded duals implemented for rank-(1,1)")
-    d = A.d
-    alpha = A.charges0[0]
-    deg1 = A.mf.d1[0][0].degree()
-    c0 = -alpha + Fraction(2, d) * (1 - deg1)
-    c1 = -alpha - 1 + Fraction(2, d)
-    return GradedMF(dual_rank1(A.mf), (c0,), (c1,))
 
 
 def _entry_degree(entry, d):
@@ -298,13 +283,13 @@ def decompose_product(d: int, a: int, lam: int, b: int, mu: int, l: int = 1, ind
     return out
 
 
-def mf_fusion_ring(d: int, l: int = 1, index_sign: int = 1) -> FusionRing:
+def mf_fusion_ring(d: int, l: int = 1) -> FusionRing:
     labels = [GradedLabel(d, a, lam) for a in range(d) for lam in range(d - 1)]
     products = {}
     for i in labels:
         for j in labels:
             outcome = {}
-            for s in decompose_product(d, i.a, i.lam, j.a, j.lam, l, index_sign):
+            for s in decompose_product(d, i.a, i.lam, j.a, j.lam, l):
                 outcome[s] = outcome.get(s, 0) + 1
             products[(i, j)] = outcome
     return FusionRing(labels, GradedLabel(d, 0, 0), products)

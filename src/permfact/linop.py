@@ -7,12 +7,15 @@ coefficient.  Both are linear over the external pair, and together with
 polynomial multiplication they close under every composition this package
 performs.  An operator is a finite sum of terms
 
-    f  |->  num * phi( core(f) ) / den
+    f  |->  num * phi( core(f) )
 
 where phi is a monomial substitution homomorphism (each variable goes to
 scalar * variable, possibly to 0) and core is the optional residue extractor
 
     core(f) = sum_{m >= 0} (injc*inj)^{step*m} * coeff_elim(prem * f, step*(m+1)).
+
+No term has a denominator: the one quotient the duality maps need, the odd
+entry of ev, is divided exactly when `mfcore.ev_coev` builds it.
 
 Normal form: prem is reduced modulo elim^step - (injc*inj)^step; the quotient
 telescopes to an evaluation at elim = 0.  The normal form is not unique, so
@@ -45,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclofield import CycNum
-from .polyring import MPoly, NotDivisible, exact_div
+from .polyring import MPoly, exact_div
 
 __all__ = [
     "Subst",
@@ -194,17 +197,16 @@ class ResidueCore:
 
 
 class Term:
-    """f |-> num * phi(core(f)) / den, with core optional."""
+    """f |-> num * phi(core(f)), with core optional."""
 
-    __slots__ = ("num", "den", "phi", "core")
+    __slots__ = ("num", "phi", "core")
 
-    def __init__(self, num: MPoly, phi: Subst, core: ResidueCore | None = None, den: MPoly | None = None):
+    def __init__(self, num: MPoly, phi: Subst, core: ResidueCore | None = None):
         self.num = num
         self.phi = phi
         self.core = core
-        self.den = den if den is not None else MPoly.one(num.d)
 
-    def apply_num(self, f: MPoly) -> MPoly:
+    def apply(self, f: MPoly) -> MPoly:
         out = self.core.apply(f) if self.core is not None else f
         return self.num * self.phi.apply(out)
 
@@ -227,24 +229,12 @@ class Term:
                     return False
         return consumed or (self.phi.touches(var) and not self.phi.maps_onto(var))
 
-    def _cancelled(self) -> "Term":
-        if self.den.is_constant():
-            c = self.den.constant_value()
-            if c == CycNum.one(self.num.d):
-                return self
-            return Term(self.num * c.inverse(), self.phi, self.core, None)
-        try:
-            num = exact_div(self.num, self.den)
-        except NotDivisible:
-            return self
-        return Term(num, self.phi, self.core, None)
-
     def normalized(self) -> list["Term"]:
         """Reduce prem modulo elim^step - (injc*inj)^step; split the telescoped part."""
         if self.num.is_zero():
             return []
         if self.core is None:
-            return [self._cancelled()]
+            return [self]
         d = self.num.d
         core = self.core
         if core.prem.is_zero():
@@ -267,17 +257,16 @@ class Term:
             rem = rem + c * MPoly.var(d, elim, k)
         out = []
         if not rem.is_zero():
-            out.append(Term(self.num, self.phi, ResidueCore(rem, elim, core.inj, core.injc, core.step), self.den)._cancelled())
+            out.append(Term(self.num, self.phi, ResidueCore(rem, elim, core.inj, core.injc, core.step)))
         q0 = quot.subs({elim: None})
         if not q0.is_zero():
             ev = Subst(d, {elim: None})
-            out.append(Term(self.num * self.phi.apply(q0), self.phi.compose(ev), None, self.den)._cancelled())
+            out.append(Term(self.num * self.phi.apply(q0), self.phi.compose(ev)))
         return out
 
     def __repr__(self):
         core = "" if self.core is None else f" . Res[{self.core.prem!r}; {self.core.elim}=>{self.core.injc!r}*{self.core.inj}]"
-        den = "" if self.den.is_constant() and self.den == MPoly.one(self.num.d) else f" / ({self.den!r})"
-        return f"[({self.num!r}) . {self.phi!r}{core}{den}]"
+        return f"[({self.num!r}) . {self.phi!r}{core}]"
 
 
 def _compose_terms(t2: Term, t1: Term) -> list[Term]:
@@ -285,20 +274,17 @@ def _compose_terms(t2: Term, t1: Term) -> list[Term]:
     d = t1.num.d
     if t2.core is None:
         num = t2.num * t2.phi.apply(t1.num)
-        den = t2.den * t2.phi.apply(t1.den)
-        return Term(num, t2.phi.compose(t1.phi), t1.core, den).normalized()
+        return Term(num, t2.phi.compose(t1.phi), t1.core).normalized()
     elim = t2.core.elim
-    if elim in t1.den.vars:
-        raise LinOpCompositionError("denominator carries the eliminated variable")
     # Absorb t1's numerator into the premultiplier; what remains of t1 is
-    # phi1(core1(f)) / den1.
+    # phi1(core1(f)).
     prem = t2.core.prem * t1.num
     stripped = Term(MPoly.one(d), t1.phi, t1.core)
     if stripped.output_free_of(elim):
         # core2 sees an elim-free input: it collapses to its value at 1
         const = ResidueCore(prem, elim, t2.core.inj, t2.core.injc, t2.core.step).apply(MPoly.one(d))
-        outer = Term(t2.num * t2.phi.apply(const), t2.phi, None, t2.den)
-        return _compose_terms(outer, Term(MPoly.one(d), t1.phi, t1.core, t1.den))
+        outer = Term(t2.num * t2.phi.apply(const), t2.phi)
+        return _compose_terms(outer, stripped)
     if t1.core is None:
         img = t1.phi.image_of(elim)
         if img is not None and img[1] == elim:
@@ -313,7 +299,7 @@ def _compose_terms(t2: Term, t1: Term) -> list[Term]:
             injc2 = t2.core.injc * s / inj_scale[0]
             core = ResidueCore(prem2, elim, t2.core.inj, injc2, t2.core.step)
             num = t2.num * s**t2.core.step
-            return Term(num, t2.phi.compose(rest), core, t2.den * t2.phi.apply(t1.den)).normalized()
+            return Term(num, t2.phi.compose(rest), core).normalized()
         raise LinOpCompositionError(f"unsupported composition through {t1.phi!r}")
     raise LinOpCompositionError("residue core fed by an image still carrying its variable")
 
@@ -351,21 +337,21 @@ class LinOp:
                 # a constant numerator scales the premultiplier, so such terms share a key
                 c = t.core
                 core = ResidueCore(c.prem * t.num, c.elim, c.inj, c.injc, c.step)
-                t = Term(MPoly.one(t.num.d), t.phi, core, t.den)
+                t = Term(MPoly.one(t.num.d), t.phi, core)
             if t.core is None:
-                key = ("h", t.phi.key(), t.den)
+                key = ("h", t.phi.key())
                 if key in homs:
                     prev = homs[key]
-                    homs[key] = Term(prev.num + t.num, t.phi, None, t.den)
+                    homs[key] = Term(prev.num + t.num, t.phi)
                 else:
                     homs[key] = t
                     order.append(key)
             else:
-                key = ("c", t.phi.key(), t.core.key(), t.den, t.num)
+                key = ("c", t.phi.key(), t.core.key(), t.num)
                 if key in cores:
                     prev = cores[key]
                     core = ResidueCore(prev.core.prem + t.core.prem, t.core.elim, t.core.inj, t.core.injc, t.core.step)
-                    cores[key] = Term(t.num, t.phi, core, t.den)
+                    cores[key] = Term(t.num, t.phi, core)
                 else:
                     cores[key] = t
                     order.append(key)
@@ -429,7 +415,7 @@ class LinOp:
         return self.scaled(other)
 
     def __neg__(self):
-        return LinOp._regrouped(self.d, [Term(-t.num, t.phi, t.core, t.den) for t in self.terms])
+        return LinOp._regrouped(self.d, [Term(-t.num, t.phi, t.core) for t in self.terms])
 
     def __sub__(self, other):
         other = as_linop(other, self.d)
@@ -437,7 +423,7 @@ class LinOp:
 
     def scaled(self, c) -> "LinOp":
         p = c if isinstance(c, MPoly) else MPoly.constant(self.d, c)
-        return LinOp(self.d, [Term(t.num * p, t.phi, t.core, t.den) for t in self.terms])
+        return LinOp(self.d, [Term(t.num * p, t.phi, t.core) for t in self.terms])
 
     def compose(self, other) -> "LinOp":
         """self after other."""
@@ -471,7 +457,7 @@ class LinOp:
                 allowed.update(v for v in t.core.prem.vars if v != t.core.elim)
             mapping = {v: img for v, img in t.phi.mapping.items() if v in allowed}
             if len(mapping) < len(t.phi.mapping):
-                t, pruned = Term(t.num, Subst(self.d, mapping), t.core, t.den), True
+                t, pruned = Term(t.num, Subst(self.d, mapping), t.core), True
             terms.append(t)
         return LinOp(self.d, terms) if pruned else self
 
@@ -497,16 +483,13 @@ class LinOp:
                     t.core.injc,
                     t.core.step,
                 )
-            terms.append(Term(rp(t.num), Subst(d, phi2), core2, rp(t.den)))
+            terms.append(Term(rp(t.num), Subst(d, phi2), core2))
         return LinOp(d, terms)
 
     # -- action -----------------------------------------------------------------
 
     def apply(self, f: MPoly) -> MPoly:
-        total, common = _sum_fractions(self.d, [(t.apply_num(f), t.den) for t in self.terms])
-        if common == MPoly.one(self.d):
-            return total
-        return exact_div(total, common)
+        return sum((t.apply(f) for t in self.terms), MPoly.zero(self.d))
 
     # -- equality ------------------------------------------------------------------
 
@@ -534,9 +517,9 @@ class LinOp:
         """Uniform polynomial-degree shift of the operator, None if mixed."""
         shifts = set()
         for t in self.terms:
-            if not (t.num.is_homogeneous() and t.den.is_homogeneous()):
+            if not t.num.is_homogeneous():
                 return None
-            s = t.num.degree() - t.den.degree()
+            s = t.num.degree()
             if t.core is not None:
                 parts = t.core.prem.coeff_dict_in(t.core.elim)
                 wdeg = {k + c.degree() for k, c in parts.items()}
@@ -576,11 +559,13 @@ def _sum_fractions(d: int, parts) -> tuple[MPoly, MPoly]:
 def _basis_expansion(t: Term):
     """Triples (key, num, den) with t(f) = sum num * B_key(f) / den.
 
+    den is 1, or w^step for the roots-of-unity filter of a residue core.
+
     B_key is the monomial substitution with that Subst.key(), or, for
     key = ("coeff", elim, j, phi.key()), the map f |-> phi(coeff_elim(f, j)).
     """
     if t.core is None:
-        yield t.phi.key(), t.num, t.den
+        yield t.phi.key(), t.num, MPoly.one(t.num.d)
         return
     d = t.num.d
     core, phi = t.core, t.phi
@@ -588,18 +573,19 @@ def _basis_expansion(t: Term):
     img = phi.image_of(core.inj)
     c = CycNum.zero(d) if img is None else core.injc * img[0]
     if c.is_zero():
-        # phi kills injc*inj: t(f) = num * phi(coeff_elim(prem * f, step)) / den
+        # phi kills injc*inj: t(f) = num * phi(coeff_elim(prem * f, step))
         rest = phi.restricted_without(elim)
+        one = MPoly.one(d)
         for k, pk in core.prem.coeff_dict_in(elim).items():
             if k == step:
-                yield phi.compose(Subst(d, {elim: None})).key(), t.num * phi.apply(pk), t.den
+                yield phi.compose(Subst(d, {elim: None})).key(), t.num * phi.apply(pk), one
             elif k < step:
-                yield ("coeff", elim, step - k, rest.key()), t.num * phi.apply(pk), t.den
+                yield ("coeff", elim, step - k, rest.key()), t.num * phi.apply(pk), one
         return
     # the roots-of-unity filter over phi(injc*inj)^step = (c*w)^step, with
     # phi(prem(elim -> omega*injc*inj)) = sum_k omega^k * (c*w)^k * phi(prem_k)
     w = img[1]
-    den = t.den * MPoly.var(d, w, step)
+    den = MPoly.var(d, w, step)
     scale = (c**step * step).inverse()
     parts = {}
     for k, pk in core.prem.coeff_dict_in(elim).items():

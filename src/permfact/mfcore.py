@@ -68,7 +68,6 @@ __all__ = [
     "unit_sections",
     "dual_rank1",
     "perm_dual_iso",
-    "g_residue",
     "ev_coev",
     "self_dual_subset",
     "coev_into_dual",
@@ -571,17 +570,6 @@ def _perm_dual_iso(d: int, S: frozenset, left: str, right: str, l: int) -> MFMor
     return MFMorphism(src, tgt, 0, [[MPoly.one(d)]], [[f1]])
 
 
-def g_residue(M: MatrixBifact, f: MPoly) -> MPoly:
-    """The residue extraction G_M(f), a polynomial in x and z."""
-    if M.rank0 != 1 or M.rank1 != 1:
-        raise RankUnsupported("g_residue needs a rank-(1,1) object")
-    d = M.d
-    d0yz = M.d0[0][0].subs({M.left: (1, "y"), M.right: (1, "z")})
-    x, y, z = (MPoly.var(d, v) for v in "xyz")
-    prem = (x - z - y) * d0yz
-    return ResidueCore(prem, "y", "z", CycNum.one(d), d).apply(f)
-
-
 def ev_coev(M: MatrixBifact) -> tuple[MFMorphism, MFMorphism]:
     """Evaluation M+ (x) M -> I and coevaluation I -> M (x) M+ (variables x,y,z)."""
     if M.rank0 != 1 or M.rank1 != 1:
@@ -602,12 +590,20 @@ def ev_coev(M: MatrixBifact) -> tuple[MFMorphism, MFMorphism]:
     # ev: dual(x,y) (x) M(y,z) -> I(x,z)
     src_ev = tensor_mf(dual_xy, Myz)
     prem = (x - z - y) * d0_yz
-    G = LinOp(d, [Term(MPoly.one(d), Subst.identity(d), ResidueCore(prem, "y", "z", CycNum.one(d), d))])
-    A = G.scaled(-1)
-    B = LinOp(
-        d,
-        [Term(MPoly.one(d), Subst.identity(d), ResidueCore(prem * d1_yx, "y", "z", CycNum.one(d), d), den=x - z)],
-    )
+    one, ident = MPoly.one(d), Subst.identity(d)
+    A = LinOp(d, [Term(-one, ident, ResidueCore(prem, "y", "z", CycNum.one(d), d))])
+    # B = Res[prem * d1_yx] / (x - z), divided exactly here, so that no operator
+    # term carries a denominator: the residue core is K[x, z]-linear, and once
+    # its premultiplier is reduced modulo y^d - z^d (normalized), the reduced
+    # premultiplier and the telescoped evaluation term are both divisible by x - z.
+    B_terms = []
+    for t in Term(one, ident, ResidueCore(prem * d1_yx, "y", "z", CycNum.one(d), d)).normalized():
+        if t.core is None:
+            B_terms.append(Term(exact_div(t.num, x - z), t.phi))
+        else:
+            c = t.core
+            B_terms.append(Term(t.num, t.phi, ResidueCore(exact_div(c.prem, x - z), c.elim, c.inj, c.injc, c.step)))
+    B = LinOp(d, B_terms)
     C = LinOp.substitution(d, {"y": None}, coeff=-1)
     ev = MFMorphism(src_ev, I_xz, 0, [[A, MPoly.zero(d)]], [[B, C]])
 

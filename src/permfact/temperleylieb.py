@@ -52,9 +52,6 @@ __all__ = [
     "TLMorphism",
     "tl_identity",
     "tl_e",
-    "cap_diagram",
-    "cup_diagram",
-    "tl_dim",
     "enumerate_diagrams",
     "jw",
     "certify_jw",
@@ -164,14 +161,6 @@ def e_diagram(n: int, i: int) -> TLDiagram:
         if j not in (i - 1, i):
             pairs.append((j, n + j))
     return TLDiagram(n, n, pairs)
-
-
-def cap_diagram() -> TLDiagram:
-    return TLDiagram(2, 0, [(0, 1)])
-
-
-def cup_diagram() -> TLDiagram:
-    return TLDiagram(0, 2, [(0, 1)])
 
 
 def _compose_mates(f: TLDiagram, g: TLDiagram):
@@ -374,10 +363,6 @@ def enumerate_diagrams(nb: int, nt: int):
         return out
 
     return [TLDiagram(nb, nt, pairs) for pairs in rec(circle)]
-
-
-def tl_dim(n: int) -> int:
-    return len(enumerate_diagrams(n, n))
 
 
 def jw(n: int, d: int, l: int = 1) -> TLMorphism:

@@ -4,7 +4,6 @@ import pytest
 
 from permfact.cftside import (
     NSLabel,
-    OddModulus,
     ParityViolation,
     SimpleE,
     cft_fusion_ring,
@@ -15,7 +14,6 @@ from permfact.cftside import (
     is_local,
     ns_fuse,
     ns_simples,
-    qform,
     quantum_dim,
     su2_fuse,
     su2_fusion_ring,
@@ -134,13 +132,6 @@ class TestTwistsAndForms:
 
     def test_negative_case(self):
         assert not twist_additive(5, SimpleE(5, 0, 1, 0), SimpleE(5, 1, 5, 0))
-
-    def test_qform(self):
-        assert qform(10, 0) == 0
-        assert qform(4, 1) == Fraction(1, 8)
-        assert qform(10, 3) == qform(10, 13)
-        with pytest.raises(OddModulus):
-            qform(5, 1)
 
 
 class TestRing:

@@ -9,7 +9,6 @@ from permfact.correspondence import (
     check_equivariant,
     coev_square_ok,
     label_map,
-    label_map_inverse,
     tau,
     tau_cocycle_ok,
     un_equivariant_ok,
@@ -111,15 +110,6 @@ class TestLabelMap:
         labels = [(l, r) for l in range(d - 1) for r in range(2 * d) if (l + r) % 2 == 0]
         images = {label_map(d, l, r).key() for (l, r) in labels}
         assert len(images) == len(labels) == d * (d - 1)
-
-    def test_inverse(self):
-        d = 5
-        for l in range(d - 1):
-            for r in range(2 * d):
-                if (l + r) % 2 == 0:
-                    lbl = label_map(d, l, r)
-                    back = label_map_inverse(d, lbl)
-                    assert back == NSLabel(d, l, r)
 
 
 class TestEquivalence:

@@ -12,7 +12,6 @@ from permfact.graded import (
     g_pair,
     g_pair_certified,
     graded_check,
-    graded_dual,
     graded_hom_dim,
     graded_homotopy_degrees,
     graded_tensor,
@@ -48,19 +47,6 @@ class TestHatObjects:
             alpha = Fraction(1 - len(S), d)
             assert h.charges0 == (alpha,)
             assert h.charges1 == (alpha + Fraction(2 * len(S), d) - 1,)
-
-    @pytest.mark.parametrize("d", [3, 5])
-    def test_dual_charges_are_hat_of_minus(self, d):
-        from permfact.mfcore import dual_rank1, perm_dual_iso
-
-        for S in ({0}, {1, 2}):
-            gd = graded_dual(hat_p(d, S))
-            hm = hat_p(d, {(-s) % d for s in S})
-            assert gd.charges0 == hm.charges0
-            assert gd.charges1 == hm.charges1
-            assert gd.mf == dual_rank1(perm_mf(d, S))
-            # the comparison cycle hat(P_{-S}) -> (hat P_S)+ has charge 0
-            assert morphism_c_degree(perm_dual_iso(d, S), hm, gd) == 0
 
 
     def test_charge_count_must_match_ranks(self):

@@ -24,7 +24,6 @@ from permfact.mfcore import (
     duality_pieces,
     duality_un,
     ev_coev,
-    g_residue,
     identity_morphism,
     mat_mul,
     mu,
@@ -44,7 +43,7 @@ from permfact.mfcore import (
     verify_factorisation,
     zigzag_morphisms,
 )
-from permfact.linop import LinOp, Subst, as_linop
+from permfact.linop import LinOp, ResidueCore, Subst, as_linop
 from permfact.polyring import MPoly, exact_div, perm_product
 
 TENSOR_PINS = Path(__file__).parent / "reference" / "tensor-blocks.d5.json"
@@ -257,6 +256,11 @@ class TestDuals:
         assert g.f1[0][0] == MPoly.one(5)
 
 
+def g_residue(M, f):
+    """G_M(f) = Res[(x - z - y) d0(y, z) f], the negative of ev's even entry A."""
+    return -ev_coev(M)[0].f0[0][0].apply(f)
+
+
 class TestResidue:
     def test_unit_examples(self):
         d = 3
@@ -307,6 +311,21 @@ class TestEvCoev:
         ev, coev = ev_coev(perm_mf(d, set(S)))
         assert ev.is_cycle()
         assert coev.is_cycle()
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_odd_entry_is_the_residue_divided_by_x_minus_z(self, d):
+        """ev's odd entry B, divided at construction, against its definition
+        Res[(x - z - y) d0(y, z) d1(y, x)] / (x - z) divided after the residue."""
+        x, y, z = (MPoly.var(d, v) for v in "xyz")
+        subsets = [{i for i in range(d) if mask >> i & 1} for mask in range(1, 2**d - 1)]
+        probes = [x**a * y**b * z**c for a in range(2) for b in range(2 * d + 1) for c in range(2)]
+        for M in [perm_mf(d, S) for S in subsets] + [unit_mf(d)]:
+            d1_yx = M.d1[0][0].subs({"x": (1, "y"), "y": (1, "x")})
+            d0_yz = M.d0[0][0].subs({"x": (1, "y"), "y": (1, "z")})
+            core = ResidueCore((x - z - y) * d0_yz * d1_yx, "y", "z", CycNum.one(d), d)
+            B = ev_coev(M)[0].f1[0][0]
+            for f in probes:
+                assert B.apply(f) == exact_div(core.apply(f), x - z), (M, f)
 
     def test_coev_components_match_display(self):
         d = 3
