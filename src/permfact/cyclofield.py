@@ -19,12 +19,16 @@ as a tuple of ``Fraction`` coefficients.
 
 Phi_{2d} is monic with integer coefficients, so a product is an integer
 convolution followed by an integer reduction of t^k mod Phi_{2d} and one gcd;
-a sum of elements over the same denominator adds numerators.  The tables of a
-modulus are built on first use of that d: Phi_{2d}, all 2d powers of zeta
-(``zeta(d, k)`` is a lookup), the exponent of each of them, and a memo of
-inverses.  A power of an element equal to zeta^k, however it was built, is
-the lookup zeta^{k*e mod 2d}, for negative e too, with no inverse; any other
-base is raised by repeated squaring.  ``quantum_int`` is memoised per (n, q).
+a sum of elements over the same denominator adds numerators.  An inverse is
+integer arithmetic too: the product of the other Galois conjugates of the
+numerator, sigma_k(x) for the units k != 1 mod 2d, over the norm N(x), which
+is rational.  The tables of a modulus are built on first use of that d,
+from Phi_{2d} (the Mobius factorisation of t^{2d} - 1, over Z): all 2d powers
+of zeta (``zeta(d, k)`` is a lookup), the exponent of each of them, the
+reduction of t^k mod Phi_{2d}, the units mod 2d, and a memo of inverses.  A power of an element equal to
+zeta^k, however it was built, is the lookup zeta^{k*e mod 2d}, for negative e
+too, with no inverse; any other base is raised by repeated squaring.
+``quantum_int`` is memoised per (n, q).
 
 A product with a factor equal to one, tested by value since most ones are
 built by arithmetic, returns the other factor itself, and
@@ -98,56 +102,37 @@ def _mobius(n: int) -> int:
     return -1 if count % 2 else 1
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_divmod(num, den):
-    """Exact division with remainder of Q[t] coefficient lists (low to high)."""
-    num = list(num)
-    dn = len(den) - 1
-    while len(den) > 1 and not den[-1]:
-        den = den[:-1]
-        dn -= 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dn, 1)
-    for k in range(len(num) - 1, dn - 1, -1):
-        c = num[k] / lead
-        if c:
-            quot[k - dn] = c
-            for j in range(dn + 1):
-                num[k - dn + j] -= c * den[j]
-    while len(num) > 1 and not num[-1]:
-        num.pop()
-    return quot, num
-
-
 def cyclotomic_poly(n: int) -> list[int]:
     """Integer coefficients of Phi_n(t) (low to high), via the Mobius
-    factorisation of t^n - 1."""
-    num = [Fraction(1)]
-    den = [Fraction(1)]
+    factorisation of t^n - 1: the factors t^m - 1 with mu = 1 multiplied,
+    then those with mu = -1 divided out, each division exact over Z."""
+    num = [1]
+    divisors = []
     for k in range(1, n + 1):
         if n % k:
             continue
-        mu = _mobius(k)
-        if mu == 0:
-            continue
-        factor = [Fraction(-1)] + [Fraction(0)] * (n // k - 1) + [Fraction(1)]
+        mu, m = _mobius(k), n // k
         if mu == 1:
-            num = _poly_mul(num, factor)
-        else:
-            den = _poly_mul(den, factor)
-    quot, rem = _poly_divmod(num, den)
-    if any(rem) or any(c.denominator != 1 for c in quot):
-        raise FieldIdentityError(f"Phi_{n}: the cyclotomic division is not exact over Z")
-    return [int(c) for c in quot]
+            out = [0] * m + num
+            for i, c in enumerate(num):
+                out[i] -= c
+            num = out
+        elif mu == -1:
+            divisors.append(m)
+    for m in divisors:
+        # synthetic division by the monic t^m - 1: t^k = t^{k-m} (t^m - 1) + t^{k-m}
+        rem = list(num)
+        quot = [0] * max(len(rem) - m, 0)
+        for k in range(len(rem) - 1, m - 1, -1):
+            c = rem[k]
+            if c:
+                quot[k - m] = c
+                rem[k - m] += c
+                rem[k] = 0
+        if any(rem):
+            raise FieldIdentityError(f"Phi_{n}: the cyclotomic division is not exact over Z")
+        num = quot
+    return num
 
 
 def _make(d: int, num, den: int) -> "CycNum":
@@ -173,7 +158,8 @@ def _normal(d: int, num, den: int) -> "CycNum":
 class _FieldData:
     """Per-modulus tables of Q(zeta_{2d}), built on first use of d.
 
-    ``phi_poly``: the integer coefficients of Phi_{2d}, low to high.
+    ``units``: the residues k mod 2d coprime to 2d, ascending (so 1 first),
+    whose zeta -> zeta^k are the Galois automorphisms.
     ``zeta_powers``: zeta^k for k in range(2d), as elements.
     ``zeta_exponent``: k for the numerators of zeta^k (each has den 1).
     ``reduction``: for k = degree .. 2*degree - 2 (every power a product of
@@ -189,7 +175,7 @@ class _FieldData:
         phi = cyclotomic_poly(self.n)
         deg = len(phi) - 1
         self.degree = deg
-        self.phi_poly = tuple(phi)
+        self.units = tuple(k for k in range(1, self.n) if gcd(k, self.n) == 1)
         # t^k mod Phi for k < 2d: multiply by t, then replace t^deg by
         # -(phi[0] + ... + phi[deg-1] t^{deg-1}) (Phi is monic)
         powers = []
@@ -344,8 +330,13 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        """Extended Euclid on polynomial representatives modulo Phi_{2d},
-        memoised per field."""
+        """x^{-1} = prod_{k != 1} sigma_k(x) / N(x), memoised per field.
+
+        sigma_k is zeta -> zeta^k over the units k mod 2d, and the norm
+        N(x) = prod_k sigma_k(x) is rational.  The product runs over the
+        integral numerator, so it is integer arithmetic with one division
+        by the integer norm; FieldIdentityError when that norm is not a
+        nonzero rational."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         data = _FieldData._cache[self.d]
@@ -353,26 +344,16 @@ class CycNum:
         hit = data.inverses.get(key)
         if hit is not None:
             return hit
-        # (num/den)^{-1} = den * num^{-1}; gcd(num, Phi) = 1 as Phi is irreducible over Q
-        r0 = [Fraction(c) for c in data.phi_poly]
-        r1 = [Fraction(c) for c in self.num]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            quot, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            qs = _poly_mul(quot, s1)
-            new_s = [Fraction(0)] * max(len(s0), len(qs))
-            for i, c in enumerate(s0):
-                new_s[i] += c
-            for i, c in enumerate(qs):
-                new_s[i] -= c
-            s0, s1 = s1, new_s
-        # r0 is the gcd, which must be a nonzero constant
-        if not r0[0] or any(r0[1:]):
-            raise FieldIdentityError(f"{self!r} and Phi_{data.n} have a non-unit gcd")
-        inv = [c * self.den / r0[0] for c in s0[: data.degree]]
-        inv += [Fraction(0)] * (data.degree - len(inv))
-        out = data.inverses[key] = CycNum(self.d, inv)
+        # (num/den)^{-1} = den * a^{-1} for the integral a = num
+        a = _make(self.d, self.num, 1)
+        conj = CycNum.one(self.d)
+        for k in data.units[1:]:
+            conj = conj * a.galois(k)
+        norm = (a * conj).num
+        if not norm[0] or any(norm[1:]):
+            raise FieldIdentityError(f"the norm of {self!r} is not a nonzero rational")
+        scale = self.den if norm[0] > 0 else -self.den
+        out = data.inverses[key] = _normal(self.d, [c * scale for c in conj.num], abs(norm[0]))
         return out
 
     def __truediv__(self, other):

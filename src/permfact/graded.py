@@ -15,7 +15,7 @@ from fractions import Fraction
 from .cyclofield import CycNum, eta_power
 from .fusionring import FusionRing
 from .invariants import HomologyData, is_homotopy_iso, row_reduce
-from .linop import as_linop
+from .linop import LinOp
 from .mfcore import (
     MatrixBifact,
     MFMorphism,
@@ -119,12 +119,22 @@ def graded_tensor(A: GradedMF, B: GradedMF) -> GradedMF:
 
 
 def _entry_degree(entry, d):
-    """(uniform polynomial-degree shift, ok) of a matrix entry; (None, True) when it is zero."""
-    op = as_linop(entry, d)
-    shift = op.degree_shift()
-    if shift is None:
-        return None, op.is_zero()
-    return shift, True
+    """(uniform polynomial-degree shift, ok) of a matrix entry; (None, True) when it is zero.
+
+    A polynomial (or scalar) entry shifts by its degree when it is
+    homogeneous; an operator entry by its degree_shift."""
+    if isinstance(entry, LinOp):
+        shift = entry.degree_shift()
+        if shift is None:
+            return None, entry.is_zero()
+        return shift, True
+    if not isinstance(entry, MPoly):
+        entry = MPoly.constant(d, entry)
+    if entry.is_zero():
+        return None, True
+    if entry.is_homogeneous():
+        return entry.degree(), True
+    return None, False
 
 
 def graded_check(A: GradedMF) -> bool:

@@ -10,6 +10,12 @@ each variable to scalar * variable or to 0, so it rewrites monomials one term
 at a time.  `div_rem` is the one division routine, by the graded-lex leading
 term of the divisor; `exact_div` is the case of a zero remainder.
 
+`perm_product(d, S, u, v, l)` = prod_{j in S} (u - eta^{lj} v) is a binary
+form, so it is built from its coefficient list, memoised per (d, S, l)
+whatever the variable names: the product over S extends the memoised one
+over the sorted prefix S[:-1] by c'_k = c_k - eta^{lj} c_{k-1}, with no
+general polynomial product.
+
 A product with the unit polynomial returns the other operand itself, and a
 product with another nonzero constant scales the other operand's
 coefficients without forming monomial products.  This is safe because
@@ -380,20 +386,36 @@ def perm_product(d: int, S, u: str, v: str, l: int = 1) -> MPoly:
     """prod_{j in S} (u - eta^{lj} v); the empty product is 1.
 
     Raises NotCoprime unless gcd(l, d) = 1: otherwise eta^l is not a
-    primitive d-th root and the factors do not split x^d - y^d."""
+    primitive d-th root and the factors do not split x^d - y^d.  Raises
+    ValueError when u and v are the same variable."""
     if gcd(l, d) != 1:
         raise NotCoprime(f"the root exponent {l} is not coprime to d = {d}")
+    if u == v:
+        raise ValueError(f"perm_product needs two distinct variables, got {u!r} twice")
     return _perm_product(d, frozenset(s % d for s in S), u, v, l)
 
 
 @lru_cache(maxsize=None)
 def _perm_product(d: int, S: frozenset, u: str, v: str, l: int) -> MPoly:
-    out = MPoly.one(d)
-    uu = MPoly.var(d, u)
-    vv = MPoly.var(d, v)
-    for j in sorted(S):
-        out = out * (uu - vv * eta_power(d, j, l))
-    return out
+    n = len(S)
+    terms = {}
+    for k, c in enumerate(_perm_coeffs(d, tuple(sorted(S)), l)):
+        if c:
+            terms[frozenset((w, e) for w, e in ((u, n - k), (v, k)) if e)] = c
+    return MPoly(d, terms, _normalize=False)
+
+
+@lru_cache(maxsize=None)
+def _perm_coeffs(d: int, S: tuple, l: int) -> tuple:
+    """The coefficients c_k of u^{|S|-k} v^k in prod_{j in S} (u - eta^{lj} v)
+    for ascending S.  They do not depend on the variable names, and each is
+    one factor (u - e v) times the memoised product over S[:-1]:
+    c'_k = c_k - e c_{k-1}."""
+    if not S:
+        return (CycNum.one(d),)
+    prev = _perm_coeffs(d, S[:-1], l)
+    e = eta_power(d, S[-1], l)
+    return (prev[0], *(c - e * b for b, c in zip(prev, prev[1:])), -(e * prev[-1]))
 
 
 def difference_quotient(f: MPoly, v: str, w: str) -> MPoly:

@@ -411,6 +411,9 @@ def _jw(n: int, d: int, l: int) -> TLMorphism:
     return p
 
 
+_CERTIFIED: dict = {}  # (n, d, l) -> the TLMorphism certify_jw last accepted there
+
+
 def certify_jw(p: TLMorphism) -> None:
     """Certify that p is the Jones-Wenzl projector on p.src strands.
 
@@ -418,10 +421,15 @@ def certify_jw(p: TLMorphism) -> None:
     p e_i = 0 for every i, and trace [n+1].  The first two determine p_n
     uniquely and make it idempotent (Jones normal form, see the module
     docstring).  Raises NotJonesWenzl naming the first condition that fails.
+    A success is remembered per (n, d, l) for that very object (morphisms
+    are never mutated), so certifying the memoised jw(n, d, l) again costs
+    nothing; any other morphism, and every failure, is checked in full.
     """
     d, l, n = p.d, p.l, p.src
     if p.tgt != n:
         raise StrandMismatch(f"a projector is an endomorphism, got {n}->{p.tgt} strands")
+    if _CERTIFIED.get((n, d, l)) is p:
+        return
     if p.combo.get(tl_identity_diagram(n)) != CycNum.one(d):
         raise NotJonesWenzl(f"identity coefficient of p_{n} != 1")
     for i in range(1, n):
@@ -432,6 +440,7 @@ def certify_jw(p: TLMorphism) -> None:
             raise NotJonesWenzl(f"p_{n} e_{i} != 0")
     if p.trace() != quantum_int(n + 1, q_root(d, l)):
         raise NotJonesWenzl(f"trace p_{n} != [{n + 1}]")
+    _CERTIFIED[(n, d, l)] = p
 
 
 def tl_end_dimension(d: int, l: int = 1) -> int:

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -189,6 +190,68 @@ def _normalised(x):
     return x.den > 0 and math.gcd(x.den, *x.num) == 1
 
 
+def _poly_divmod(num, den):
+    """Division with remainder of Q[t] coefficient lists (low to high)."""
+    num = list(num)
+    while len(den) > 1 and not den[-1]:
+        den = den[:-1]
+    dn = len(den) - 1
+    quot = [Fraction(0)] * max(len(num) - dn, 1)
+    for k in range(len(num) - 1, dn - 1, -1):
+        c = num[k] / den[-1]
+        if c:
+            quot[k - dn] = c
+            for j in range(dn + 1):
+                num[k - dn + j] -= c * den[j]
+    while len(num) > 1 and not num[-1]:
+        num.pop()
+    return quot, num
+
+
+def _euclid_inverse(x):
+    """x^{-1} by extended Euclid over Q[t] modulo Phi_{2d}: the reference
+    the norm-based CycNum.inverse is checked against."""
+    deg = len(x.coeffs)
+    r0 = [Fraction(c) for c in cyclotomic_poly(2 * x.d)]
+    r1 = list(x.coeffs)
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while any(r1):
+        quot, rem = _poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        new_s = s0 + [Fraction(0)] * max(len(quot) + len(s1) - 1 - len(s0), 0)
+        for i, a in enumerate(quot):
+            for j, b in enumerate(s1):
+                new_s[i + j] -= a * b
+        s0, s1 = s1, new_s
+    assert r0[0] and not any(r0[1:]), "Phi_{2d} is irreducible, so the gcd is a unit"
+    inv = [c / r0[0] for c in s0[:deg]]
+    return CycNum(x.d, inv + [Fraction(0)] * (deg - len(inv)))
+
+
+class TestNormInverse:
+    @pytest.mark.parametrize("d", [3, 5, 7, 9, 15])
+    def test_inverse_against_euclid(self, d):
+        rng = random.Random(d)
+        deg = len(CycNum.zero(d).coeffs)
+        done = 0
+        while done < 12:
+            x = CycNum(d, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)])
+            if x.is_zero():
+                continue
+            inv = x.inverse()
+            assert x * inv == 1
+            assert inv == _euclid_inverse(x)
+            assert _normalised(inv)
+            done += 1
+
+    def test_rational_and_root_inverses(self):
+        # d = 1 is Q itself: no other conjugate, and the only field here with a negative norm
+        for d in (1, 3, 9):
+            assert CycNum.from_rational(d, Fraction(-3, 7)).inverse() == Fraction(-7, 3)
+            for k in range(2 * d):
+                assert CycNum.zeta(d, k).inverse() == CycNum.zeta(d, -k)
+
+
 class TestKernel:
     @pytest.mark.parametrize("d", KERNEL_DS)
     @given(data=st.data())
@@ -344,9 +407,12 @@ class TestModulusValidation:
 
 class TestFieldIdentityChecks:
     def test_non_unit_gcd(self, monkeypatch):
-        # t^2 - 1 in place of Phi_4 = t^2 + 1: t - 1 shares a factor with it
+        # t^2 - 1 in place of Phi_4 = t^2 + 1: t - 1 shares a factor with it.
+        # The norm reads the reduction t^2 = 1 and the powers 1, t, 1, t of
+        # the fake modulus, and N(t - 1) = (t - 1)^2 = 2 - 2t is not rational.
         fake = _FieldData(2)
-        fake.phi_poly = (-1, 0, 1)
+        fake.reduction = (((0, 1),),)
+        fake.zeta_powers = tuple(_normal(2, p, 1) for p in ((1, 0), (0, 1), (1, 0), (0, 1)))
         monkeypatch.setitem(_FieldData._cache, 2, fake)
         with pytest.raises(FieldIdentityError):
             CycNum(2, [-1, 1]).inverse()

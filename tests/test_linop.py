@@ -252,6 +252,17 @@ def test_zero_entry_of_mixed_degree_shifts_has_no_degree_but_is_fine():
     assert _entry_degree(z, D) == (None, True)
 
 
+def test_polynomial_entry_degree_is_read_off_the_polynomial(monkeypatch):
+    # no operator is built for a polynomial or scalar entry
+    monkeypatch.setattr(LinOp, "poly", None)
+    x, y = MPoly.var(D, "x"), MPoly.var(D, "y")
+    assert _entry_degree(MPoly.zero(D), D) == (None, True)
+    assert _entry_degree(CycNum.zero(D), D) == (None, True)
+    assert _entry_degree(CycNum.one(D), D) == (0, True)
+    assert _entry_degree(x * y - y**2, D) == (2, True)
+    assert _entry_degree(x * y + x, D) == (None, False)
+
+
 # -- the operator protocol of matrix entries ----------------------------------------
 
 OPERATORS = [op for case in ZERO_TEST_CASES for op in case[1:3]]

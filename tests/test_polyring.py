@@ -1,3 +1,5 @@
+import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -227,6 +229,23 @@ class TestPermProduct:
             S = {i for i in range(d) if mask >> i & 1}
             comp = set(range(d)) - S
             assert perm_product(d, S, "x", "y") * perm_product(d, comp, "x", "y") == full
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_prefix_recurrence_matches_naive_product(self, d):
+        # the coefficient recurrence against the product of linear factors,
+        # on every nonempty subset, every coprime l and two variable pairs
+        for l in (l for l in range(1, d) if math.gcd(l, d) == 1):
+            for r in range(1, d + 1):
+                for S in itertools.combinations(range(d), r):
+                    for u, v in (("x", "y"), ("y", "z")):
+                        naive = MPoly.one(d)
+                        for j in S:
+                            naive = naive * (MPoly.var(d, u) - MPoly.var(d, v) * eta_power(d, j, l))
+                        assert perm_product(d, S, u, v, l) == naive
+
+    def test_variables_must_differ(self):
+        with pytest.raises(ValueError):
+            perm_product(3, {0}, "x", "x")
 
 
 def test_difference_quotient():

@@ -132,6 +132,17 @@ class TestJonesWenzl:
         with pytest.raises(NotJonesWenzl, match="identity coefficient"):
             certify_jw(p + tl_identity(D, 4))
 
+    def test_certificate_is_remembered_for_that_projector_only(self, monkeypatch):
+        p = jw(4, D)
+        certify_jw(p)
+        with monkeypatch.context() as m:
+            m.setattr(TLMorphism, "compose", None)  # certifying p again composes nothing
+            certify_jw(p)
+        bumped = p + tl_e(D, 4, 2)
+        for _ in range(2):  # another morphism on the same (n, d, l); a failure is never remembered
+            with pytest.raises(NotJonesWenzl):
+                certify_jw(bumped)
+
     def test_certificate_needs_an_endomorphism(self):
         with pytest.raises(StrandMismatch):
             certify_jw(TLMorphism.from_diagram(D, TLDiagram(2, 0, [(0, 1)])))
