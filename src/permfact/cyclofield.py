@@ -54,6 +54,7 @@ __all__ = [
     "EvenModulus",
     "NotCoprime",
     "eta_power",
+    "require_coprime",
     "quantum_int",
     "kappa",
 ]
@@ -441,6 +442,12 @@ def eta_power(d: int, k: int, l: int = 1) -> CycNum:
     return CycNum.zeta(d, 2 * ((k * l) % d))
 
 
+def require_coprime(d: int, l: int) -> None:
+    """Raise NotCoprime unless gcd(l, d) = 1, i.e. unless eta^l is a primitive d-th root."""
+    if gcd(l, d) != 1:
+        raise NotCoprime(f"the root exponent {l} is not coprime to d = {d}")
+
+
 def q_root(d: int, l: int = 1) -> CycNum:
     """The half root pairing with eta^l: the odd power q_l with q_l^2 = eta^l.
 
@@ -464,6 +471,5 @@ def kappa(d: int, l: int = 1) -> CycNum:
     """-(eta^{l(d-1)/2} + eta^{l(d+1)/2}) = 2*cos(pi*l~/d) with l~ = l or d-l."""
     if d % 2 == 0 or d < 3:
         raise EvenModulus("kappa needs odd d >= 3")
-    if gcd(l, d) != 1:
-        raise NotCoprime(f"the root exponent {l} is not coprime to d = {d}")
+    require_coprime(d, l)
     return -(eta_power(d, (d - 1) // 2, l) + eta_power(d, (d + 1) // 2, l))

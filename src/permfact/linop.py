@@ -17,13 +17,18 @@ scalar * variable, possibly to 0) and core is the optional residue extractor
 No term has a denominator: the one quotient the duality maps need, the odd
 entry of ev, is divided exactly when `mfcore.ev_coev` builds it.
 
-Normal form: prem is reduced modulo elim^step - (injc*inj)^step; the quotient
-telescopes to an evaluation at elim = 0.  The normal form is not unique, so
-`LinOp.is_zero` decides zero by rewriting every term over maps that are
-linearly independent over the field of rational functions: monomial
-substitutions, and f |-> phi(coeff_elim(f, j)) for j >= 1.  A residue core is
-a roots-of-unity filter: with g = prem * f and omega over the step-th roots of
-unity (in Q(zeta_{2d}), as step divides 2d),
+Normal form: every stored term has prem reduced modulo elim^step -
+(injc*inj)^step, so the elim-degree of prem is below step; the quotient
+telescopes to an evaluation at elim = 0.  Terms are normalised once:
+`Term.normalized` returns a normal term as it is, `_compose_terms` returns
+only normal terms, and sums and constant multiples of normal premultipliers
+stay normal, so `compose`, `+` and `-` only regroup.
+
+The normal form is not unique, so `LinOp.is_zero` decides zero by rewriting
+every term over maps that are linearly independent over the field of
+rational functions: monomial substitutions, and f |-> phi(coeff_elim(f, j))
+for j >= 1.  A residue core is a roots-of-unity filter: with g = prem * f and
+omega over the step-th roots of unity (in Q(zeta_{2d}), as step divides 2d),
 
     (injc*inj)^step * core(f) = (1/step) sum_omega g(elim -> omega*injc*inj) - g(elim -> 0),
 
@@ -34,6 +39,21 @@ x^a, each map is a product over variables of an exponential lambda^{a_v}
 factors are linearly independent (induct on the variables; on N, point masses
 and exponentials with distinct nonzero bases are independent by Vandermonde).
 So an operator is zero iff, for each map, its coefficients sum to zero.
+
+Most residue terms need no expansion.  The residue terms that keep injc*inj
+and share (phi, elim, inj, injc, step) form a filter group.  With
+phi(injc*inj) = c*w (c != 0) and Q_k = sum_t num_t * phi(prem_{t,k}), k < step,
+the group's coefficient on phi . sigma_j, sigma_j: elim -> omega_j*injc*inj,
+is sum_k omega_j^k (c*w)^k Q_k / (step * (c*w)^step), and on
+phi . {elim -> 0} it is -Q_0 / (c*w)^step.  The maps phi . sigma_j are
+distinct (the omega_j are, and c != 0), and (omega_j^k) over j, k < step is
+an invertible Vandermonde (DFT) matrix, so all of the group's coefficients
+vanish iff every Q_k does; the normal form matters here, since k < step keeps
+the powers omega_j^k apart.  When no other group or term reaches any of these
+step + 1 maps, nothing else adds to their coefficients, so `is_zero` decides
+the group by its sums Q_k alone.  A group that shares a map with another group
+or term (injc differing by a step-th root of unity, or a substitution landing
+on a filter map) is expanded as above.
 
 As matrix entries, operators, polynomials and scalars combine by `+`, `*`
 and `==` whatever their type: `a * b` is a after b (for a polynomial p,
@@ -230,7 +250,10 @@ class Term:
         return consumed or (self.phi.touches(var) and not self.phi.maps_onto(var))
 
     def normalized(self) -> list["Term"]:
-        """Reduce prem modulo elim^step - (injc*inj)^step; split the telescoped part."""
+        """Reduce prem modulo elim^step - (injc*inj)^step; split the telescoped part.
+
+        A term already in normal form (elim-degree of prem below step) is
+        returned as [self]."""
         if self.num.is_zero():
             return []
         if self.core is None:
@@ -240,6 +263,8 @@ class Term:
         if core.prem.is_zero():
             return []
         elim = core.elim
+        if core.prem.degree_in(elim) < core.step:
+            return [self]
         rhs = core.modulus_rhs()
         rem_parts = dict(core.prem.coeff_dict_in(elim))
         quot = MPoly.zero(d)
@@ -432,7 +457,7 @@ class LinOp:
         for t2 in self.terms:
             for t1 in other.terms:
                 out.extend(_compose_terms(t2, t1))
-        return LinOp(self.d, out)
+        return LinOp._regrouped(self.d, out)
 
     def conjugated(self, out_map: Subst, in_map: Subst) -> "LinOp":
         """out_map . self . in_map (coordinate change by scalings/renames)."""
@@ -495,13 +520,10 @@ class LinOp:
 
     def is_zero(self) -> bool:
         """True iff each independent map's coefficients sum to zero (see the module docstring)."""
-        if not self.terms:
-            return True
-        groups: dict = {}
-        for t in self.terms:
-            for key, num, den in _basis_expansion(t):
-                groups.setdefault(key, []).append((num, den))
-        return all(_sum_fractions(self.d, parts)[0].is_zero() for parts in groups.values())
+        isolated, parts = _zero_test_parts(self.terms)
+        return all(_filter_sums_vanish(g) for g in isolated) and all(
+            _sum_fractions(self.d, p)[0].is_zero() for p in parts.values()
+        )
 
     def equals(self, other) -> bool:
         return (self - other).is_zero()
@@ -556,6 +578,74 @@ def _sum_fractions(d: int, parts) -> tuple[MPoly, MPoly]:
     return total, common
 
 
+def _injection_image(t: Term):
+    """(c, w) with phi(injc*inj) = c*w for a residue term; None if phi kills it."""
+    img = t.phi.image_of(t.core.inj)
+    if img is None or t.core.injc.is_zero():
+        return None
+    return t.core.injc * img[0], img[1]
+
+
+def _filter_keys(t: Term) -> list:
+    """Keys of the maps a residue term's filter reaches: phi . sigma_j for
+    j < step, with sigma_j: elim -> omega_j*injc*inj, then phi . {elim -> 0}."""
+    d = t.num.d
+    core, phi = t.core, t.phi
+    unit = 2 * d // core.step  # omega_j = zeta^(unit*j)
+    keys = [
+        phi.compose(Subst(d, {core.elim: (CycNum.zeta(d, unit * j) * core.injc, core.inj)})).key()
+        for j in range(core.step)
+    ]
+    keys.append(phi.compose(Subst(d, {core.elim: None})).key())
+    return keys
+
+
+def _zero_test_parts(terms):
+    """(isolated filter groups, {key: [(num, den)]} from expanding every other term).
+
+    A filter group is the residue terms that keep injc*inj and share
+    (phi, elim, inj, injc, step); it is isolated when no other group or term
+    reaches any of its filter keys."""
+    groups: dict = {}
+    parts: dict = {}
+
+    def expand(t):
+        for key, num, den in _basis_expansion(t):
+            parts.setdefault(key, []).append((num, den))
+
+    for t in terms:
+        if t.core is None or _injection_image(t) is None:
+            expand(t)
+        else:
+            c = t.core
+            groups.setdefault((t.phi.key(), c.elim, c.inj, c.injc, c.step), []).append(t)
+    keys_of = [(group, _filter_keys(group[0])) for group in groups.values()]
+    plain = set(parts)
+    reached: dict = {}
+    for _, keys in keys_of:
+        for key in keys:
+            reached[key] = reached.get(key, 0) + 1
+    isolated = []
+    for group, keys in keys_of:
+        if all(reached[key] == 1 and key not in plain for key in keys):
+            isolated.append(group)
+        else:
+            for t in group:
+                expand(t)
+    return isolated, parts
+
+
+def _filter_sums_vanish(group) -> bool:
+    """True iff Q_k = sum_t num_t * phi(prem_{t,k}) vanishes for every k."""
+    phi, elim = group[0].phi, group[0].core.elim
+    sums: dict = {}
+    for t in group:
+        for k, pk in t.core.prem.coeff_dict_in(elim).items():
+            q = t.num * phi.apply(pk)
+            sums[k] = sums[k] + q if k in sums else q
+    return all(q.is_zero() for q in sums.values())
+
+
 def _basis_expansion(t: Term):
     """Triples (key, num, den) with t(f) = sum num * B_key(f) / den.
 
@@ -570,9 +660,8 @@ def _basis_expansion(t: Term):
     d = t.num.d
     core, phi = t.core, t.phi
     elim, step = core.elim, core.step
-    img = phi.image_of(core.inj)
-    c = CycNum.zero(d) if img is None else core.injc * img[0]
-    if c.is_zero():
+    image = _injection_image(t)
+    if image is None:
         # phi kills injc*inj: t(f) = num * phi(coeff_elim(prem * f, step))
         rest = phi.restricted_without(elim)
         one = MPoly.one(d)
@@ -584,18 +673,18 @@ def _basis_expansion(t: Term):
         return
     # the roots-of-unity filter over phi(injc*inj)^step = (c*w)^step, with
     # phi(prem(elim -> omega*injc*inj)) = sum_k omega^k * (c*w)^k * phi(prem_k)
-    w = img[1]
+    c, w = image
     den = MPoly.var(d, w, step)
     scale = (c**step * step).inverse()
     parts = {}
     for k, pk in core.prem.coeff_dict_in(elim).items():
         parts[k] = phi.apply(pk) * MPoly.var(d, w, k) * (c**k * scale)
+    keys = _filter_keys(t)
     unit = 2 * d // step  # omega_j = zeta^(unit*j)
     for j in range(step):
         value = MPoly.zero(d)
         for k, part in parts.items():
             value = value + (part * CycNum.zeta(d, unit * j * k) if j * k else part)
-        sigma = Subst(d, {elim: (CycNum.zeta(d, unit * j) * core.injc, core.inj)})
-        yield phi.compose(sigma).key(), t.num * value, den
+        yield keys[j], t.num * value, den
     if 0 in parts:
-        yield phi.compose(Subst(d, {elim: None})).key(), t.num * parts[0] * -step, den
+        yield keys[step], t.num * parts[0] * -step, den

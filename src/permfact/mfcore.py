@@ -47,7 +47,7 @@ import weakref
 from functools import lru_cache
 from typing import NamedTuple
 
-from .cyclofield import CycNum, EvenModulus, eta_power
+from .cyclofield import CycNum, EvenModulus, eta_power, require_coprime
 from .linop import LinOp, ResidueCore, Subst, Term, as_linop
 from .polyring import MPoly, difference_quotient, exact_div, perm_product
 
@@ -694,19 +694,25 @@ def duality_pieces(d: int, l: int = 1) -> DualityPieces:
 
 
 def twist_mf(M: MatrixBifact, a: int, b: int, l: int = 1) -> MatrixBifact:
-    """((a)M(b)) in honest form: left var scaled by eta^{la}, right by eta^{-lb}."""
+    """((a)M(b)) in honest form: left var scaled by eta^{la}, right by eta^{-lb}.
+
+    Like every twist below (and chi, mu, renamed_mu, which are built from
+    it), raises NotCoprime unless gcd(l, d) = 1."""
+    require_coprime(M.d, l)
     inner = (CycNum.one(M.d),) * len(M.int_vars)
     return M.rescaled((eta_power(M.d, a, l),) + inner + (eta_power(M.d, -b, l),))
 
 
 def diag_twist_mf(M: MatrixBifact, a: int, l: int = 1) -> MatrixBifact:
     """((a)M(-a)) with every variable scaled: the per-factor form for tensor words."""
+    require_coprime(M.d, l)
     return M.rescaled((eta_power(M.d, a, l),) * len(M.all_vars))
 
 
 def twist_morphism(f: MFMorphism, a: int, l: int = 1) -> MFMorphism:
     """Apply the diagonal twist functor ((a)(-)(-a)) to a morphism (honest form)."""
     d = f.d
+    require_coprime(d, l)
     e = eta_power(d, a, l)
     einv = eta_power(d, -a, l)
     out_map = Subst(d, {v: (e, v) for v in f.tgt.all_vars})

@@ -7,8 +7,10 @@ monomials to nonzero CycNum coefficients.  A monomial is a frozenset of
 so it is canonical and hashable, the constant monomial is the empty set, and
 two polynomials are equal iff their term dicts coincide.  Substitution maps
 each variable to scalar * variable or to 0, so it rewrites monomials one term
-at a time.  `div_rem` is the one division routine, by the graded-lex leading
-term of the divisor; `exact_div` is the case of a zero remainder.
+at a time; a scaling (every variable to a multiple of itself) keeps each
+monomial and only multiplies its coefficient.  `div_rem` is the one division
+routine, by the graded-lex leading term of the divisor; `exact_div` is the
+case of a zero remainder.
 
 `perm_product(d, S, u, v, l)` = prod_{j in S} (u - eta^{lj} v) is a binary
 form, so it is built from its coefficient list, memoised per (d, S, l)
@@ -28,9 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
-from .cyclofield import CycNum, ModulusMismatch, NotCoprime, eta_power
+from .cyclofield import CycNum, ModulusMismatch, eta_power, require_coprime
 
 __all__ = [
     "MPoly",
@@ -253,6 +254,10 @@ class MPoly:
     def is_homogeneous(self) -> bool:
         return len({sum(k for _, k in m) for m in self.terms}) <= 1
 
+    def degree_in(self, v: str) -> int:
+        """Highest exponent of v; -1 for the zero polynomial."""
+        return max((dict(m).get(v, 0) for m in self.terms), default=-1)
+
     def coeff_dict_in(self, v: str) -> dict:
         """Decompose along v: {k: coefficient of v^k, an MPoly in the rest}."""
         out: dict = {}
@@ -277,6 +282,26 @@ class MPoly:
             images[v] = img
         if not any(v in images for v in self.vars):
             return self
+        if all(img is not None and img[1] == v for v, img in images.items()):
+            return self._rescaled({v: img[0] for v, img in images.items() if not img[0].is_one()})
+        return self._mapped(images)
+
+    def _rescaled(self, scales: dict) -> "MPoly":
+        """The scaling v -> scales[v] * v: every monomial stays, its coefficient
+        gains prod_v scales[v]^k, and none becomes zero."""
+        if not scales:
+            return self
+        out = {}
+        for m, c in self.terms.items():
+            for v, k in m:
+                s = scales.get(v)
+                if s is not None:
+                    c = c * s**k
+            out[m] = c
+        return MPoly(self.d, out, _normalize=False)
+
+    def _mapped(self, images: dict) -> "MPoly":
+        """The general monomial map: images are (nonzero c, w) or None."""
         one = CycNum.one(self.d)
         out: dict = {}
         for m, c in self.terms.items():
@@ -388,8 +413,7 @@ def perm_product(d: int, S, u: str, v: str, l: int = 1) -> MPoly:
     Raises NotCoprime unless gcd(l, d) = 1: otherwise eta^l is not a
     primitive d-th root and the factors do not split x^d - y^d.  Raises
     ValueError when u and v are the same variable."""
-    if gcd(l, d) != 1:
-        raise NotCoprime(f"the root exponent {l} is not coprime to d = {d}")
+    require_coprime(d, l)
     if u == v:
         raise ValueError(f"perm_product needs two distinct variables, got {u!r} twice")
     return _perm_product(d, frozenset(s % d for s in S), u, v, l)

@@ -224,6 +224,9 @@ class TLMorphism:
 
     @staticmethod
     def from_diagram(d: int, dg: TLDiagram, l: int = 1) -> "TLMorphism":
+        """One diagram with coefficient 1.  Validates the root as jw does:
+        EvenModulus unless d is odd and >= 3, NotCoprime unless gcd(l, d) = 1."""
+        kappa(d, l)
         return TLMorphism(d, dg.n_bottom, dg.n_top, {dg: CycNum.one(d)}, l)
 
     def _same_root(self, other: "TLMorphism") -> None:

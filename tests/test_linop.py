@@ -4,10 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permfact.checks import build_checks
 from permfact.cyclofield import CycNum, eta_power, kappa
 from permfact.graded import _entry_degree
-from permfact.linop import LinOp, ResidueCore, ResidueVariableClash, Subst, Term
+from permfact.linop import (
+    LinOp,
+    ResidueCore,
+    ResidueVariableClash,
+    Subst,
+    Term,
+    _basis_expansion,
+    _compose_terms,
+    _sum_fractions,
+    _zero_test_parts,
+    as_linop,
+)
+from permfact.mfcore import duality_un, ev_coev, twist_morphism, zigzag_morphisms
 from permfact.polyring import MPoly, exact_div
+from permfact.temperleylieb import evaluate_F, tl_e
 
 
 D = 3
@@ -261,6 +275,131 @@ def test_polynomial_entry_degree_is_read_off_the_polynomial(monkeypatch):
     assert _entry_degree(CycNum.one(D), D) == (0, True)
     assert _entry_degree(x * y - y**2, D) == (2, True)
     assert _entry_degree(x * y + x, D) == (None, False)
+
+
+# -- the zero test by filter groups, against the full expansion ----------------------
+
+
+def _expanded_is_zero(op):
+    """Reference zero test: every term expanded over the independent maps."""
+    groups: dict = {}
+    for t in op.terms:
+        for key, num, den in _basis_expansion(t):
+            groups.setdefault(key, []).append((num, den))
+    return all(_sum_fractions(op.d, parts)[0].is_zero() for parts in groups.values())
+
+
+def _duality_morphisms(d):
+    """u, n, ev, coev, F(e_1), the two zig-zags, and their twists by a = 1."""
+    u, n, T, _ = duality_un(d)
+    ev, coev = ev_coev(T)
+    base = [u, n, ev, coev, evaluate_F(tl_e(d, 2, 1)), *zigzag_morphisms(d)]
+    return base + [twist_morphism(f, 1) for f in base]
+
+
+def _operator_entries(morphisms):
+    return [e for f in morphisms for mat in (f.f0, f.f1) for row in mat for e in row if isinstance(e, LinOp)]
+
+
+def _delta_differences(f):
+    """d_tgt . f - (-1)^|f| f . d_src entry by entry: zero operators when f is a cycle."""
+    sign = -1 if f.z2_degree else 1
+    for a, b in f._delta_terms():
+        for ra, rb in zip(a, b):
+            for x, y in zip(ra, rb):
+                yield as_linop(x, f.d) - as_linop(y, f.d).scaled(sign)
+
+
+def _perturbed(op, group):
+    """op with one premultiplier coefficient of the group's first term raised by 1,
+    at a monomial its substitution keeps."""
+    t = group[0]
+    m = next(m for m in t.core.prem.terms if not t.phi.apply(MPoly(op.d, {m: CycNum.one(op.d)})).is_zero())
+    c = t.core
+    core = ResidueCore(c.prem + MPoly(op.d, {m: CycNum.one(op.d)}), c.elim, c.inj, c.injc, c.step)
+    return LinOp(op.d, [Term(t.num, t.phi, core) if u is t else u for u in op.terms])
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_zero_test_agrees_with_the_full_expansion_on_the_duality_data(d):
+    morphisms = _duality_morphisms(d)
+    entries = _operator_entries(morphisms)
+    deltas = [diff for f in morphisms for diff in _delta_differences(f)]
+    ops = entries + [a - b for i, a in enumerate(entries) for b in entries[:i]] + deltas
+    for op in ops:
+        assert op.is_zero() == _expanded_is_zero(op)
+    # every morphism is a cycle, and the filter-group sums decide some of its squares
+    assert all(op.is_zero() for op in deltas)
+    decided = [(op, g) for op in deltas for g in _zero_test_parts(op.terms)[0]]
+    assert decided
+    # negative control: one perturbed coefficient in an isolated group is seen
+    for op, group in decided:
+        bad = _perturbed(op, group)
+        assert _zero_test_parts(bad.terms)[0]
+        assert not bad.is_zero() and not _expanded_is_zero(bad)
+
+
+COLLIDING_CASES = [
+    # (name, zero operator, the same with one coefficient perturbed)
+    (
+        "injection scalars differing by a root of unity",
+        LinOp(D, [res(P, num=X), res(P, num=Z), res(-P, injc=OMEGA, num=X + Z)]),
+        LinOp(D, [res(P, num=X), res(P, num=Z), res(-P, injc=OMEGA, num=X + 2 * Z)]),
+    ),
+    ("substitutions landing on filter maps", ZERO_TEST_CASES[3][1], ZERO_TEST_CASES[3][2]),
+]
+
+
+@pytest.mark.parametrize("name,zero,perturbed", COLLIDING_CASES, ids=[c[0] for c in COLLIDING_CASES])
+def test_filter_groups_that_share_maps_are_expanded(name, zero, perturbed):
+    for op, expect in ((zero, True), (perturbed, False)):
+        isolated, parts = _zero_test_parts(op.terms)
+        assert not isolated and parts
+        assert op.is_zero() == _expanded_is_zero(op) == expect
+
+
+# -- normal form once, and composition by regrouping ---------------------------------
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_normal_terms_normalise_to_themselves(d):
+    terms = [t for op in _operator_entries(_duality_morphisms(d)) for t in op.terms]
+    assert any(t.core is not None for t in terms)
+    for t in terms:
+        out = t.normalized()
+        assert len(out) == 1 and out[0] is t
+
+
+def test_a_term_above_the_normal_form_is_rewritten():
+    t = res(P * Y**3)
+    out = t.normalized()
+    assert out and all(u is not t for u in out)
+    assert all(u.core is None or u.core.prem.degree_in("y") < D for u in out)
+    for f in (ONE, Y, X * Y**2, Y**5 + Z):
+        assert LinOp(D, out).apply(f) == t.apply(f)
+
+
+def _term_key(t):
+    core = None if t.core is None else (t.core.prem, t.core.elim, t.core.inj, t.core.injc, t.core.step)
+    return t.num, t.phi.key(), core
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_compose_builds_what_the_normalising_constructor_builds(d, monkeypatch):
+    compose = LinOp.compose
+    agree = []
+
+    def checked(self, other):
+        out = compose(self, other)
+        b = as_linop(other, self.d)
+        ref = LinOp(self.d, [t for t2 in self.terms for t1 in b.terms for t in _compose_terms(t2, t1)])
+        agree.append([_term_key(t) for t in out.terms] == [_term_key(t) for t in ref.terms])
+        return out
+
+    monkeypatch.setattr(LinOp, "compose", checked)
+    for check in build_checks(d, 1, ["core", "tl", "equivariance"]):
+        assert check.run()["status"] == "pass"
+    assert agree and all(agree)
 
 
 # -- the operator protocol of matrix entries ----------------------------------------

@@ -534,6 +534,23 @@ class TestInputGuards:
         with pytest.raises(NotCoprime):
             perm_product(d, S, "x", "y", l)
 
+    @pytest.mark.parametrize("d,l", [(3, 3), (9, 6), (15, 5)])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda d, l: chi(d, 1, l=l), id="chi"),
+            pytest.param(lambda d, l: mu(d, 1, 1, l), id="mu"),
+            pytest.param(lambda d, l: renamed_mu(d, 1, 1, {"z": "y2"}, l), id="renamed_mu"),
+            pytest.param(lambda d, l: twist_mf(perm_mf(d, {0}), 1, 1, l), id="twist_mf"),
+            pytest.param(lambda d, l: diag_twist_mf(perm_mf(d, {0}), 1, l), id="diag_twist_mf"),
+            pytest.param(lambda d, l: twist_morphism(identity_morphism(perm_mf(d, {0})), 1, l), id="twist_morphism"),
+        ],
+    )
+    def test_twists_reject_a_root_exponent_not_coprime_to_d(self, build, d, l):
+        # chi(3, 1, l=3) used to return the untwisted unit, and mu(3, 1, 1, 3) passed is_cycle
+        with pytest.raises(NotCoprime):
+            build(d, l)
+
     def test_duality_un_checks_the_dual_comparison_source(self, monkeypatch):
         other = identity_morphism(perm_mf(3, {0}))
         monkeypatch.setattr(mfcore, "perm_dual_iso", lambda *args: other)

@@ -279,6 +279,31 @@ class TestSubs:
             c, w = m.get(v, (1, v)) or (0, v)
             assert MPoly.var(d, v).subs(m) == MPoly.var(d, w) * c
 
+    @pytest.mark.parametrize("d", [3, 5])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_scaling_path_equals_the_general_path(self, d, data):
+        f = data.draw(polys(d, "xyz"))
+        nonzero = scalars(d).filter(lambda c: not c.is_zero())
+        scales = data.draw(st.dictionaries(st.sampled_from("xyz"), nonzero, max_size=3))
+        mapping = {v: (c, v) for v, c in scales.items()}
+        out = f.subs(mapping)
+        assert out == f._mapped(mapping)
+        assert out.terms.keys() == f.terms.keys()  # a scaling keeps every monomial
+
+    def test_only_scalings_take_the_scaling_path(self, monkeypatch):
+        f = X**2 * Y + 3 * Z
+        monkeypatch.setattr(MPoly, "_rescaled", None)  # the scaling path would now raise
+        assert f.subs({"x": (1, "y"), "y": (1, "x")}) == Y**2 * X + 3 * Z
+        assert f.subs({"x": (2, "x"), "z": None}) == X**2 * Y * 4
+        assert f.subs({"x": (0, "x")}) == 3 * Z
+        with pytest.raises(TypeError):
+            f.subs({"x": (2, "x")})
+        monkeypatch.undo()
+        monkeypatch.setattr(MPoly, "_mapped", None)  # the general path would now raise
+        assert f.subs({"x": (2, "x"), "z": (eta_power(3, 1), "z")}) == X**2 * Y * 4 + Z * (3 * eta_power(3, 1))
+        assert f.subs({"x": (1, "x")}) is f
+
     def test_simultaneous(self):
         assert (X**2 * Y).subs({"x": (1, "y"), "y": (2, "x")}) == Y**2 * X * 2
         assert (X - Y).subs({"x": (1, "y")}).is_zero()

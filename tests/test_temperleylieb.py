@@ -224,6 +224,28 @@ class TestOneSidedRecursion:
         with pytest.raises(NotCoprime):
             fn(*args)
 
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (tl_e, (3, 2, 1, 3)),
+            (tl_e, (9, 3, 1, 6)),
+            (tl_identity, (5, 2, 10)),
+            (TLMorphism.from_diagram, (15, TLDiagram(2, 0, [(0, 1)]), 5)),
+        ],
+    )
+    def test_morphisms_reject_a_root_exponent_not_coprime(self, fn, args):
+        # tl_e(3, 2, 1, 3) used to build a morphism that failed only at its first compose
+        with pytest.raises(NotCoprime):
+            fn(*args)
+
+    @pytest.mark.parametrize(
+        "fn, args",
+        [(tl_e, (4, 2, 1)), (tl_identity, (1, 2)), (TLMorphism.from_diagram, (6, TLDiagram(0, 2, [(0, 1)])))],
+    )
+    def test_morphisms_reject_an_even_or_small_modulus(self, fn, args):
+        with pytest.raises(EvenModulus):
+            fn(*args)
+
     def test_vanishing_trace_is_not_a_dimension(self, monkeypatch):
         # certify_jw still traces p_{d-2}; only the trace on d - 1 strands is zeroed
         trace = TLMorphism.trace
