@@ -203,14 +203,13 @@ def g_pair(d: int, a: int, b: int, mu: int, l: int = 1):
     A = hat_p(d, {a, a + 1}, "x", "y", l)
     B = hat_p(d, {b + j for j in range(mu + 1)}, "y", "z", l)
     AB = graded_tensor(A, B)
+    Qm = hat_p(d, {a + b + 1 + j for j in range(mu)}, "x", "z", l)
+    Qp = hat_p(d, {a + b + j for j in range(mu + 2)}, "x", "z", l)
 
-    p1 = perm_product(d, {a, a + 1}, "x", "y", l)
-    pmu = perm_product(d, {b + j for j in range(mu + 1)}, "y", "z", l)
-    q_minus = perm_product(d, {a + b + 1 + j for j in range(mu)}, "x", "z", l)
-    q_plus = perm_product(d, {a + b + j for j in range(mu + 2)}, "x", "z", l)
-    xd_zd = x**d - z**d
-    yd_zd = y**d - z**d
-    xd_yd = x**d - y**d
+    # d1 of P_S is the product over S, d0 the product over its complement
+    [[p1]], [[pmu]], [[pmu_c]] = A.mf.d1, B.mf.d1, B.mf.d0
+    [[q_minus]], [[q_minus_c]] = Qm.mf.d1, Qm.mf.d0
+    [[q_plus]], [[q_plus_c]] = Qp.mf.d1, Qp.mf.d0
 
     def div(f, g):
         try:
@@ -229,7 +228,7 @@ def g_pair(d: int, a: int, b: int, mu: int, l: int = 1):
         - z * eta(b)
     ) * c
     gm10 = div(q_minus * gm00 - pmu, p1)
-    gm11 = div(div(xd_zd, q_minus) - div(yd_zd, pmu) * gm00, p1)
+    gm11 = div(q_minus_c - pmu_c * gm00, p1)
 
     # g+: hat(P_{a+b:mu+1}) -> A (x) B
     gp00 = MPoly.one(d)
@@ -240,10 +239,8 @@ def g_pair(d: int, a: int, b: int, mu: int, l: int = 1):
         - z * eta(a + b + mu + 1)
     ) * cp
     gp10 = div(q_plus - pmu * gp01, p1)
-    gp11 = div(div(xd_zd, q_plus) * gp01 - div(yd_zd, pmu), p1)
+    gp11 = div(q_plus_c * gp01 - pmu_c, p1)
 
-    Qm = hat_p(d, {(a + b + 1 + j) % d for j in range(mu)}, "x", "z", l)
-    Qp = hat_p(d, {(a + b + j) % d for j in range(mu + 2)}, "x", "z", l)
     g_minus = MFMorphism(Qm.mf, AB.mf, 0, [[gm00], [gm11]], [[gm10], [gm01]])
     g_plus = MFMorphism(Qp.mf, AB.mf, 0, [[gp00], [gp11]], [[gp10], [gp01]])
     return g_minus, g_plus, Qm, Qp, AB

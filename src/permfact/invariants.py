@@ -2,14 +2,29 @@
 
 The isomorphism detector: kill the external pair in the differentials, compute
 the homology of the resulting 2-periodic complex over the coefficient field
-(no internal variable) or over the univariate polynomial ring K[y] via Smith
-normal form (one internal variable).  Matrix entries stay MPoly throughout:
-constants in the first case, polynomials in y alone in the second, divided by
+(no internal variable) or over the univariate polynomial ring K[y] (one
+internal variable).  Matrix entries stay MPoly throughout: constants in the
+first case, polynomials in y alone in the second, divided by
 polyring.div_rem.  A degree-zero cycle between two objects is invertible up to
 homotopy exactly when the induced map on this homology is a linear
 isomorphism.  The homology of an object is built once: `HomologyData.of(M)`
 keeps it on M, so is_homotopy_iso, induced_h and graded.g_pair_certified
 share it, and it dies with M.
+
+Each reduced differential gets one Smith form, S d_in T = D with nonzero
+diagonal f_0 | ... | f_{r-1}, and only its row transform S and inverse S^-1
+are kept: H = ker(d_out)/im(d_in) is read off them.  With R the base ring,
+im(d_in) = S^-1 (f_0 R + ... + f_{r-1} R + 0).  Over R = K[y], ker(d_out) is
+saturated (a v in it with a != 0 puts v in it), contains im(d_in) and has
+rank n - rank(d_out).  When rank(d_out) + rank(d_in) = n it therefore equals
+the saturation S^-1 (K[y]^r + 0) of im(d_in), since two saturated submodules
+of one rank, one inside the other, are equal.  So H = K[y]/(f_0) + ... +
+K[y]/(f_{r-1}), with basis y^e S^-1 e_i (e < deg f_i), and a cycle v has
+coordinates (S v)_i mod f_i.  When the ranks fall short, H has a free summand
+and is infinite dimensional.  Over R = K the f_i are units, so ker(d_out) is
+S^-1 (K^r + ker(d_out S^-1 restricted to the last n - r coordinates)), and H
+is that second kernel: one basis vector per free column of its row echelon
+form, with coordinate (S v)_{r+j} at free column j.
 
 The homotopy solver has one mode, the graded one: the entry degrees of h are
 forced by the charges and passed in, and it writes f - g = delta(h) as a
@@ -22,7 +37,7 @@ from __future__ import annotations
 
 from .cyclofield import CycNum
 from .linop import LinOp
-from .mfcore import MatrixBifact, MFMorphism, MorphismShapeMismatch
+from .mfcore import MatrixBifact, MFMorphism, MorphismShapeMismatch, mat_mul
 from .polyring import MPoly, coeff_of, div_rem, leading_coeff
 
 __all__ = [
@@ -42,10 +57,12 @@ class TooManyInternalVariables(ValueError):
 
 
 def smith_normal_form(A, d):
-    """(S, D, T, Sinv, Tinv) with S*A*T = D diagonal, entries successively dividing.
+    """(S, D, Sinv) with S*A*T = D diagonal, entries successively dividing.
 
     Entries are MPoly in at most one variable; each nonzero diagonal entry is
-    made monic.
+    made monic, and the nonzero ones come first.  Column operations act on D
+    alone: the column transform T is never formed, since the homology reads
+    only the row transform S and its inverse Sinv.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -53,8 +70,6 @@ def smith_normal_form(A, d):
     D = [row[:] for row in A]
     S = eye(m)
     Sinv = eye(m)
-    T = eye(n)
-    Tinv = eye(n)
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
@@ -65,9 +80,6 @@ def smith_normal_form(A, d):
     def col_swap(i, j):
         for r in D:
             r[i], r[j] = r[j], r[i]
-        for r in T:
-            r[i], r[j] = r[j], r[i]
-        Tinv[i], Tinv[j] = Tinv[j], Tinv[i]
 
     def row_add(i, j, q):
         # row_i += q * row_j ; Sinv col_j -= q * col_i
@@ -77,12 +89,9 @@ def smith_normal_form(A, d):
             r[j] = r[j] - q * r[i]
 
     def col_add(i, j, q):
-        # col_i += q * col_j ; Tinv row_j -= q * row_i
+        # col_i += q * col_j
         for r in D:
             r[i] = r[i] + q * r[j]
-        for r in T:
-            r[i] = r[i] + q * r[j]
-        Tinv[j] = [a - q * b for a, b in zip(Tinv[j], Tinv[i])]
 
     def row_scale(i, c):
         D[i] = [a * c for a in D[i]]
@@ -139,99 +148,56 @@ def smith_normal_form(A, d):
         lead = leading_coeff(D[t][t])
         if not lead.is_zero() and lead != CycNum.one(d):
             row_scale(t, lead.inverse())
-    return S, D, T, Sinv, Tinv
+    return S, D, Sinv
+
+
+def _rank(D) -> int:
+    """The rank of a Smith form D: its nonzero diagonal entries come first."""
+    return sum(1 for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i])
 
 
 class _ParityHomology:
-    """Homology of ker(d_out)/im(d_in) for one parity, with a reduction closure."""
+    """ker(d_out)/im(d_in) for one parity, read off the Smith form
+    (S, D, Sinv) of d_in and the rank of d_out (see the module docstring)."""
 
-    def __init__(self, d, var, d_out, d_in):
-        self.d = d
-        self.var = var
-        n = len(d_out[0]) if d_out else 0
-        self.ambient = n
-        S, D, T, Sinv, Tinv = smith_normal_form(d_out, d)
-        m = len(d_out)
-        diag = [D[i][i] for i in range(min(m, n))]
-        self.pivots = [i for i, q in enumerate(diag) if not q.is_zero()]
-        self.kernel_idx = [i for i in range(n) if i >= len(diag) or diag[i].is_zero()]
-        self.Tinv = Tinv
-        self.T = T
-        k = len(self.kernel_idx)
-        # image of d_in expressed in kernel coordinates
-        cols = len(d_in[0]) if d_in else 0
-        X = [[MPoly.zero(d) for _ in range(cols)] for _ in range(k)]
-        for c in range(cols):
-            vec = [d_in[r][c] for r in range(n)]
-            w = self._to_coords(vec)
-            for a, i in enumerate(self.kernel_idx):
-                X[a][c] = w[i]
-        S2, D2, T2, S2inv, T2inv = smith_normal_form(X, d)
-        self.S2 = S2
-        self.S2inv = S2inv
-        self.field_mode = var is None
-        self.factors = []
-        for i in range(k):
-            q = D2[i][i] if i < min(len(D2), len(D2[0]) if D2 else 0) else MPoly.zero(d)
-            self.factors.append(q)
-        if self.field_mode:
-            # base ring is the field itself: K/(0) = K, K/(unit) = 0
-            self.labels = [(i, 0) for i, q in enumerate(self.factors) if q.is_zero()]
-        else:
-            if any(q.is_zero() for q in self.factors):
+    def __init__(self, d, var, d_out, in_form, out_rank):
+        S, D, Sinv = in_form
+        n, r = len(S), _rank(D)
+        self.d, self.var, self.d_out, self.S = d, var, d_out, S
+        if var is not None:
+            if out_rank + r != n:
                 raise ValueError("homology has a free summand: not finite dimensional")
-            self.labels = [(i, e) for i, q in enumerate(self.factors) for e in range(q.degree())]
+            self.factors = [D[i][i] for i in range(r)]
+            self.labels = [(i, e) for i, f in enumerate(self.factors) for e in range(f.degree())]
+            self.reps = [[row[i] * MPoly.var(d, var, e) for row in Sinv] for i, e in self.labels]
+        else:
+            # H = ker(d_out Sinv[:, r:]): the kernel vector of free column j is
+            # 1 at j and -rref[p][j] at each pivot p, its coordinate (S v)_{r+j}
+            tail = [row[r:] for row in Sinv]
+            rows = ({j: e.constant_value() for j, e in enumerate(row) if e} for row in mat_mul(d_out, tail, d))
+            rref = row_reduce(rows)
+            free = [j for j in range(n - r) if j not in rref]
+            self.labels = [r + j for j in free]
+            self.reps = []
+            for j in free:
+                w = {j: CycNum.one(d), **{p: -row[j] for p, row in rref.items() if j in row}}
+                self.reps.append([sum((row[c] * v for c, v in w.items()), MPoly.zero(d)) for row in tail])
         self.dims = len(self.labels)
-
-    def _to_coords(self, vec):
-        w = []
-        for i in range(self.ambient):
-            acc = MPoly.zero(self.d)
-            for j in range(self.ambient):
-                if not self.Tinv[i][j].is_zero() and not vec[j].is_zero():
-                    acc = acc + self.Tinv[i][j] * vec[j]
-            w.append(acc)
-        return w
 
     def reduce(self, vec) -> list[CycNum]:
         """K-coordinates of the homology class of a cycle vector."""
-        w = self._to_coords(vec)
-        for i in self.pivots:
-            if not w[i].is_zero():
-                raise ValueError("vector is not a cycle")
-        kc = [w[i] for i in self.kernel_idx]
-        u = []
-        for row in self.S2:
-            acc = MPoly.zero(self.d)
-            for a, val in enumerate(kc):
-                if not row[a].is_zero() and not val.is_zero():
-                    acc = acc + row[a] * val
-            u.append(acc)
-        out = []
-        for (i, e) in self.labels:
-            if self.field_mode:
-                # constant_value raises ValueError on a nonconstant entry
-                out.append(u[i].constant_value())
-            else:
-                _, r = div_rem(u[i], self.factors[i])
-                out.append(coeff_of(r, self.var, e).constant_value())
-        return out
+        col = [[v] for v in vec]
+        if any(e for [e] in mat_mul(self.d_out, col, self.d)):
+            raise ValueError("vector is not a cycle")
+        u = [e for [e] in mat_mul(self.S, col, self.d)]
+        if self.var is None:
+            # constant_value raises ValueError on a nonconstant entry
+            return [u[i].constant_value() for i in self.labels]
+        return [coeff_of(div_rem(u[i], self.factors[i])[1], self.var, e).constant_value() for i, e in self.labels]
 
     def basis(self):
         """Cycle representatives of the K-basis, as MPoly vectors."""
-        reps = []
-        for (i, e) in self.labels:
-            ye = MPoly.var(self.d, self.var, e)
-            kc = [self.S2inv[a][i] * ye for a in range(len(self.kernel_idx))]
-            vec = [MPoly.zero(self.d) for _ in range(self.ambient)]
-            for a, idx in enumerate(self.kernel_idx):
-                if not kc[a].is_zero():
-                    for r in range(self.ambient):
-                        if not self.T[r][idx].is_zero():
-                            vec[r] = vec[r] + self.T[r][idx] * kc[a]
-        # note: T columns at kernel_idx are the kernel basis
-            reps.append(vec)
-        return reps
+        return self.reps
 
 
 def _univariate(p: MPoly, var: str | None) -> MPoly:
@@ -259,8 +225,10 @@ class HomologyData:
         self.d = d
         self.d1_bar = reduce_mat(M.d1)  # C1 -> C0
         self.d0_bar = reduce_mat(M.d0)  # C0 -> C1
-        self.h0 = _ParityHomology(d, var, self.d0_bar, self.d1_bar)
-        self.h1 = _ParityHomology(d, var, self.d1_bar, self.d0_bar)
+        form1 = smith_normal_form(self.d1_bar, d)
+        form0 = smith_normal_form(self.d0_bar, d)
+        self.h0 = _ParityHomology(d, var, self.d0_bar, form1, _rank(form0[1]))
+        self.h1 = _ParityHomology(d, var, self.d1_bar, form0, _rank(form1[1]))
 
     @classmethod
     def of(cls, M: MatrixBifact) -> "HomologyData":

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permfact
+from permfact import invariants
 from permfact.cyclofield import CycNum
 from permfact.graded import GradedMF, g_pair, graded_homotopy_degrees, graded_tensor, hat_p
 from permfact.invariants import (
@@ -31,11 +32,12 @@ from permfact.mfcore import (
     perm_dual_iso,
     perm_mf,
     s_iso,
+    sum_morphism,
     tensor_mf,
     unit_isos,
     unit_sections,
 )
-from permfact.polyring import MPoly, div_rem
+from permfact.polyring import MPoly, coeff_of, div_rem, leading_coeff
 from permfact.temperleylieb import evaluate_F, jw
 
 D = 3
@@ -46,37 +48,95 @@ def ypoly(*coeffs, d=D):
     return sum((MPoly.var(d, "y", k) * c for k, c in enumerate(coeffs)), MPoly.zero(d))
 
 
+def _matmul(P, Q, d=D):
+    cols = range(len(Q[0]))
+    return [[sum((a * q[j] for a, q in zip(row, Q)), MPoly.zero(d)) for j in cols] for row in P]
+
+
+def _eye(n, d=D):
+    return [[MPoly.one(d) if i == j else MPoly.zero(d) for j in range(n)] for i in range(n)]
+
+
+def _monic(p):
+    return p * leading_coeff(p).inverse() if p else p
+
+
+def _gcd(polys):
+    """The monic gcd of univariate polynomials, by Euclid's algorithm."""
+    g = MPoly.zero(D)
+    for p in polys:
+        while p:
+            g, p = p, div_rem(g, p)[1]
+    return _monic(g)
+
+
+def _minors2(A):
+    """Every 2 x 2 minor of A."""
+    m, n = len(A), len(A[0])
+    return [
+        A[i][j] * A[k][l] - A[i][l] * A[k][j]
+        for i in range(m) for k in range(i + 1, m) for j in range(n) for l in range(j + 1, n)
+    ]
+
+
+def _smith_form_holds(A):
+    """(S, D, Sinv) = smith_normal_form(A), after checking it: S is invertible
+    with inverse Sinv, S A = D T^-1 (row i of S A is a multiple of D_ii), the
+    diagonal is monic and each entry divides the next, and D_00 and D_00 D_11
+    are the monic gcds of the entries and of the 2 x 2 minors of A."""
+    S, Dg, Si = smith_normal_form(A, D)
+    m, n = len(A), len(A[0])
+    k = min(m, n)
+    diag = [Dg[i][i] for i in range(k)]
+    assert _matmul(S, Si) == _eye(m) == _matmul(Si, S)
+    assert all(not Dg[i][j] for i in range(m) for j in range(n) if i != j)
+    SA = _matmul(S, A)
+    for i, row in enumerate(SA):
+        f = diag[i] if i < k else MPoly.zero(D)
+        assert all((not e) if not f else not div_rem(e, f)[1] for e in row)
+    assert all(leading_coeff(f) == CycNum.one(D) for f in diag if f)
+    for f, g in zip(diag, diag[1:]):
+        assert (not g) if not f else not div_rem(g, f)[1]
+    assert diag[0] == _gcd(e for row in A for e in row)
+    if k > 1:
+        assert diag[0] * diag[1] == _gcd(_minors2(A))
+    return S, Dg, Si
+
+
 class TestSmith:
     def test_scalar(self):
-        S, Dg, T, Si, Ti = smith_normal_form([[MPoly.one(D)]], D)
+        S, Dg, Si = _smith_form_holds([[MPoly.one(D)]])
         assert Dg[0][0] == MPoly.one(D)
 
     def test_already_diagonal(self):
         y2, y3 = MPoly.var(D, "y", 2), MPoly.var(D, "y", 3)
-        A = [[y2, MPoly.zero(D)], [MPoly.zero(D), y3]]
-        S, Dg, T, Si, Ti = smith_normal_form(A, D)
+        S, Dg, Si = _smith_form_holds([[y2, MPoly.zero(D)], [MPoly.zero(D), y3]])
         assert Dg[0][0] == y2 and Dg[1][1] == y3
+        # y - 1 does not divide y: the diagonal becomes (1, y^2 - y)
+        S, Dg, Si = _smith_form_holds([[ypoly(-1, 1), MPoly.zero(D)], [MPoly.zero(D), ypoly(0, 1)]])
+        assert Dg[0][0] == MPoly.one(D) and Dg[1][1] == ypoly(0, -1, 1)
 
     def test_transform_identity(self):
         A = [[ypoly(0, 1), ypoly(1)], [ypoly(2), ypoly(0, 0, 3)]]
-        S, Dg, T, Si, Ti = smith_normal_form(A, D)
-        # S*A*T == D and the tracked inverses invert
-        def matmul(P, Q):
-            n, m, k = len(P), len(Q), len(Q[0])
-            out = [[MPoly.zero(D) for _ in range(k)] for _ in range(n)]
-            for i in range(n):
-                for j in range(k):
-                    for t in range(m):
-                        out[i][j] = out[i][j] + P[i][t] * Q[t][j]
-            return out
+        S, Dg, Si = _smith_form_holds(A)
+        # D_00 D_11 is the monic determinant
+        assert Dg[0][0] * Dg[1][1] == _monic(A[0][0] * A[1][1] - A[0][1] * A[1][0])
 
-        assert matmul(matmul(S, A), T) == Dg
-        eye = [[MPoly.one(D) if i == j else MPoly.zero(D) for j in range(2)] for i in range(2)]
-        assert matmul(S, Si) == eye
-        assert matmul(Ti, T) == eye
-        # divisibility chain
-        q, r = div_rem(Dg[1][1], Dg[0][0])
-        assert r.is_zero()
+    def test_rectangular(self):
+        # A = U diag(y, y^2 - y) V with U, V unimodular (2 x 2 and 3 x 3), and its transpose
+        A = [[ypoly(0, 1), ypoly(0, 1), ypoly(0, 1)], [ypoly(0, 0, 1), ypoly(0, -1, 2), ypoly(0, -2, 3)]]
+        for M in (A, [list(col) for col in zip(*A)]):
+            S, Dg, Si = _smith_form_holds(M)
+            assert Dg[0][0] == ypoly(0, 1) and Dg[1][1] == ypoly(0, -1, 1)
+
+
+def _sheared(M):
+    """M conjugated by the shear [[1, 1], [0, 1]] in both parities: an isomorphic object."""
+    d = M.d
+    one, zero = MPoly.one(d), MPoly.zero(d)
+    P, Pinv = [[one, one], [zero, one]], [[one, -one], [zero, one]]
+    conj = lambda mat: _matmul(_matmul(P, mat, d), Pinv, d)
+    return MatrixBifact(d, M.left, M.right, M.int_vars, conj(M.d1), conj(M.d0))
 
 
 class TestHomology:
@@ -123,10 +183,47 @@ class TestHomology:
 
     def test_field_mode_reduce_rejects_nonconstant_entry(self):
         zero = [[MPoly.zero(D)]]
-        H = _ParityHomology(D, None, zero, zero)
+        H = _ParityHomology(D, None, zero, smith_normal_form(zero, D), 0)
         assert H.reduce([MPoly.constant(D, 2)]) == [CycNum.from_rational(D, 2)]
         with pytest.raises(ValueError, match="not constant"):
             H.reduce([MPoly.var(D, "y")])
+
+    def test_free_summand_over_k_y_raises(self):
+        zero = [[MPoly.zero(3)]]
+        with pytest.raises(ValueError, match="free summand"):
+            HomologyData(MatrixBifact(3, "x", "z", ("y",), zero, zero))
+
+    def test_nonzero_reduced_differential_over_k(self):
+        # the reduced d1 of P_{} is 1: one Smith pivot, and H_0 is what the zero d0
+        # leaves; sheared, the kernel vector of H_1 has a pivot entry too
+        M = direct_sum_mf(perm_mf(5, set()), perm_mf(5, {0}))
+        for N in (M, _sheared(M)):
+            H = HomologyData(N)
+            assert (H.dim_h0, H.dim_h1) == (1, 1)
+            assert is_homotopy_iso(identity_morphism(N))
+            assert not is_homotopy_iso(identity_morphism(N).scaled(0))
+
+    def test_coordinates_are_remainders(self):
+        # H_0 = K[y]/(y^2 - y) with basis (1, y), and H_1 = 0
+        d = 3
+        y, one, zero = MPoly.var(d, "y"), MPoly.one(d), MPoly.zero(d)
+        M = MatrixBifact(d, "x", "z", ("y",), [[y**2 - y, zero], [zero, zero]], [[zero, zero], [zero, one]])
+        H = HomologyData(M)
+        assert (H.dim_h0, H.dim_h1) == (2, 0)
+        assert H.h0.reduce([y**3, zero]) == [CycNum.zero(d), CycNum.one(d)]
+        # y - 1 kills y there, since y^2 = y: rank 1, not an isomorphism
+        f = MFMorphism(M, M, 0, *[[[y - 1, zero], [zero, y - 1]]] * 2)
+        assert rank(induced_h(f)[0]) == 1 and not is_homotopy_iso(f)
+
+    def test_reduce_rejects_a_non_cycle(self):
+        one, zero = MPoly.one(5), MPoly.zero(5)
+        over_k = HomologyData(direct_sum_mf(perm_mf(5, set()), perm_mf(5, {0})))
+        with pytest.raises(ValueError, match="not a cycle"):
+            over_k.h1.reduce([one, zero])
+        d = 3
+        over_k_y = HomologyData(tensor_mf(perm_mf(d, {0, 1}, "x", "y1"), perm_mf(d, {1, 2}, "y1", "z")))
+        with pytest.raises(ValueError, match="not a cycle"):
+            over_k_y.h0.reduce([MPoly.one(d), MPoly.zero(d)])
 
     def test_too_many_internal_variables(self):
         d = 3
@@ -146,6 +243,14 @@ class TestSharedHomology:
                 assert H is HomologyData.of(M)
                 fresh = HomologyData(M)
                 assert (H.dim_h0, H.dim_h1) == (fresh.dim_h0, fresh.dim_h1) == (1, 1)
+
+    def test_one_smith_form_per_differential(self, monkeypatch):
+        calls = []
+        real = invariants.smith_normal_form
+        monkeypatch.setattr(invariants, "smith_normal_form", lambda A, d: calls.append(A) or real(A, d))
+        M = tensor_mf(perm_mf(5, {0, 1}, "x", "y1"), perm_mf(5, {1, 2}, "y1", "z"))
+        H = HomologyData(M)
+        assert calls == [H.d1_bar, H.d0_bar]
 
     def test_is_homotopy_iso_shares_the_homology(self, monkeypatch):
         built = []
@@ -192,6 +297,161 @@ class TestInducedMaps:
         sl, sr = unit_sections(M)
         for f in (lam, rho, sl, sr):
             assert is_homotopy_iso(f)
+
+
+# -- the two-Smith-form homology, kept as a reference -----------------------------
+
+
+def _five_tuple_smith(A, d):
+    """(S, D, T, Sinv, Tinv) with S A T = D: the Smith form with both
+    transforms, which the reference homology below reads.  Its diagonal is not
+    made monic: K[y]/(f) and remainders mod f do not see a unit factor."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    D_ = [row[:] for row in A]
+    S, Sinv, T, Tinv = _eye(m, d), _eye(m, d), _eye(n, d), _eye(n, d)
+
+    def row_add(i, j, q):
+        D_[i] = [a + q * b for a, b in zip(D_[i], D_[j])]
+        S[i] = [a + q * b for a, b in zip(S[i], S[j])]
+        for r in Sinv:
+            r[j] = r[j] - q * r[i]
+
+    def col_add(i, j, q):
+        for r in D_ + T:
+            r[i] = r[i] + q * r[j]
+        Tinv[j] = [a - q * b for a, b in zip(Tinv[j], Tinv[i])]
+
+    for t in range(min(m, n)):
+        while True:
+            nonzero = [(D_[i][j].degree(), i, j) for i in range(t, m) for j in range(t, n) if D_[i][j]]
+            if not nonzero:
+                break
+            _, pi, pj = min(nonzero)
+            D_[t], D_[pi], S[t], S[pi] = D_[pi], D_[t], S[pi], S[t]
+            for r in Sinv:
+                r[t], r[pi] = r[pi], r[t]
+            for r in D_ + T:
+                r[t], r[pj] = r[pj], r[t]
+            Tinv[t], Tinv[pj] = Tinv[pj], Tinv[t]
+            for i in range(t + 1, m):
+                row_add(i, t, -div_rem(D_[i][t], D_[t][t])[0])
+            for j in range(t + 1, n):
+                col_add(j, t, -div_rem(D_[t][j], D_[t][t])[0])
+            if any(D_[i][t] for i in range(t + 1, m)) or any(D_[t][j] for j in range(t + 1, n)):
+                continue
+            offender = next(
+                (i for i in range(t + 1, m) for j in range(t + 1, n) if D_[i][j] and div_rem(D_[i][j], D_[t][t])[1]),
+                None,
+            )
+            if offender is None:
+                break
+            row_add(t, offender, MPoly.one(d))
+    return S, D_, T, Sinv, Tinv
+
+
+class _TwoSmithParity:
+    """ker(d_out)/im(d_in) from the Smith form of d_out (its column transform
+    gives ker d_out) and a second one of d_in written on that kernel."""
+
+    def __init__(self, d, var, d_out, d_in):
+        self.d, self.var = d, var
+        n = len(d_out[0])
+        _, D1, T, _, self.Tinv = _five_tuple_smith(d_out, d)
+        self.pivots = [i for i in range(min(len(D1), n)) if D1[i][i]]
+        self.kernel = [i for i in range(n) if i not in self.pivots]
+        image = [self._coords(col) for col in zip(*d_in)]
+        X = [[w[i] for w in image] for i in self.kernel]
+        self.S2, D2, _, S2inv, _ = _five_tuple_smith(X, d)
+        factors = [D2[i][i] if i < len(D2[0]) else MPoly.zero(d) for i in range(len(X))]
+        if var is None:
+            self.labels = [(i, 0) for i, f in enumerate(factors) if not f]
+        else:
+            assert all(factors), "free summand"
+            self.labels = [(i, e) for i, f in enumerate(factors) for e in range(f.degree())]
+        self.factors = factors
+        # kernel coordinates of each basis vector, carried back by T
+        power = lambda e: MPoly.var(d, var, e) if var else MPoly.one(d)
+        self.reps = [
+            [sum((T[r][k] * S2inv[a][i] * power(e) for a, k in enumerate(self.kernel)), MPoly.zero(d)) for r in range(n)]
+            for i, e in self.labels
+        ]
+        self.dims = len(self.labels)
+
+    def _coords(self, vec):
+        return [sum((a * v for a, v in zip(row, vec)), MPoly.zero(self.d)) for row in self.Tinv]
+
+    def reduce(self, vec):
+        w = self._coords(vec)
+        assert not any(w[i] for i in self.pivots), "not a cycle"
+        u = _matmul(self.S2, [[w[i]] for i in self.kernel], self.d)
+        if self.var is None:
+            return [u[i][0].constant_value() for i, _ in self.labels]
+        return [coeff_of(div_rem(u[i][0], self.factors[i])[1], self.var, e).constant_value() for i, e in self.labels]
+
+    def basis(self):
+        return self.reps
+
+
+class _TwoSmithHomology:
+    def __init__(self, M):
+        var = M.int_vars[0] if M.int_vars else None
+        kill = {M.left: None, M.right: None}
+        d1, d0 = ([[e.subs(kill) for e in row] for row in mat] for mat in (M.d1, M.d0))
+        self.var = var
+        self.h0 = _TwoSmithParity(M.d, var, d0, d1)
+        self.h1 = _TwoSmithParity(M.d, var, d1, d0)
+        self.dim_h0, self.dim_h1 = self.h0.dims, self.h1.dims
+
+
+def _verdict_and_ranks(f):
+    """(dims of source and target, is_homotopy_iso, rank of each induced_h block)."""
+    rank = lambda cols: len(row_reduce(dict(enumerate(col)) for col in cols))
+    dims = [(H.dim_h0, H.dim_h1) for H in (HomologyData.of(f.src), HomologyData.of(f.tgt))]
+    return dims, is_homotopy_iso(f), [rank(m) for m in induced_h(f)]
+
+
+def _with_reference_homology(f):
+    """f between fresh copies of its ends, each carrying the two-Smith-form homology."""
+    src = f.src.renamed({})
+    tgt = src if f.tgt is f.src else f.tgt.renamed({})
+    for M in {id(src): src, id(tgt): tgt}.values():
+        M._homology = _TwoSmithHomology(M)
+    return MFMorphism(src, tgt, 0, f.f0, f.f1)
+
+
+def _certificate_morphisms(d):
+    arcs = [_arc(d, a, lam) for a in range(d) for lam in range(d - 1)]
+    for S in arcs:
+        M = perm_mf(d, S)
+        yield identity_morphism(M)
+        yield perm_dual_iso(d, S)
+        yield s_iso(d, S, 1, d - 1)
+    yield identity_morphism(perm_mf(d, {0})).scaled(0)  # the negative control
+    nonzero = direct_sum_mf(perm_mf(d, set()), perm_mf(d, {0}))  # reduced d1 = diag(1, 0)
+    for N in (nonzero, _sheared(nonzero)):
+        yield identity_morphism(N)
+        yield identity_morphism(N).scaled(0)
+    for a in range(d):
+        for b in range(d):
+            for mu in range(1, d - 1):
+                g_minus, g_plus, _, _, AB = g_pair(d, a, b, mu)
+                yield sum_morphism(g_minus, g_plus)
+                yield identity_morphism(AB.mf)  # a source over K[y]
+    M = perm_mf(d, {(d - 1) // 2, (d + 1) // 2}, "x", "z")
+    yield from unit_isos(M)
+    yield from unit_sections(M)
+
+
+class TestAgainstTwoSmithForms:
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_same_dims_verdicts_and_ranks(self, d):
+        verdicts = set()
+        for f in _certificate_morphisms(d):
+            ours = _verdict_and_ranks(f)
+            assert ours == _verdict_and_ranks(_with_reference_homology(f)), f
+            verdicts.add(ours[1])
+        assert verdicts == {True, False}
 
 
 NO_HOMOTOPY = ([[None]], [[None]])  # forced degrees of a rank-(1,1) map with every entry zero

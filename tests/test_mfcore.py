@@ -561,7 +561,7 @@ class TestInputGuards:
         # python -O strips assert statements; each guard must still raise
         script = (
             "from permfact.graded import GradedMF\n"
-            "from permfact.invariants import _ParityHomology\n"
+            "from permfact.invariants import _ParityHomology, smith_normal_form\n"
             "from permfact.mfcore import MFMorphism, identity_morphism, perm_mf, sum_morphism\n"
             "from permfact.polyring import MPoly\n"
             "from permfact.temperleylieb import cap_layer, cup_layer, tl_e, tl_identity\n"
@@ -577,7 +577,7 @@ class TestInputGuards:
             "    lambda: tl_identity(3, 2) + tl_e(3, 3, 1),\n"
             "    lambda: cap_layer(3, 2, 1),\n"
             "    lambda: cup_layer(3, 1, 2),\n"
-            "    lambda: _ParityHomology(3, None, zero, zero).reduce([MPoly.var(3, 'y')]),\n"
+            "    lambda: _ParityHomology(3, None, zero, smith_normal_form(zero, 3), 0).reduce([MPoly.var(3, 'y')]),\n"
             "]\n"
             "for case in cases:\n"
             "    try:\n"
