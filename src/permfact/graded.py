@@ -23,12 +23,11 @@ from .mfcore import (
     sum_morphism,
     tensor_mf,
 )
-from .polyring import MPoly, NotDivisible, exact_div, perm_product
+from .polyring import MPoly, exact_div, perm_product
 
 __all__ = [
     "GradedMF",
     "GradedLabel",
-    "NotPolynomial",
     "ChargeCountMismatch",
     "hat_p",
     "graded_tensor",
@@ -41,10 +40,6 @@ __all__ = [
     "mf_fusion_ring",
     "graded_homotopy_degrees",
 ]
-
-
-class NotPolynomial(ArithmeticError):
-    pass
 
 
 class ChargeCountMismatch(ValueError):
@@ -211,12 +206,6 @@ def g_pair(d: int, a: int, b: int, mu: int, l: int = 1):
     [[q_minus]], [[q_minus_c]] = Qm.mf.d1, Qm.mf.d0
     [[q_plus]], [[q_plus_c]] = Qp.mf.d1, Qp.mf.d0
 
-    def div(f, g):
-        try:
-            return exact_div(f, g)
-        except NotDivisible as exc:
-            raise NotPolynomial(str(exc)) from exc
-
     ratio = lambda num, den: num * den.inverse()
 
     # g-: hat(P_{a+b+1:mu-1}) -> A (x) B
@@ -227,8 +216,8 @@ def g_pair(d: int, a: int, b: int, mu: int, l: int = 1):
         + y * ratio(one - eta(-mu - 1), one - eta(-1))
         - z * eta(b)
     ) * c
-    gm10 = div(q_minus * gm00 - pmu, p1)
-    gm11 = div(q_minus_c - pmu_c * gm00, p1)
+    gm10 = exact_div(q_minus * gm00 - pmu, p1)
+    gm11 = exact_div(q_minus_c - pmu_c * gm00, p1)
 
     # g+: hat(P_{a+b:mu+1}) -> A (x) B
     gp00 = MPoly.one(d)
@@ -238,8 +227,8 @@ def g_pair(d: int, a: int, b: int, mu: int, l: int = 1):
         - y * (eta(a + 1) * ratio(one - eta(mu + 1), one - eta(1)))
         - z * eta(a + b + mu + 1)
     ) * cp
-    gp10 = div(q_plus - pmu * gp01, p1)
-    gp11 = div(q_plus_c * gp01 - pmu_c, p1)
+    gp10 = exact_div(q_plus - pmu * gp01, p1)
+    gp11 = exact_div(q_plus_c * gp01 - pmu_c, p1)
 
     g_minus = MFMorphism(Qm.mf, AB.mf, 0, [[gm00], [gm11]], [[gm10], [gm01]])
     g_plus = MFMorphism(Qp.mf, AB.mf, 0, [[gp00], [gp11]], [[gp10], [gp01]])

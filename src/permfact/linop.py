@@ -17,12 +17,19 @@ scalar * variable, possibly to 0) and core is the optional residue extractor
 No term has a denominator: the one quotient the duality maps need, the odd
 entry of ev, is divided exactly when `mfcore.ev_coev` builds it.
 
-Normal form: every stored term has prem reduced modulo elim^step -
-(injc*inj)^step, so the elim-degree of prem is below step; the quotient
-telescopes to an evaluation at elim = 0.  Terms are normalised once:
-`Term.normalized` returns a normal term as it is, `_compose_terms` returns
-only normal terms, and sums and constant multiples of normal premultipliers
-stay normal, so `compose`, `+` and `-` only regroup.
+Both the core and its normal form are `polyring.div_rem` by the modulus
+g = elim^step - (injc*inj)^step.  Its graded-lex leading term is elim^step
+(elim precedes inj in `sort_vars` order), so the remainder has elim-degree
+below step.  The core is the quotient at elim = 0: with c = (injc*inj)^step
+and prem * f = sum_k p_k elim^k = g*q + r, comparing the coefficients of
+elim^k gives q_j = p_{j+step} + c*q_{j+step}, so q(elim = 0) is the sum above.
+
+Normal form: every stored term has prem replaced by its remainder modulo g.
+For prem = g*q + r, core_prem(f) = core_r(f) + q(0) * f(elim = 0), so the
+quotient splits off as a term phi(q(0)) * phi . {elim -> 0} without a core.
+Terms are normalised once: `Term.normalized` returns a normal term as it is,
+`_compose_terms` returns only normal terms, and sums and constant multiples
+of normal premultipliers stay normal, so `compose`, `+` and `-` only regroup.
 
 The normal form is not unique, so `LinOp.is_zero` decides zero by rewriting
 every term over maps that are linearly independent over the field of
@@ -68,7 +75,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclofield import CycNum
-from .polyring import MPoly, exact_div
+from .polyring import MPoly, div_rem, exact_div, sort_vars
 
 __all__ = [
     "Subst",
@@ -176,13 +183,16 @@ class Subst:
 
 
 class ResidueCore:
-    """f |-> sum_m (injc*inj)^{step*m} coeff_elim(prem*f, step*(m+1))."""
+    """f |-> the quotient of prem*f by elim^step - (injc*inj)^step, at elim = 0.
+
+    `div_rem` divides by the graded-lex leading term, elim^step only when elim
+    precedes inj in `sort_vars` order; any other pair raises ResidueVariableClash."""
 
     __slots__ = ("prem", "elim", "inj", "injc", "step", "injc_step")
 
     def __init__(self, prem: MPoly, elim: str, inj: str, injc: CycNum, step: int):
-        if elim == inj:
-            raise ResidueVariableClash(f"residue core eliminates and injects the same variable {elim!r}")
+        if sort_vars((elim, inj)) != (elim, inj):
+            raise ResidueVariableClash(f"residue core needs its eliminated {elim!r} to precede its injected {inj!r} in variable order")
         if step < 1 or (2 * prem.d) % step:
             raise ValueError(f"residue step {step} is not a positive divisor of 2d = {2 * prem.d}")
         self.prem = prem
@@ -193,24 +203,14 @@ class ResidueCore:
         # the map depends on injc only through injc**step
         self.injc_step = injc**step
 
-    def modulus_rhs(self) -> MPoly:
-        return MPoly.var(self.prem.d, self.inj, self.step) * self.injc_step
+    def modulus(self) -> MPoly:
+        """elim^step - (injc*inj)^step, with graded-lex leading term elim^step."""
+        d = self.prem.d
+        return MPoly.var(d, self.elim, self.step) - MPoly.var(d, self.inj, self.step) * self.injc_step
 
     def apply(self, f: MPoly) -> MPoly:
-        d = f.d
-        g = self.prem * f
-        out = MPoly.zero(d)
-        if g.is_zero():
-            return out
-        parts = g.coeff_dict_in(self.elim)
-        rhs = self.modulus_rhs()
-        weight = MPoly.one(d)  # (injc*inj)^{step*m} for k = step*(m+1)
-        for k in range(self.step, max(parts) + 1, self.step):
-            c = parts.get(k)
-            if c is not None:
-                out = out + weight * c
-            weight = weight * rhs
-        return out
+        quot, _ = div_rem(self.prem * f, self.modulus())
+        return quot.subs({self.elim: None})
 
     def key(self):
         return (self.elim, self.inj, self.injc_step, self.step)
@@ -250,7 +250,7 @@ class Term:
         return consumed or (self.phi.touches(var) and not self.phi.maps_onto(var))
 
     def normalized(self) -> list["Term"]:
-        """Reduce prem modulo elim^step - (injc*inj)^step; split the telescoped part.
+        """Replace prem by its remainder modulo the core's modulus; split off the quotient at elim = 0.
 
         A term already in normal form (elim-degree of prem below step) is
         returned as [self]."""
@@ -265,21 +265,7 @@ class Term:
         elim = core.elim
         if core.prem.degree_in(elim) < core.step:
             return [self]
-        rhs = core.modulus_rhs()
-        rem_parts = dict(core.prem.coeff_dict_in(elim))
-        quot = MPoly.zero(d)
-        while True:
-            high = [k for k in rem_parts if k >= core.step and not rem_parts[k].is_zero()]
-            if not high:
-                break
-            k = max(high)
-            cur = rem_parts.pop(k)
-            lower = k - core.step
-            quot = quot + cur * MPoly.var(d, elim, lower)
-            rem_parts[lower] = rem_parts.get(lower, MPoly.zero(d)) + cur * rhs
-        rem = MPoly.zero(d)
-        for k, c in rem_parts.items():
-            rem = rem + c * MPoly.var(d, elim, k)
+        quot, rem = div_rem(core.prem, core.modulus())
         out = []
         if not rem.is_zero():
             out.append(Term(self.num, self.phi, ResidueCore(rem, elim, core.inj, core.injc, core.step)))
@@ -543,11 +529,10 @@ class LinOp:
                 return None
             s = t.num.degree()
             if t.core is not None:
-                parts = t.core.prem.coeff_dict_in(t.core.elim)
-                wdeg = {k + c.degree() for k, c in parts.items()}
-                if len(wdeg) != 1:
+                # the modulus is homogeneous of degree step
+                if not t.core.prem.is_homogeneous():
                     return None
-                s += wdeg.pop() - t.core.step
+                s += t.core.prem.degree() - t.core.step
             shifts.add(s)
         if len(shifts) != 1:
             return None

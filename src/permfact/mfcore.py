@@ -54,6 +54,7 @@ from .polyring import MPoly, difference_quotient, exact_div, perm_product
 __all__ = [
     "MatrixBifact",
     "MFMorphism",
+    "InvalidDifferential",
     "VariableMismatch",
     "MorphismShapeMismatch",
     "RankUnsupported",
@@ -99,6 +100,10 @@ class MorphismShapeMismatch(ValueError):
     """Morphisms that must share sources, targets or parities do not."""
 
 
+class InvalidDifferential(ValueError):
+    """A differential is not a matrix of the object's shape with polynomial entries of its modulus."""
+
+
 def _entry_factor_product(a, b):
     """Tensor product of entries acting on disjoint variable groups.
 
@@ -136,9 +141,18 @@ def _zero_matrix(rows, cols, d):
 
 
 class MatrixBifact:
-    """Z2-graded factorisation data: d1: M1 -> M0, d0: M0 -> M1."""
+    """Z2-graded factorisation data: d1: M1 -> M0, d0: M0 -> M1, of ranks len(d1), len(d0).
+
+    InvalidDifferential unless d1 is rank0 x rank1 and d0 rank1 x rank0, with MPoly entries of modulus d."""
 
     def __init__(self, d, left, right, int_vars, d1, d0, tags0=None, tags1=None):
+        for name, mat, cols in (("d1", d1, len(d0)), ("d0", d0, len(d1))):
+            for row in mat:
+                if len(row) != cols:
+                    raise InvalidDifferential(f"{name} needs rows of length {cols}, got {len(row)}")
+                for e in row:
+                    if not (isinstance(e, MPoly) and e.d == d):
+                        raise InvalidDifferential(f"{name} entry {e!r} is not a polynomial over Q(zeta_{2 * d})")
         self.d = d
         self.left = left
         self.right = right

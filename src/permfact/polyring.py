@@ -10,7 +10,8 @@ each variable to scalar * variable or to 0, so it rewrites monomials one term
 at a time; a scaling (every variable to a multiple of itself) keeps each
 monomial and only multiplies its coefficient.  `div_rem` is the one division
 routine, by the graded-lex leading term of the divisor; `exact_div` is the
-case of a zero remainder.
+case of a zero remainder, and the Smith form and `linop`'s residue operators
+divide through it too.
 
 `perm_product(d, S, u, v, l)` = prod_{j in S} (u - eta^{lj} v) is a binary
 form, so it is built from its coefficient list, memoised per (d, S, l)
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from bisect import insort
 
 from .cyclofield import CycNum, ModulusMismatch, eta_power, require_coprime
 
@@ -359,37 +361,45 @@ def leading_coeff(f: MPoly) -> CycNum:
 def div_rem(f: MPoly, g: MPoly) -> tuple[MPoly, MPoly]:
     """(q, r) with f = g*q + r and no term of r divisible by the leading term of g.
 
-    Graded-lex division by the leading term of g: a leading term of the
-    running remainder that it does not divide moves into r.  For univariate
-    f, g this is Euclidean division, deg r < deg g.
+    Graded-lex division by the leading term of g.  A step reduces the largest
+    divisible term and changes only smaller ones, so only the divisible terms
+    are kept in order, and q and r list their terms largest first.  For
+    univariate f, g this is Euclidean division, deg r < deg g.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     glex = _glex(sort_vars(f.vars | g.vars))
-    rem = dict(f.terms)
     glead = max(g.terms, key=glex)
     gexp = dict(glead)
     gcoef = g.terms[glead]
+    tail = [(m, c) for m, c in g.terms.items() if m != glead]
+
+    def divisible(m):
+        e = dict(m)
+        return all(e.get(v, 0) >= k for v, k in gexp.items())
+
+    rem = dict(f.terms)
+    todo = sorted((glex(m), m) for m in rem if divisible(m))  # the largest last
     quot: dict = {}
-    out: dict = {}
     zero = CycNum.zero(f.d)
-    while rem:
-        rlead = max(rem, key=glex)
-        rexp = dict(rlead)
-        if any(rexp.get(v, 0) < k for v, k in gexp.items()):
-            # later leading terms are smaller, so this term of r stays final
-            out[rlead] = rem.pop(rlead)
-            continue
-        qm = frozenset((v, k - gexp.get(v, 0)) for v, k in rexp.items() if k > gexp.get(v, 0))
-        qc = rem[rlead] / gcoef
-        quot[qm] = qc
-        for m, c in g.terms.items():
+    while todo:
+        rlead = todo.pop()[1]
+        if rlead not in rem:
+            continue  # cancelled, or a second entry of a term that came back
+        qm = frozenset((v, k - gexp.get(v, 0)) for v, k in rlead if k > gexp.get(v, 0))
+        qc = quot[qm] = rem.pop(rlead) / gcoef
+        # the leading term of qm * g cancels rlead exactly
+        for m, c in tail:
             tm = _mono_mul(m, qm)
-            nc = rem.get(tm, zero) - qc * c
+            old = rem.get(tm)
+            nc = (zero if old is None else old) - qc * c
             if nc.is_zero():
-                rem.pop(tm, None)
+                del rem[tm]
             else:
+                if old is None and divisible(tm):
+                    insort(todo, (glex(tm), tm))
                 rem[tm] = nc
+    out = {m: rem[m] for m in sorted(rem, key=glex, reverse=True)}
     return MPoly(f.d, quot, _normalize=False), MPoly(f.d, out, _normalize=False)
 
 

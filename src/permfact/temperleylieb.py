@@ -86,10 +86,10 @@ class TLDiagram:
 
     Points 0..n_bottom-1 run along the bottom left to right; points
     n_bottom..n_bottom+n_top-1 along the top left to right.  Point p is
-    joined to mate[p].
+    joined to mate[p]; the mate table is all a diagram stores.
     """
 
-    __slots__ = ("n_bottom", "n_top", "pairs", "mate", "_hash")
+    __slots__ = ("n_bottom", "n_top", "mate", "_hash")
 
     def __init__(self, n_bottom: int, n_top: int, pairs):
         total = n_bottom + n_top
@@ -102,24 +102,28 @@ class TLDiagram:
         mate = [0] * total
         for p, q in norm:
             mate[p], mate[q] = q, p
-        self._fill(n_bottom, n_top, norm, tuple(mate))
+        self._fill(n_bottom, n_top, tuple(mate))
         if not self._planar():
             raise ValueError(f"matching is not planar: {norm}")
 
     @classmethod
     def _from_mate(cls, n_bottom: int, n_top: int, mate) -> "TLDiagram":
         """The diagram joining p to mate[p], for a mate known to be a planar
-        perfect matching (a composite of diagrams); nothing is checked."""
+        perfect matching (a composite or tensor of diagrams); nothing is checked."""
         dg = object.__new__(cls)
-        dg._fill(n_bottom, n_top, tuple((p, q) for p, q in enumerate(mate) if p < q), tuple(mate))
+        dg._fill(n_bottom, n_top, tuple(mate))
         return dg
 
-    def _fill(self, n_bottom, n_top, norm, mate):
+    def _fill(self, n_bottom, n_top, mate):
         self.n_bottom = n_bottom
         self.n_top = n_top
-        self.pairs = norm
         self.mate = mate
-        self._hash = hash((n_bottom, n_top, norm))
+        self._hash = hash((n_bottom, n_top, mate))
+
+    @property
+    def pairs(self) -> tuple:
+        """The chords (p, mate[p]) with p < mate[p], by ascending p."""
+        return tuple((p, q) for p, q in enumerate(self.mate) if p < q)
 
     def _circle_pos(self, p: int) -> int:
         # circular boundary order: bottom left-to-right, then top right-to-left
@@ -138,7 +142,7 @@ class TLDiagram:
     def __eq__(self, other):
         return (
             isinstance(other, TLDiagram)
-            and (self.n_bottom, self.n_top, self.pairs) == (other.n_bottom, other.n_top, other.pairs)
+            and (self.n_bottom, self.n_top, self.mate) == (other.n_bottom, other.n_top, other.mate)
         )
 
     def __hash__(self):
@@ -277,29 +281,23 @@ class TLMorphism:
         return TLMorphism(self.d, other.src, self.tgt, combo, self.l)
 
     def tensor(self, other: "TLMorphism") -> "TLMorphism":
+        """self beside other; distinct factor pairs give distinct diagrams, so nothing is summed."""
         self._same_root(other)
+        nb1, nt1, nb2 = self.src, self.tgt, other.src
+        nb, nt = nb1 + nb2, nt1 + other.tgt
+        # where each factor's points land among the product's
+        pos1 = [*range(nb1), *range(nb, nb + nt1)]
+        pos2 = [*range(nb1, nb), *range(nb + nt1, nb + nt)]
         combo: dict = {}
         for dg1, c1 in self.combo.items():
+            mate = [0] * (nb + nt)
+            for p, q in enumerate(dg1.mate):
+                mate[pos1[p]] = pos1[q]
             for dg2, c2 in other.combo.items():
-                nb = dg1.n_bottom + dg2.n_bottom
-                nt = dg1.n_top + dg2.n_top
-                pairs = []
-                for p, q in dg1.pairs:
-                    pairs.append(
-                        (
-                            p if p < dg1.n_bottom else p + dg2.n_bottom,
-                            q if q < dg1.n_bottom else q + dg2.n_bottom,
-                        )
-                    )
-                shift_b = dg1.n_bottom
-                shift_t = nb + dg1.n_top
-                for p, q in dg2.pairs:
-                    u = shift_b + p if p < dg2.n_bottom else shift_t + (p - dg2.n_bottom)
-                    v = shift_b + q if q < dg2.n_bottom else shift_t + (q - dg2.n_bottom)
-                    pairs.append((u, v))
-                dg = TLDiagram(nb, nt, pairs)
-                combo[dg] = combo.get(dg, CycNum.zero(self.d)) + c1 * c2
-        return TLMorphism(self.d, self.src + other.src, self.tgt + other.tgt, combo, self.l)
+                for p, q in enumerate(dg2.mate):
+                    mate[pos2[p]] = pos2[q]
+                combo[TLDiagram._from_mate(nb, nt, mate)] = c1 * c2
+        return TLMorphism(self.d, nb, nt, combo, self.l)
 
     def trace(self) -> CycNum:
         """Markov closure: join bottom i to top i, count loops.

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -118,9 +119,29 @@ def test_degree_shift():
     assert LinOp.poly(X**2).degree_shift() == 2
 
 
+def test_degree_shift_needs_a_homogeneous_premultiplier():
+    # each y-power of x*y + x^2*y has one weight k + degree = 3, yet y^2 goes to x + x^2
+    op = LinOp(D, [Term(ONE, ID, ResidueCore(X * Y + X**2 * Y, "y", "z", CycNum.one(D), D))])
+    assert op.apply(Y**2) == X + X**2
+    assert op.degree_shift() is None
+    assert _entry_degree(op, D) == (None, False)
+    # a homogeneous premultiplier of degree 4 and step 3 raises degrees by 1
+    op = LinOp(D, [Term(ONE, ID, ResidueCore(X**3 * Y - X * Z**2 * Y, "y", "z", CycNum.one(D), D))])
+    assert op.apply(Y**2) == X**3 - X * Z**2
+    assert op.degree_shift() == 1
+    assert _entry_degree(op, D) == (1, True)
+
+
 def test_residue_core_rejects_equal_variables():
     with pytest.raises(ResidueVariableClash):
         ResidueCore(Y - Z, "y", "y", CycNum.one(D), D)
+
+
+@pytest.mark.parametrize("elim,inj", [("z", "y"), ("y2", "y1"), ("z", "x"), ("y", "x")])
+def test_residue_core_needs_the_eliminated_variable_first(elim, inj):
+    # div_rem divides by the graded-lex leading term, elim^step only in this order
+    with pytest.raises(ResidueVariableClash, match="to precede"):
+        ResidueCore(Y - Z, elim, inj, CycNum.one(D), D)
 
 
 def test_residue_core_rejects_bad_step():
@@ -431,3 +452,90 @@ def test_operators_are_unhashable_and_unequal_to_other_types():
         hash(op)
     assert op != "op" and op != None  # noqa: E711
     assert ZERO_TEST_CASES[0][1] == 0 and 0 == ZERO_TEST_CASES[0][1]
+
+
+# -- the residue reductions through div_rem, against the loops they replace --------------
+
+
+def _loop_apply(core, f):
+    """Reference core(f) = sum_m (injc*inj)^{step*m} coeff_elim(prem*f, step*(m+1)), summed power by power."""
+    d = f.d
+    g = core.prem * f
+    out = MPoly.zero(d)
+    if g.is_zero():
+        return out
+    parts = g.coeff_dict_in(core.elim)
+    rhs = MPoly.var(d, core.inj, core.step) * core.injc_step
+    weight = MPoly.one(d)  # (injc*inj)^{step*m} for k = step*(m+1)
+    for k in range(core.step, max(parts) + 1, core.step):
+        c = parts.get(k)
+        if c is not None:
+            out = out + weight * c
+        weight = weight * rhs
+    return out
+
+
+def _loop_normalized(t):
+    """Reference normal form: the top elim-power of prem rewritten by elim^step = (injc*inj)^step until
+    every power is below step; the quotient, at elim = 0, splits off as an evaluation term."""
+    d, core = t.num.d, t.core
+    if core.prem.is_zero():
+        return []
+    elim = core.elim
+    if core.prem.degree_in(elim) < core.step:
+        return [t]
+    rhs = MPoly.var(d, core.inj, core.step) * core.injc_step
+    rem_parts = dict(core.prem.coeff_dict_in(elim))
+    quot = MPoly.zero(d)
+    while True:
+        high = [k for k in rem_parts if k >= core.step and not rem_parts[k].is_zero()]
+        if not high:
+            break
+        k = max(high)
+        cur = rem_parts.pop(k)
+        lower = k - core.step
+        quot = quot + cur * MPoly.var(d, elim, lower)
+        rem_parts[lower] = rem_parts.get(lower, MPoly.zero(d)) + cur * rhs
+    rem = MPoly.zero(d)
+    for k, c in rem_parts.items():
+        rem = rem + c * MPoly.var(d, elim, k)
+    out = []
+    if not rem.is_zero():
+        out.append(Term(t.num, t.phi, ResidueCore(rem, elim, core.inj, core.injc, core.step)))
+    q0 = quot.subs({elim: None})
+    if not q0.is_zero():
+        out.append(Term(t.num * t.phi.apply(q0), t.phi.compose(Subst(d, {elim: None}))))
+    return out
+
+
+def _random_poly(rng, d, variables, max_exp, n_terms):
+    """A seeded sparse polynomial with small rational multiples of roots of unity as coefficients."""
+    terms = {}
+    for _ in range(n_terms):
+        m = frozenset((v, e) for v in variables if (e := rng.randrange(max_exp + 1)))
+        c = CycNum.from_rational(d, Fraction(rng.randint(-3, 3), rng.randint(1, 3))) * CycNum.zeta(d, rng.randrange(2 * d))
+        terms[m] = terms[m] + c if m in terms else c
+    return MPoly(d, terms)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("elim,inj", [("y", "z"), ("y1", "y2"), ("y2", "z")])
+def test_div_rem_reductions_agree_with_the_loops(d, elim, inj):
+    rng = random.Random(1000 * d + len(elim + inj))
+    steps = [s for s in range(1, 2 * d + 1) if (2 * d) % s == 0]
+    variables = ("x", elim, inj)
+    num, phi = MPoly.var(d, "x") + MPoly.one(d), Subst(d, {"x": (CycNum.zeta(d, 1), "x")})
+    checked = rewritten = 0
+    for step in steps:
+        for injc in (CycNum.one(d), CycNum.zeta(d, 1), CycNum.zeta(d, 3)):
+            for _ in range(2):
+                prem = _random_poly(rng, d, variables, 2 * step + 1, 6)
+                core = ResidueCore(prem, elim, inj, injc, step)
+                t = Term(num, phi, core)
+                out = t.normalized()
+                assert [_term_key(u) for u in out] == [_term_key(u) for u in _loop_normalized(t)]
+                rewritten += out != [t]
+                for f in (MPoly.one(d), _random_poly(rng, d, variables, step + 2, 3)):
+                    assert core.apply(f) == _loop_apply(core, f)
+                    checked += 1
+    assert checked == len(steps) * 3 * 2 * 2 and rewritten > len(steps) * 3

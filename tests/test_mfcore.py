@@ -11,7 +11,9 @@ import permfact
 from permfact import cli, mfcore
 from permfact.correspondence import tau
 from permfact.cyclofield import CycNum, NotCoprime, eta_power, kappa
+from permfact.invariants import HomologyData
 from permfact.mfcore import (
+    InvalidDifferential,
     MatrixBifact,
     MFMorphism,
     MorphismShapeMismatch,
@@ -508,6 +510,32 @@ class TestMu:
 
 
 class TestInputGuards:
+    def test_matrix_bifact_needs_polynomial_entries_of_its_modulus(self):
+        y, one, zero = MPoly.var(3, "y"), MPoly.one(3), MPoly.zero(3)
+        with pytest.raises(InvalidDifferential, match="d1 entry 0 is not a polynomial"):
+            MatrixBifact(3, "x", "z", ("y",), [[0]], [[zero]])
+        with pytest.raises(InvalidDifferential, match="d0 entry"):
+            MatrixBifact(3, "x", "z", ("y",), [[zero]], [[CycNum.one(3)]])
+        with pytest.raises(InvalidDifferential, match="not a polynomial over Q\\(zeta_6\\)"):
+            MatrixBifact(3, "x", "z", ("y",), [[MPoly.var(5, "y")]], [[zero]])
+        # the plain-int zeros used to reach HomologyData and fail there with an AttributeError
+        with pytest.raises(InvalidDifferential):
+            HomologyData(MatrixBifact(3, "x", "z", ("y",), [[0]], [[0]]))
+        assert MatrixBifact(3, "x", "z", ("y",), [[y]], [[one]]).rank0 == 1
+
+    def test_matrix_bifact_needs_matching_shapes(self):
+        one, zero = MPoly.one(3), MPoly.zero(3)
+        # d1 is rank0 x rank1 and d0 is rank1 x rank0, with rank0 = len(d1), rank1 = len(d0)
+        with pytest.raises(InvalidDifferential, match="d1 needs rows of length 2, got 1"):
+            MatrixBifact(3, "x", "z", (), [[one, zero], [one]], [[one, zero], [zero, one]])
+        with pytest.raises(InvalidDifferential, match="d0 needs rows of length 1, got 2"):
+            MatrixBifact(3, "x", "z", (), [[one]], [[one, zero]])
+        with pytest.raises(InvalidDifferential, match="d1 needs rows of length 2, got 1"):
+            MatrixBifact(3, "x", "z", (), [[one]], [[one], [zero]])
+        M = MatrixBifact(3, "x", "z", (), [[one, zero]], [[one], [zero]])
+        assert (M.rank0, M.rank1) == (1, 2)
+        assert issubclass(InvalidDifferential, ValueError) and "InvalidDifferential" in mfcore.__all__
+
     def test_add_needs_equal_parity_and_shapes(self):
         M = perm_mf(3, {1, 2})
         idm = identity_morphism(M)

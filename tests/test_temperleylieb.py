@@ -72,6 +72,20 @@ class TestRelations:
         e = tl_e(D, 2, 1).tensor(tl_identity(D, 1))
         assert e.equals(tl_e(D, 3, 1))
 
+    def test_tensor_places_each_factor_in_one_mate_table(self):
+        cup = TLMorphism.from_diagram(D, TLDiagram(0, 2, [(0, 1)]))
+        [dg] = cup.tensor(tl_identity(D, 1)).combo
+        assert dg == TLDiagram(1, 3, [(1, 2), (0, 3)]) and dg.pairs == ((0, 3), (1, 2))
+        # distinct factor pairs give distinct diagrams, each equal to the validated one
+        a, b = jw(3, D), jw(2, D)
+        ab = a.tensor(b)
+        assert len(ab.combo) == len(a.combo) * len(b.combo)
+        factors = [(c1, c2) for c1 in a.combo.values() for c2 in b.combo.values()]
+        for (c1, c2), (dg, c) in zip(factors, ab.combo.items()):
+            checked = TLDiagram(dg.n_bottom, dg.n_top, dg.pairs)
+            assert checked == dg and hash(checked) == hash(dg) and checked.mate == dg.mate
+            assert c == c1 * c2
+
     def test_diagram_zigzag(self):
         cap = TLMorphism.from_diagram(D, TLDiagram(2, 0, [(0, 1)]))
         cup = TLMorphism.from_diagram(D, TLDiagram(0, 2, [(0, 1)]))
