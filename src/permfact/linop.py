@@ -75,7 +75,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclofield import CycNum
-from .polyring import MPoly, div_rem, exact_div, sort_vars
+from .polyring import MPoly, _scalar, div_rem, exact_div, sort_vars
 
 __all__ = [
     "Subst",
@@ -186,11 +186,14 @@ class ResidueCore:
     """f |-> the quotient of prem*f by elim^step - (injc*inj)^step, at elim = 0.
 
     `div_rem` divides by the graded-lex leading term, elim^step only when elim
-    precedes inj in `sort_vars` order; any other pair raises ResidueVariableClash."""
+    precedes inj in `sort_vars` order; any other pair raises ResidueVariableClash.
+    injc is a CycNum of prem's modulus, or an int or Fraction taken as one;
+    another modulus raises ModulusMismatch and any other type TypeError."""
 
     __slots__ = ("prem", "elim", "inj", "injc", "step", "injc_step")
 
     def __init__(self, prem: MPoly, elim: str, inj: str, injc: CycNum, step: int):
+        injc = _scalar(prem.d, injc)
         if sort_vars((elim, inj)) != (elim, inj):
             raise ResidueVariableClash(f"residue core needs its eliminated {elim!r} to precede its injected {inj!r} in variable order")
         if step < 1 or (2 * prem.d) % step:

@@ -17,11 +17,17 @@ it as a polynomial p when it acts on the source as multiplication by p
 (`LinOp.as_multiplication`), so such an entry is an MPoly from construction
 on.  The tensor product of morphisms carries the Koszul sign, and the
 differential of M (x) N is d_M (x) 1 + 1 (x) d_N, built by the same routine.
+`tensor_mf` returns a `TensorBifact`, which keeps its two factors: its shape,
+variables and tags are set at once, and its differential is written on the
+first read of d1 or d0, then kept.  Most tensor objects are only the source
+or target of a morphism and never have it read.
 
 delta(f) has one definition: `delta` and `is_cycle` share the two products
 d_tgt . f and f . d_src.  Renaming and both object twists are one routine,
 `MatrixBifact.substituted`, a monomial map applied to every differential
-entry.
+entry.  On a tensor object it is the tensor product of the substituted
+factors, which writes no differential: each entry of d_M (x) 1 + 1 (x) d_N is
++- an entry of d_M or d_N, and a monomial map is a ring homomorphism.
 
 The duality maps u and n of the self-dual generator T are spliced between
 strands once, by `duality_pieces`: the caps rho . (1 (x) u) and
@@ -53,6 +59,7 @@ from .polyring import MPoly, difference_quotient, exact_div, perm_product
 
 __all__ = [
     "MatrixBifact",
+    "TensorBifact",
     "MFMorphism",
     "InvalidDifferential",
     "VariableMismatch",
@@ -140,19 +147,28 @@ def _zero_matrix(rows, cols, d):
     return [[zero for _ in range(cols)] for _ in range(rows)]
 
 
+def _require_differential(d, d1, d0) -> None:
+    """InvalidDifferential unless d1 is len(d1) x len(d0) and d0 len(d0) x len(d1), with MPoly entries of modulus d."""
+    for name, mat, cols in (("d1", d1, len(d0)), ("d0", d0, len(d1))):
+        for row in mat:
+            if len(row) != cols:
+                raise InvalidDifferential(f"{name} needs rows of length {cols}, got {len(row)}")
+            for e in row:
+                if not (isinstance(e, MPoly) and e.d == d):
+                    raise InvalidDifferential(f"{name} entry {e!r} is not a polynomial over Q(zeta_{2 * d})")
+
+
 class MatrixBifact:
     """Z2-graded factorisation data: d1: M1 -> M0, d0: M0 -> M1, of ranks len(d1), len(d0).
 
     InvalidDifferential unless d1 is rank0 x rank1 and d0 rank1 x rank0, with MPoly entries of modulus d."""
 
+    _rescaled = None  # {scales: object}, filled by rescaled
+    _origin = None  # (weak reference to the base, scales) of a rescaled object
+    _homology = None  # filled by invariants.HomologyData.of
+
     def __init__(self, d, left, right, int_vars, d1, d0, tags0=None, tags1=None):
-        for name, mat, cols in (("d1", d1, len(d0)), ("d0", d0, len(d1))):
-            for row in mat:
-                if len(row) != cols:
-                    raise InvalidDifferential(f"{name} needs rows of length {cols}, got {len(row)}")
-                for e in row:
-                    if not (isinstance(e, MPoly) and e.d == d):
-                        raise InvalidDifferential(f"{name} entry {e!r} is not a polynomial over Q(zeta_{2 * d})")
+        _require_differential(d, d1, d0)
         self.d = d
         self.left = left
         self.right = right
@@ -163,9 +179,6 @@ class MatrixBifact:
         self.rank1 = len(d0)
         self.tags0 = tuple(tags0) if tags0 is not None else tuple((("0", i),) for i in range(self.rank0))
         self.tags1 = tuple(tags1) if tags1 is not None else tuple((("1", i),) for i in range(self.rank1))
-        self._rescaled = None  # {scales: object}, filled by rescaled
-        self._origin = None  # (weak reference to the base, scales) of a rescaled object
-        self._homology = None  # filled by invariants.HomologyData.of
 
     @property
     def all_vars(self):
@@ -229,6 +242,10 @@ class MatrixBifact:
     def renamed(self, mapping: dict) -> "MatrixBifact":
         """Rename variables (an isomorphism of the presentation)."""
         return self.substituted({v: (1, w) for v, w in mapping.items()})
+
+    def leaves(self) -> tuple:
+        """The factors of this tensor word, left to right, unbracketed."""
+        return (self,)
 
     def __repr__(self):
         return (
@@ -425,8 +442,62 @@ def _write_tensor_blocks(out, f: MFMorphism, g: MFMorphism) -> None:
                             mat[row_off + a * rows_g + b][col_off + a2 * cols_g + b2] = -e if negate else e
 
 
-def tensor_mf(M: MatrixBifact, N: MatrixBifact) -> MatrixBifact:
-    """Koszul-signed tensor product over the shared middle variable: d = d_M (x) 1 + 1 (x) d_N."""
+def _tensor_differential(T: "TensorBifact") -> tuple[list, list]:
+    """(d1, d0) of T = M (x) N: d_M (x) 1 + 1 (x) d_N, each differential the odd endomorphism."""
+    M, N = T.factors
+    d0, d1 = _zero_matrix(T.rank1, T.rank0, T.d), _zero_matrix(T.rank0, T.rank1, T.d)
+    _write_tensor_blocks([d0, d1], MFMorphism(M, M, 1, M.d0, M.d1), identity_morphism(N))
+    _write_tensor_blocks([d0, d1], identity_morphism(M), MFMorphism(N, N, 1, N.d0, N.d1))
+    _require_differential(T.d, d1, d0)
+    return d1, d0
+
+
+class TensorBifact(MatrixBifact):
+    """M (x) N over the shared middle variable, keeping its two factors.
+
+    The shape, variables and tags are set at once; the differential is
+    written from the factors on the first read of d1 or d0 and kept.  A
+    substitution is applied to the factors: every entry of the differential
+    is +- an entry of d_M or d_N, and a monomial map is a ring homomorphism.
+    """
+
+    def __init__(self, M: MatrixBifact, N: MatrixBifact):
+        self.factors = (M, N)
+        self.d = M.d
+        self.left = M.left
+        self.right = N.right
+        self.int_vars = M.int_vars + (M.right,) + N.int_vars
+        self.rank0 = M.rank0 * N.rank0 + M.rank1 * N.rank1
+        self.rank1 = M.rank1 * N.rank0 + M.rank0 * N.rank1
+        self.tags0 = tuple(a + b for a in M.tags0 for b in N.tags0) + tuple(a + b for a in M.tags1 for b in N.tags1)
+        self.tags1 = tuple(a + b for a in M.tags1 for b in N.tags0) + tuple(a + b for a in M.tags0 for b in N.tags1)
+        self._differential = None  # (d1, d0), written on first read
+
+    @property
+    def d1(self):
+        return self._written()[0]
+
+    @property
+    def d0(self):
+        return self._written()[1]
+
+    def _written(self):
+        if self._differential is None:
+            self._differential = _tensor_differential(self)
+        return self._differential
+
+    def substituted(self, sub: dict) -> "TensorBifact":
+        M, N = self.factors
+        return tensor_mf(M.substituted(sub), N.substituted(sub))
+
+    def leaves(self) -> tuple:
+        M, N = self.factors
+        return M.leaves() + N.leaves()
+
+
+def tensor_mf(M: MatrixBifact, N: MatrixBifact) -> TensorBifact:
+    """Koszul-signed tensor product over the shared middle variable: d = d_M (x) 1 + 1 (x) d_N,
+    written on the first read of d1 or d0."""
     if M.right != N.left:
         raise VariableMismatch(f"middle variables differ: {M.right} vs {N.left}")
     if M.d != N.d:
@@ -434,17 +505,7 @@ def tensor_mf(M: MatrixBifact, N: MatrixBifact) -> MatrixBifact:
     overlap = set((M.left,) + M.int_vars) & set(N.int_vars + (N.right,))
     if overlap:
         raise VariableMismatch(f"variable collision: {overlap}")
-    d = M.d
-    rank0 = M.rank0 * N.rank0 + M.rank1 * N.rank1
-    rank1 = M.rank1 * N.rank0 + M.rank0 * N.rank1
-    d0, d1 = _zero_matrix(rank1, rank0, d), _zero_matrix(rank0, rank1, d)
-    # each differential as an odd endomorphism
-    _write_tensor_blocks([d0, d1], MFMorphism(M, M, 1, M.d0, M.d1), identity_morphism(N))
-    _write_tensor_blocks([d0, d1], identity_morphism(M), MFMorphism(N, N, 1, N.d0, N.d1))
-    tags0 = tuple(a + b for a in M.tags0 for b in N.tags0) + tuple(a + b for a in M.tags1 for b in N.tags1)
-    tags1 = tuple(a + b for a in M.tags1 for b in N.tags0) + tuple(a + b for a in M.tags0 for b in N.tags1)
-    int_vars = M.int_vars + (M.right,) + N.int_vars
-    return MatrixBifact(d, M.left, N.right, int_vars, d1, d0, tags0, tags1)
+    return TensorBifact(M, N)
 
 
 def tensor_morphism(f: MFMorphism, g: MFMorphism) -> MFMorphism:
@@ -491,8 +552,11 @@ def sum_morphism(f: MFMorphism, g: MFMorphism) -> MFMorphism:
 
 
 def reassoc(A: MatrixBifact, B: MatrixBifact) -> MFMorphism:
-    """The permutation isomorphism between two bracketings of one tensor word."""
-    if set(A.tags0) != set(B.tags0) or set(A.tags1) != set(B.tags1):
+    """The permutation isomorphism between two bracketings of one tensor word.
+
+    VariableMismatch unless A and B have the same variables and equal leaf
+    factors in the same order; tags alone do not tell two words apart."""
+    if A.all_vars != B.all_vars or A.leaves() != B.leaves():
         raise VariableMismatch("objects are not bracketings of the same word")
     d = A.d
     one, zero = MPoly.one(d), MPoly.zero(d)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permfact.checks import build_checks
-from permfact.cyclofield import CycNum, eta_power, kappa
+from permfact.cyclofield import CycNum, ModulusMismatch, eta_power, kappa
 from permfact.graded import _entry_degree
 from permfact.linop import (
     LinOp,
@@ -150,6 +150,19 @@ def test_residue_core_rejects_bad_step():
             ResidueCore(Y, "y", "z", CycNum.one(D), step)
     with pytest.raises(ValueError):
         LinOp(D, [Term(ONE, Subst.identity(D), ResidueCore(Y, "y", "z", 1, 0))])
+
+
+def test_residue_core_coerces_a_rational_injection_scalar():
+    prem = X * Y + X**2 * Y
+    op = lambda injc: LinOp(D, [Term(ONE, ID, ResidueCore(prem, "y", "z", injc, D))])
+    assert not op(1).is_zero()
+    assert op(1) == op(CycNum.one(D))
+    assert op(Fraction(1, 2)).terms[0].core.injc == CycNum.from_rational(D, Fraction(1, 2))
+    with pytest.raises(ModulusMismatch):
+        ResidueCore(prem, "y", "z", CycNum.one(5), D)
+    for bad in (1.0, "1", None):
+        with pytest.raises(TypeError):
+            ResidueCore(prem, "y", "z", bad, D)
 
 
 # -- the zero test ---------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 import permfact
 from permfact import cli, mfcore
-from permfact.correspondence import tau
+from permfact.correspondence import mu_hexagon_ok, tau
 from permfact.cyclofield import CycNum, NotCoprime, eta_power, kappa
 from permfact.invariants import HomologyData
 from permfact.mfcore import (
@@ -111,6 +111,16 @@ class TestTensor:
         back = reassoc(left, right)
         assert al.compose(back).equals(identity_morphism(right))
 
+    def test_reassoc_rejects_bracketings_of_different_words(self):
+        # both words have the tags of three rank-(1,1) factors; only the factors differ
+        d = 3
+        A = tensor_mf(chi(d, 1, "x", "y1"), tensor_mf(chi(d, 0, "y1", "y2"), chi(d, 2, "y2", "z")))
+        B = tensor_mf(tensor_mf(chi(d, 2, "x", "y1"), chi(d, 2, "y1", "y2")), chi(d, 2, "y2", "z"))
+        with pytest.raises(VariableMismatch):
+            reassoc(B, A)
+        with pytest.raises(VariableMismatch):
+            reassoc(A, A.renamed({"y1": "w"}))
+
 
 def _odd_differential(M):
     return MFMorphism(M, M, 1, M.d0, M.d1)
@@ -153,6 +163,115 @@ class TestTensorBlocks:
     def test_entries_match_recorded(self):
         pins = json.loads(TENSOR_PINS.read_text())
         assert {name: _entry_reprs(obj) for name, obj in _tensor_pin_cases().items()} == pins
+
+
+def _eager_tensor_mf(M, N):
+    """M (x) N with d_M (x) 1 + 1 (x) d_N written at construction: the
+    reference for the lazily written tensor differential."""
+    d = M.d
+    rank0 = M.rank0 * N.rank0 + M.rank1 * N.rank1
+    rank1 = M.rank1 * N.rank0 + M.rank0 * N.rank1
+    d0, d1 = mfcore._zero_matrix(rank1, rank0, d), mfcore._zero_matrix(rank0, rank1, d)
+    mfcore._write_tensor_blocks([d0, d1], _odd_differential(M), identity_morphism(N))
+    mfcore._write_tensor_blocks([d0, d1], identity_morphism(M), _odd_differential(N))
+    tags0 = tuple(a + b for a in M.tags0 for b in N.tags0) + tuple(a + b for a in M.tags1 for b in N.tags1)
+    tags1 = tuple(a + b for a in M.tags1 for b in N.tags0) + tuple(a + b for a in M.tags0 for b in N.tags1)
+    return MatrixBifact(d, M.left, N.right, M.int_vars + (M.right,) + N.int_vars, d1, d0, tags0, tags1)
+
+
+def _bracketed(tensor, word):
+    """The tensor object of a nested pair of factors, built by `tensor`."""
+    if isinstance(word, tuple):
+        return tensor(_bracketed(tensor, word[0]), _bracketed(tensor, word[1]))
+    return word
+
+
+def _lazy_tensor_words(d):
+    """Four bracketings of one word of perm_mf, chi, unit_mf and a rank-(2,2) factor."""
+    P = perm_mf(d, {0, 1}, "x", "y1")
+    C = chi(d, 1, "y1", "y2")
+    U = unit_mf(d, "y2", "y3")
+    R = mfcore.direct_sum_mf(perm_mf(d, {1}, "y3", "z"), perm_mf(d, {0, 2}, "y3", "z"))
+    return {
+        "((PC)U)R": (((P, C), U), R),
+        "P(C(UR))": (P, (C, (U, R))),
+        "(PC)(UR)": ((P, C), (U, R)),
+        "P((CU)R)": (P, ((C, U), R)),
+    }
+
+
+_TRANSFORMS = {
+    "none": lambda M: M,
+    "renamed": lambda M: M.renamed({"x": "w", "y2": "v"}),
+    "twist_mf": lambda M: twist_mf(M, 1, 2, 2),
+    "diag_twist_mf": lambda M: diag_twist_mf(M, 2, 2),
+}
+
+
+@pytest.fixture
+def tensor_writes(monkeypatch):
+    """Counts the tensor differentials written while the test runs."""
+    count = [0]
+    write = mfcore._tensor_differential
+
+    def counted(T):
+        count[0] += 1
+        return write(T)
+
+    monkeypatch.setattr(mfcore, "_tensor_differential", counted)
+    return count
+
+
+class TestLazyTensor:
+    """tensor_mf against the eager construction, entry by entry."""
+
+    @staticmethod
+    def _described(M):
+        return _entry_reprs(M), M.int_vars, (M.left, M.right, M.rank0, M.rank1)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("transform", list(_TRANSFORMS))
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    def test_matches_eager_construction(self, d, transform, read_first, tensor_writes):
+        apply = _TRANSFORMS[transform]
+        for name, word in _lazy_tensor_words(d).items():
+            lazy = _bracketed(tensor_mf, word)
+            if read_first:
+                lazy.d1
+            written = tensor_writes[0]
+            out = apply(lazy)
+            if transform != "none":
+                # a substitution is applied to the factors, writing nothing
+                assert tensor_writes[0] == written, name
+            ref = apply(_bracketed(_eager_tensor_mf, word))
+            assert self._described(out) == self._described(ref), name
+            assert out.d1 == ref.d1 and out.d0 == ref.d0, name
+
+    def test_differential_written_once_on_first_read(self, tensor_writes):
+        word = _lazy_tensor_words(3)["P(C(UR))"]
+        T = _bracketed(tensor_mf, word)
+        assert tensor_writes[0] == 0
+        assert (T.rank0, T.rank1, len(T.tags0), len(T.tags1)) == (16, 16, 16, 16)
+        assert tensor_writes[0] == 0
+        d1 = T.d1
+        assert tensor_writes[0] == 3  # T and its two nested factors
+        assert T.d0 is T.d0 and T.d1 is d1
+        assert tensor_writes[0] == 3
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_three_factor_word_factorises(self, d, tensor_writes):
+        word = _lazy_tensor_words(d)["((PC)U)R"][0]
+        assert verify_factorisation(_bracketed(tensor_mf, word))
+        assert verify_factorisation(diag_twist_mf(_bracketed(tensor_mf, word), 1, 2))
+        assert tensor_writes[0] == 4
+
+    def test_hexagon_writes_no_differential(self, tensor_writes):
+        d = 3
+        triples = [(a, b, c) for a in range(d) for b in range(d) for c in range(d)]
+        assert all(mu_hexagon_ok(d, *t) for t in triples)  # warm-up: fills the constructor caches
+        written = tensor_writes[0]
+        assert all(mu_hexagon_ok(d, *t) for t in triples)
+        assert tensor_writes[0] == written
 
 
 def _mat_mul_every_pair(A, B, d):
