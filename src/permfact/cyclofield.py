@@ -25,16 +25,24 @@ numerator, sigma_k(x) for the units k != 1 mod 2d, over the norm N(x), which
 is rational.  The tables of a modulus are built on first use of that d,
 from Phi_{2d} (the Mobius factorisation of t^{2d} - 1, over Z): all 2d powers
 of zeta (``zeta(d, k)`` is a lookup), the exponent of each of them, the
-reduction of t^k mod Phi_{2d}, the units mod 2d, and a memo of inverses.  A power of an element equal to
-zeta^k, however it was built, is the lookup zeta^{k*e mod 2d}, for negative e
-too, with no inverse; any other base is raised by repeated squaring.
+reduction of t^k mod Phi_{2d}, the units mod 2d, and a memo of inverses.
 ``quantum_int`` is memoised per (n, q).
 
-A product with a factor equal to one, tested by value since most ones are
-built by arithmetic, returns the other factor itself, and
-``from_rational(d, 0)`` and ``(d, 1)`` return the shared table elements.
-This is safe because elements are never mutated: nothing writes to ``num``
-or ``den`` after construction.
+Roots of unity are recognised by value, not by how they were built: the
+table elements carry their exponent k, and any other element looks its
+numerators up in the exponent table once, on first use, and keeps the
+answer (``root_exponent``).  Their arithmetic is exponent arithmetic:
+zeta^j * zeta^k is the table element zeta^{j+k mod 2d}, the inverse of
+zeta^k is zeta^{-k}, and a power is the lookup zeta^{k*e mod 2d}, for
+negative e too.  Every other product goes through the integer kernel, and
+any other base is raised by repeated squaring.  A product with a factor
+equal to one returns the other factor itself, and ``from_rational(d, 0)`` and
+``(d, 1)`` return the shared table elements.  This is safe because elements
+are never mutated: nothing writes to ``num`` or ``den`` after construction.
+
+Scalars enter the field exactly: the constructor and ``from_rational`` take
+ints and Fractions only (not bools), and raise TypeError for anything else,
+floats included.
 """
 
 from __future__ import annotations
@@ -136,6 +144,13 @@ def cyclotomic_poly(n: int) -> list[int]:
     return num
 
 
+def _exact(value):
+    """value itself if it is an int or a Fraction (bool excluded); TypeError otherwise."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"{value!r} is not an exact rational")
+
+
 def _make(d: int, num, den: int) -> "CycNum":
     """The element num/den, which the caller guarantees is normalised."""
     x = object.__new__(CycNum)
@@ -143,6 +158,7 @@ def _make(d: int, num, den: int) -> "CycNum":
     x.num = tuple(num)
     x.den = den
     x._hash = None
+    x._root = None
     return x
 
 
@@ -188,6 +204,8 @@ class _FieldData:
             if top:
                 row = [r - top * p for r, p in zip(row, phi)]
         self.zeta_powers = tuple(_make(d, p, 1) for p in powers)
+        for k, z in enumerate(self.zeta_powers):
+            z._root = k
         self.zeta_exponent = {p: k for k, p in enumerate(powers)}
         self.reduction = tuple(
             tuple((i, c) for i, c in enumerate(powers[k]) if c) for k in range(deg, 2 * deg - 1)
@@ -207,13 +225,17 @@ class _FieldData:
 
 class CycNum:
     """An element sum(num[k] * zeta^k) / den of Q(zeta_{2d}), reduced modulo
-    Phi_{2d} and normalised so that gcd(den, *num) = 1."""
+    Phi_{2d} and normalised so that gcd(den, *num) = 1.
 
-    __slots__ = ("d", "num", "den", "_hash")
+    ``_hash`` and ``_root`` (the exponent k of an element equal to zeta^k,
+    or -1) are filled on first use; the coefficients are ints or Fractions,
+    TypeError otherwise."""
+
+    __slots__ = ("d", "num", "den", "_hash", "_root")
 
     def __init__(self, d: int, coeffs):
         data = _FieldData.get(d)
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [Fraction(_exact(c)) for c in coeffs]
         if len(coeffs) != data.degree:
             raise ValueError(f"need {data.degree} coefficients, got {len(coeffs)}")
         # over the lcm of reduced denominators, gcd(den, *num) is already 1
@@ -222,6 +244,7 @@ class CycNum:
         self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
         self.den = den
         self._hash = None
+        self._root = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -233,13 +256,11 @@ class CycNum:
 
     @staticmethod
     def from_rational(d: int, value) -> "CycNum":
-        """value as an element; 0 and 1 are the shared table elements."""
+        """value (an int or a Fraction; TypeError otherwise) as an element;
+        0 and 1 are the shared table elements."""
         data = _FieldData.get(d)
-        if isinstance(value, int):
-            top, den = int(value), 1
-        else:
-            value = Fraction(value)
-            top, den = value.numerator, value.denominator
+        value = _exact(value)
+        top, den = value.numerator, value.denominator
         if den == 1 and top in (0, 1):
             return data.zeta_powers[0] if top else data.zero
         return _make(d, (top,) + (0,) * (data.degree - 1), den)
@@ -272,7 +293,15 @@ class CycNum:
         return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.den == 1 and self.num == _FieldData._cache[self.d].zeta_powers[0].num
+        return self.root_exponent() == 0
+
+    def root_exponent(self) -> int:
+        """k in range(2d) with self = zeta^k, or -1 when self is no root of
+        unity; looked up by value on first call and kept."""
+        k = self._root
+        if k is None:
+            k = self._root = _FieldData._cache[self.d].zeta_exponent.get(self.num, -1) if self.den == 1 else -1
+        return k
 
     # -- ring/field operations ----------------------------------------------
 
@@ -307,11 +336,18 @@ class CycNum:
         if other is NotImplemented:
             return NotImplemented
         data = _FieldData._cache[self.d]
-        # a factor equal to one, however it was built, returns the other one
-        one = data.zeta_powers[0].num
-        if other.den == 1 and other.num == one:
+        # roots of unity, however they were built, multiply by adding
+        # exponents, and a factor equal to one returns the other one
+        r, s = self._root, other._root
+        if r is None:
+            r = self.root_exponent()
+        if s is None:
+            s = other.root_exponent()
+        if r >= 0 and s >= 0:
+            return data.zeta_powers[(r + s) % data.n]
+        if s == 0:
             return self
-        if self.den == 1 and self.num == one:
+        if r == 0:
             return other
         deg = data.degree
         terms = [(j, y) for j, y in enumerate(other.num) if y]
@@ -337,10 +373,13 @@ class CycNum:
         N(x) = prod_k sigma_k(x) is rational.  The product runs over the
         integral numerator, so it is integer arithmetic with one division
         by the integer norm; FieldIdentityError when that norm is not a
-        nonzero rational."""
+        nonzero rational.  The inverse of zeta^k is zeta^{-k}."""
+        data = _FieldData._cache[self.d]
+        k = self.root_exponent()
+        if k >= 0:
+            return data.zeta_powers[-k % data.n]
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        data = _FieldData._cache[self.d]
         key = (self.num, self.den)
         hit = data.inverses.get(key)
         if hit is not None:
@@ -367,11 +406,9 @@ class CycNum:
         return self.inverse() * other
 
     def __pow__(self, k: int):
-        if self.den == 1:
-            data = _FieldData._cache[self.d]
-            j = data.zeta_exponent.get(self.num)
-            if j is not None:
-                return data.zeta_powers[j * k % data.n]
+        j = self.root_exponent()
+        if j >= 0:
+            return _FieldData._cache[self.d].zeta_powers[j * k % (2 * self.d)]
         if k < 0:
             return self.inverse() ** (-k)
         out = CycNum.one(self.d)

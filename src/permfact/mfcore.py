@@ -11,7 +11,9 @@ Morphism components are matrices whose entries are polynomials or the exact
 operators of :mod:`permfact.linop` (the unit isomorphisms substitute the
 middle variable into an external one; evaluation maps extract residues).
 Entries combine by `+`, `*` (a after b) and `==` whatever their type, so the
-matrix calculus never asks which kind an entry is.  One rule decides the
+matrix calculus never asks which kind an entry is.  A matrix product starts
+each entry from its first nonzero product and adds the rest to it; an entry
+with no such product is the zero polynomial.  One rule decides the
 stored type: a morphism prunes each operator entry for its source and stores
 it as a polynomial p when it acts on the source as multiplication by p
 (`LinOp.as_multiplication`), so such an entry is an MPoly from construction
@@ -41,8 +43,10 @@ memoised for the life of the process; a subset S is keyed as the frozenset of
 its residues mod d, however it is spelled.  The twists of an object are memoised on the object itself:
 twist_mf and diag_twist_mf build ((a)M(b)) once per (M, a mod d, b mod d, l),
 through `MatrixBifact.rescaled`, keyed by the variable scalings, and the memo
-dies with M.  A twist of a twisted object is a twist of its base, so the
-twists of P_S that tau and its cocycle reach are d objects, not d^2.  Every
+dies with M.  A tensor object is rescaled as the product of its factors'
+own rescalings, so every twist of a leaf is built once, on the leaf.  A
+twist of a twisted object is a twist of its base, so the twists of P_S that
+tau and its cocycle reach are d objects, not d^2.  Every
 caller with the same arguments gets the same object, so no caller may write
 to a returned object or its matrices.
 """
@@ -124,9 +128,23 @@ def _entry_factor_product(a, b):
 
 def mat_mul(A, B, d):
     """A B, skipping every pair with a zero polynomial factor (a zero
-    polynomial is falsy, an operator entry is not)."""
+    polynomial is falsy, an operator entry is not).  Each entry starts from
+    its first product; one with no product is the zero polynomial."""
+    zero = MPoly.zero(d)
     cols = range(len(B[0]) if B else 0)
-    return [[sum((a * b[j] for a, b in zip(row, B) if a and b[j]), MPoly.zero(d)) for j in cols] for row in A]
+    out = []
+    for row in A:
+        out_row = []
+        for j in cols:
+            entry = None
+            for a, b in zip(row, B):
+                p = b[j]
+                if a and p:
+                    p = a * p
+                    entry = p if entry is None else entry + p
+            out_row.append(zero if entry is None else entry)
+        out.append(out_row)
+    return out
 
 
 def mat_add(A, B):
@@ -234,10 +252,14 @@ class MatrixBifact:
             base._rescaled = {}
         out = base._rescaled.get(scales)
         if out is None:
-            out = base.substituted({v: (c, v) for v, c in zip(base.all_vars, scales) if not c.is_one()})
+            out = base._rescaling(scales)
             out._origin = (weakref.ref(base), scales)
             base._rescaled[scales] = out
         return out
+
+    def _rescaling(self, scales: tuple) -> "MatrixBifact":
+        """A new object: this one with all_vars[i] scaled by scales[i]."""
+        return self.substituted({v: (c, v) for v, c in zip(self.all_vars, scales) if not c.is_one()})
 
     def renamed(self, mapping: dict) -> "MatrixBifact":
         """Rename variables (an isomorphism of the presentation)."""
@@ -489,6 +511,13 @@ class TensorBifact(MatrixBifact):
     def substituted(self, sub: dict) -> "TensorBifact":
         M, N = self.factors
         return tensor_mf(M.substituted(sub), N.substituted(sub))
+
+    def _rescaling(self, scales: tuple) -> "TensorBifact":
+        """The product of the factors' own rescalings, so every rescaling of a
+        leaf is built once, on the leaf; the factors share the middle scale."""
+        M, N = self.factors
+        m = len(M.all_vars)
+        return tensor_mf(M.rescaled(scales[:m]), N.rescaled(scales[m - 1 :]))
 
     def leaves(self) -> tuple:
         M, N = self.factors

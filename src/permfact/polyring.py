@@ -81,13 +81,12 @@ def _mono_mul(a: frozenset, b: frozenset) -> frozenset:
 
 
 def _scalar(d: int, c) -> CycNum:
+    """c as an element: a CycNum of modulus d, or an int or Fraction (TypeError otherwise)."""
     if isinstance(c, CycNum):
         if c.d != d:
             raise ModulusMismatch(f"moduli differ: {d} vs {c.d}")
         return c
-    if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
-        return CycNum.from_rational(d, c)
-    raise TypeError(f"{c!r} is not a scalar of Q(zeta_{2 * d})")
+    return CycNum.from_rational(d, c)
 
 
 class MPoly:

@@ -96,7 +96,7 @@ class TestQuantumData:
     def test_quantum_int_is_memoised_by_value(self):
         d = 7
         q = CycNum.zeta(d)
-        built = CycNum.zeta(d, 3) * CycNum.zeta(d, -2)
+        built = CycNum(d, q.coeffs)
         assert built is not q and built == q
         assert quantum_int(3, built) is quantum_int(3, q)
         assert quantum_int(3, q) == q**2 + 1 + q**-2
@@ -330,8 +330,7 @@ class TestKernel:
         def no_inverse(self):
             raise AssertionError("the lookup must not invert")
 
-        z = CycNum.zeta(d, 1)
-        built = z * z * z
+        built = CycNum(d, CycNum.zeta(d, 3).coeffs)
         assert built is not CycNum.zeta(d, 3)
         monkeypatch.setattr(CycNum, "inverse", no_inverse)
         assert built ** -1 is CycNum.zeta(d, -3)
@@ -352,7 +351,7 @@ class TestKernel:
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_products_by_one(self, d):
         x = CycNum(d, [Fraction(k - 2, k + 3) for k in range(len(CycNum.zero(d).coeffs))])
-        built_ones = [eta_power(d, a) * eta_power(d, -a) for a in range(1, d)]
+        built_ones = [CycNum(d, (eta_power(d, a) * eta_power(d, -a)).coeffs) for a in range(1, d)]
         assert all(y == 1 and y is not CycNum.one(d) for y in built_ones)
         for one in [CycNum.one(d), 1, Fraction(1)] + built_ones:
             for prod in (x * one, one * x):
@@ -382,6 +381,81 @@ class TestKernel:
             for k, c in enumerate(x.coeffs):
                 image = image + CycNum.zeta(d, 1) ** (k * (l % (2 * d))) * c
             assert x.galois(l) == image
+
+
+class TestRootsOfUnity:
+    """zeta^j * zeta^k and (zeta^k)^{-1} are exponent arithmetic; every other
+    operand takes the integer kernel.  Both against the Fraction reference."""
+
+    @pytest.mark.parametrize("d", KERNEL_DS)
+    def test_root_products_are_table_elements(self, d):
+        for i in range(2 * d):
+            zi = CycNum.zeta(d, i)
+            for j in range(2 * d):
+                zj = CycNum.zeta(d, j)
+                prod = zi * zj
+                assert prod.coeffs == _ref_mul(d, zi.coeffs, zj.coeffs)
+                assert prod is CycNum.zeta(d, i + j)
+
+    @pytest.mark.parametrize("d", KERNEL_DS)
+    def test_root_times_other_elements(self, d):
+        rng = random.Random(d)
+        deg = len(CycNum.zero(d).coeffs)
+        for _ in range(4):
+            x = CycNum(d, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)])
+            for i in range(2 * d):
+                z = CycNum.zeta(d, i)
+                for prod in (z * x, x * z):
+                    assert prod.coeffs == _ref_mul(d, z.coeffs, x.coeffs)
+                    assert _normalised(prod)
+
+    @pytest.mark.parametrize("d", KERNEL_DS)
+    def test_root_inverses(self, d):
+        for k in range(2 * d):
+            z = CycNum.zeta(d, k)
+            inv = z.inverse()
+            assert inv == _euclid_inverse(z)
+            assert inv is CycNum.zeta(d, -k)
+
+    @pytest.mark.parametrize("d", KERNEL_DS)
+    def test_roots_are_recognised_by_value(self, d):
+        for k in range(2 * d):
+            fresh = CycNum(d, CycNum.zeta(d, k).coeffs)
+            assert fresh is not CycNum.zeta(d, k)
+            assert fresh.root_exponent() == k
+            assert fresh * fresh is CycNum.zeta(d, 2 * k)
+            assert fresh.inverse() is CycNum.zeta(d, -k)
+
+    @pytest.mark.parametrize("d", KERNEL_DS)
+    def test_other_elements_take_the_kernel(self, d):
+        for k in range(2 * d):
+            z = CycNum.zeta(d, k)
+            for x in (z + 1, z / 2):
+                # |1 + zeta^k| = 2|cos(pi k / 2d)| is 1 for k = 2d/3, 4d/3,
+                # where 1 + zeta^k is itself a root, and 0 for k = d
+                if x.is_zero() or abs(abs(x.to_complex()) - 1) < 1e-9:
+                    assert x.is_zero() or x.root_exponent() >= 0
+                    continue
+                assert x.root_exponent() == -1
+                assert (x * x).coeffs == _ref_mul(d, x.coeffs, x.coeffs)
+                assert (x * z).coeffs == _ref_mul(d, x.coeffs, z.coeffs)
+                assert x.inverse() == _euclid_inverse(x)
+
+
+class TestExactScalars:
+    """Only ints and Fractions (not bools) become field elements."""
+
+    @pytest.mark.parametrize("bad", [0.1, 0.5, True, "1/2", 1j, None])
+    def test_constructor_rejects_inexact_coefficients(self, bad):
+        with pytest.raises(TypeError):
+            CycNum(3, [bad, 0])
+        with pytest.raises(TypeError):
+            CycNum(3, [0, bad])
+
+    @pytest.mark.parametrize("bad", [0.1, 0.5, True, "1/2", 1j, None])
+    def test_from_rational_rejects_inexact_values(self, bad):
+        with pytest.raises(TypeError):
+            CycNum.from_rational(3, bad)
 
 
 class TestModulusValidation:

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import permfact
-from permfact import cli, mfcore
+from permfact import cli, invariants, mfcore
+from permfact.checks import build_checks
 from permfact.correspondence import mu_hexagon_ok, tau
 from permfact.cyclofield import CycNum, NotCoprime, eta_power, kappa
 from permfact.invariants import HomologyData
@@ -293,7 +294,34 @@ def _hexagon_composites(d, a, b, c):
     }
 
 
+def _mat_mul_from_zero(A, B, d):
+    """Each entry summed from a zero polynomial over the pairs with no zero
+    polynomial factor: the reference for mat_mul's first-term start."""
+    cols = range(len(B[0]) if B else 0)
+    return [[sum((a * b[j] for a, b in zip(row, B) if a and b[j]), MPoly.zero(d)) for j in cols] for row in A]
+
+
 class TestMatMul:
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_first_term_start_matches_a_sum_from_zero(self, d, monkeypatch):
+        """Every product the core, tl and equivariance suites form: equal
+        entries of the same type, an entry with no product the zero polynomial."""
+        kinds = {"operator": 0, "polynomial": 0, "zero": 0}
+
+        def checked(A, B, d):
+            out, ref = mat_mul(A, B, d), _mat_mul_from_zero(A, B, d)
+            assert [len(row) for row in out] == [len(row) for row in ref]
+            for e, r in zip(sum(out, []), sum(ref, [])):
+                assert type(e) is type(r) and e == r
+                kinds["operator" if isinstance(e, LinOp) else "polynomial" if e else "zero"] += 1
+            return out
+
+        monkeypatch.setattr(mfcore, "mat_mul", checked)
+        monkeypatch.setattr(invariants, "mat_mul", checked)
+        for c in build_checks(d, 1, {"core", "tl", "equivariance"}):
+            assert c.run()["status"] == "pass", c.name
+        assert all(kinds.values()), kinds
+
     def test_zero_pairs_change_no_value(self):
         d = 5
         x, y1 = MPoly.var(d, "x"), MPoly.var(d, "y1")
@@ -583,6 +611,22 @@ class TestTwists:
         # with no internal variable the two twists are one substitution
         P = perm_mf(d, {1, 2})
         assert diag_twist_mf(P, 2) is twist_mf(P, 2, -2)
+
+    def test_twists_of_a_word_share_the_twisted_leaves(self):
+        d, l = 5, 2
+        A, B, C = perm_mf(d, {0, 1}, "x", "y1"), chi(d, 1, "y1", "y2"), perm_mf(d, {2}, "y2", "z")
+        for word in (tensor_mf(tensor_mf(A, B), C), tensor_mf(A, tensor_mf(B, C))):
+            for a in range(1, d):
+                tw = diag_twist_mf(word, a, l)
+                scale = eta_power(d, a, l)
+                assert len(tw.leaves()) == 3
+                for leaf, twisted in zip(word.leaves(), tw.leaves()):
+                    assert twisted is leaf.rescaled((scale,) * len(leaf.all_vars))
+                    assert twisted is diag_twist_mf(leaf, a, l)
+                assert tw == word.substituted({v: (scale, v) for v in word.all_vars})
+            # an end twist rescales the outer leaves and keeps the inner one
+            ends = twist_mf(word, 1, 2, l)
+            assert all(x is y for x, y in zip(ends.leaves(), (twist_mf(A, 1, 0, l), B, twist_mf(C, 0, 2, l))))
 
     def test_a_twist_of_a_twist_is_a_twist_of_the_base(self):
         d = 5

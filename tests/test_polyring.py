@@ -75,7 +75,7 @@ class TestTrivialProducts:
     def test_unit_operand_returns_the_other(self, d):
         x, y = MPoly.var(d, "x"), MPoly.var(d, "y")
         f = x**2 * y - y * eta_power(d, 1) + 3
-        built_one = MPoly.constant(d, eta_power(d, 2) * eta_power(d, -2))
+        built_one = MPoly.constant(d, CycNum(d, (eta_power(d, 2) * eta_power(d, -2)).coeffs))
         assert built_one.terms[frozenset()] is not CycNum.one(d)
         for one in (MPoly.one(d), built_one, 1, CycNum.one(d)):
             for prod in (f * one, one * f):
@@ -93,6 +93,13 @@ class TestTrivialProducts:
         zero = MPoly.zero(d)
         for prod in (f * 0, 0 * f, f * zero, zero * f, zero * MPoly.one(d)):
             assert prod.is_zero()
+
+
+class TestExactScalars:
+    @pytest.mark.parametrize("bad", [0.1, 0.5, True, "1/2", None])
+    def test_constant_rejects_inexact_values(self, bad):
+        with pytest.raises(TypeError):
+            MPoly.constant(3, bad)
 
 
 class TestModulusGuard:
