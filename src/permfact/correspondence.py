@@ -30,6 +30,7 @@ from .mfcore import (
     tensor_morphism,
     twist_morphism,
 )
+from .polyring import residues
 
 __all__ = [
     "tau",
@@ -45,7 +46,7 @@ __all__ = [
 
 def tau(d: int, S, a: int, left="x", right="y", l: int = 1) -> MFMorphism:
     """tau_{S;a} = eta^{(d+1)/2 * a * (|S|-1)} * s_{a,-a}: P_S -> ((a)P_S(-a))."""
-    return _tau(d, frozenset(s % d for s in S), a, left, right, l)
+    return _tau(d, residues(d, S), a, left, right, l)
 
 
 @lru_cache(maxsize=None)

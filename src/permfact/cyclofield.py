@@ -40,9 +40,11 @@ equal to one returns the other factor itself, and ``from_rational(d, 0)`` and
 ``(d, 1)`` return the shared table elements.  This is safe because elements
 are never mutated: nothing writes to ``num`` or ``den`` after construction.
 
-Scalars enter the field exactly: the constructor and ``from_rational`` take
-ints and Fractions only (not bools), and raise TypeError for anything else,
-floats included.
+Scalars enter the field exactly, through ``as_scalar(d, value)``: a CycNum of
+modulus d as it is (ModulusMismatch for another), an int or Fraction (not a
+bool) through ``from_rational``, TypeError for anything else, floats included.
+Arithmetic operands and the layers above (``polyring.as_poly``, ``linop``,
+``temperleylieb``) coerce every scalar through it.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from math import gcd, lcm
 
 __all__ = [
     "CycNum",
+    "as_scalar",
     "DivisionByZero",
     "ModulusMismatch",
     "InvalidModulus",
@@ -280,15 +283,6 @@ class CycNum:
 
     # -- helpers -----------------------------------------------------------
 
-    def _check(self, other) -> "CycNum":
-        if isinstance(other, CycNum):
-            if other.d != self.d:
-                raise ModulusMismatch(f"moduli differ: {self.d} vs {other.d}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycNum.from_rational(self.d, other)
-        return NotImplemented
-
     def is_zero(self) -> bool:
         return not any(self.num)
 
@@ -306,9 +300,9 @@ class CycNum:
     # -- ring/field operations ----------------------------------------------
 
     def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
+        if not isinstance(other, _SCALARS):
             return NotImplemented
+        other = as_scalar(self.d, other)
         a, b = self.den, other.den
         if a == b:
             return _normal(self.d, [x + y for x, y in zip(self.num, other.num)], a)
@@ -320,9 +314,9 @@ class CycNum:
         return _make(self.d, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
+        if not isinstance(other, _SCALARS):
             return NotImplemented
+        other = as_scalar(self.d, other)
         a, b = self.den, other.den
         if a == b:
             return _normal(self.d, [x - y for x, y in zip(self.num, other.num)], a)
@@ -332,9 +326,9 @@ class CycNum:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
+        if not isinstance(other, _SCALARS):
             return NotImplemented
+        other = as_scalar(self.d, other)
         data = _FieldData._cache[self.d]
         # roots of unity, however they were built, multiply by adding
         # exponents, and a factor equal to one returns the other one
@@ -397,9 +391,9 @@ class CycNum:
         return out
 
     def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
+        if not isinstance(other, _SCALARS):
             return NotImplemented
+        other = as_scalar(self.d, other)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -472,6 +466,17 @@ class CycNum:
 
 
 # -- module-level operations ---------------------------------------------------
+
+_SCALARS = (CycNum, int, Fraction)  # the operand types as_scalar accepts
+
+
+def as_scalar(d: int, value) -> CycNum:
+    """value as an element of Q(zeta_{2d}); the one coercion of a scalar."""
+    if isinstance(value, CycNum):
+        if value.d != d:
+            raise ModulusMismatch(f"moduli differ: {d} vs {value.d}")
+        return value
+    return CycNum.from_rational(d, value)
 
 
 def eta_power(d: int, k: int, l: int = 1) -> CycNum:

@@ -23,7 +23,7 @@ from .mfcore import (
     sum_morphism,
     tensor_mf,
 )
-from .polyring import MPoly, exact_div, perm_product
+from .polyring import MPoly, as_poly, exact_div, perm_product, residues
 
 __all__ = [
     "GradedMF",
@@ -100,7 +100,7 @@ class GradedMF:
 
 def hat_p(d: int, S, left="x", right="y", l: int = 1) -> GradedMF:
     """hat(P_S) = P_S{(1-|S|)/d}."""
-    S = {s % d for s in S}
+    S = residues(d, S)
     mf = perm_mf(d, S, left, right, l)
     alpha = Fraction(1 - len(S), d)
     return GradedMF(mf, (alpha,), (alpha + Fraction(2 * len(S), d) - 1,))
@@ -123,8 +123,7 @@ def _entry_degree(entry, d):
         if shift is None:
             return None, entry.is_zero()
         return shift, True
-    if not isinstance(entry, MPoly):
-        entry = MPoly.constant(d, entry)
+    entry = as_poly(d, entry)
     if entry.is_zero():
         return None, True
     if entry.is_homogeneous():
@@ -163,8 +162,7 @@ def morphism_c_degree(f: MFMorphism, srcg: GradedMF, tgtg: GradedMF) -> Fraction
 def graded_hom_dim(d: int, R, S, l: int = 1) -> int:
     """dim of charge-0 cycles hat(P_R) -> hat(P_S): constants (p, q) with
     p * d1_R = d1_S * q after the charge bookkeeping forces them constant."""
-    R = {r % d for r in R}
-    S = {s % d for s in S}
+    R, S = residues(d, R), residues(d, S)
     if not R or not S or len(R) == d or len(S) == d:
         raise ValueError("R, S must be proper nonempty subsets")
     if len(R) != len(S):

@@ -63,19 +63,19 @@ or term (injc differing by a step-th root of unity, or a substitution landing
 on a filter map) is expanded as above.
 
 As matrix entries, operators, polynomials and scalars combine by `+`, `*`
-and `==` whatever their type: `a * b` is a after b (for a polynomial p,
-`op * p` precomposes with multiplication by p and `p * op` multiplies the
-output by p), and `a == b` is the exact zero test of `a - b`.  `MPoly` and
-`CycNum` return NotImplemented for an operator operand, so mixed expressions
-reach the operator's methods.  Operators are not hashable.
+and `==` whatever their type, through `as_linop`: `a * b` is a after b (for
+a polynomial p, `op * p` precomposes with multiplication by p and `p * op`
+multiplies the output by p), and `a == b` is the exact zero test of `a - b`.
+`MPoly` and `CycNum` return NotImplemented for an operator operand, so mixed
+expressions reach the operator's methods.  Operators are not hashable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclofield import CycNum
-from .polyring import MPoly, _scalar, div_rem, exact_div, sort_vars
+from .cyclofield import CycNum, ModulusMismatch, as_scalar
+from .polyring import MPoly, as_poly, div_rem, exact_div, monomial_image, sort_vars
 
 __all__ = [
     "Subst",
@@ -97,24 +97,19 @@ class ResidueVariableClash(ValueError):
 
 
 class Subst:
-    """Monomial substitution homomorphism: each var maps to c*w or to 0."""
+    """Monomial substitution homomorphism: each var maps to c*w or to 0.
+
+    Images are normalised by `polyring.monomial_image`, as in `MPoly.subs`,
+    and identity images dropped."""
 
     __slots__ = ("d", "mapping")
 
     def __init__(self, d: int, mapping: dict):
         clean = {}
-        one = CycNum.one(d)
         for v, img in mapping.items():
-            if img is None:
-                clean[v] = None
-                continue
-            c, w = img
-            if not isinstance(c, CycNum):
-                c = CycNum.from_rational(d, c)
-            if c.is_zero():
-                clean[v] = None
-            elif not (w == v and c == one):
-                clean[v] = (c, w)
+            img = monomial_image(d, v, img)
+            if img is None or img[1] != v or not img[0].is_one():
+                clean[v] = img
         self.d = d
         self.mapping = clean
 
@@ -136,23 +131,14 @@ class Subst:
 
     def compose(self, other: "Subst") -> "Subst":
         """self after other."""
-        out = {}
+        out = dict(self.mapping)
         for v, img in other.mapping.items():
-            if img is None:
-                out[v] = None
-            else:
-                c, w = img
-                img2 = self.image_of(w)
-                out[v] = None if img2 is None else (c * img2[0], img2[1])
-        for v, img in self.mapping.items():
-            if v not in out and v not in other.mapping:
-                out[v] = img
+            img2 = None if img is None else self.image_of(img[1])
+            out[v] = None if img2 is None else (img[0] * img2[0], img2[1])
         return Subst(self.d, out)
 
     def key(self):
-        return tuple(
-            sorted((v, None if img is None else (img[0], img[1])) for v, img in self.mapping.items())
-        )
+        return tuple(sorted(self.mapping.items()))
 
     def touches(self, v: str) -> bool:
         return v in self.mapping
@@ -193,7 +179,7 @@ class ResidueCore:
     __slots__ = ("prem", "elim", "inj", "injc", "step", "injc_step")
 
     def __init__(self, prem: MPoly, elim: str, inj: str, injc: CycNum, step: int):
-        injc = _scalar(prem.d, injc)
+        injc = as_scalar(prem.d, injc)
         if sort_vars((elim, inj)) != (elim, inj):
             raise ResidueVariableClash(f"residue core needs its eliminated {elim!r} to precede its injected {inj!r} in variable order")
         if step < 1 or (2 * prem.d) % step:
@@ -387,7 +373,7 @@ class LinOp:
 
     @staticmethod
     def substitution(d: int, mapping: dict, coeff=None) -> "LinOp":
-        num = MPoly.one(d) if coeff is None else (coeff if isinstance(coeff, MPoly) else MPoly.constant(d, coeff))
+        num = MPoly.one(d) if coeff is None else as_poly(d, coeff)
         return LinOp(d, [Term(num, Subst(d, mapping))])
 
     @staticmethod
@@ -436,7 +422,7 @@ class LinOp:
         return self + (-other)
 
     def scaled(self, c) -> "LinOp":
-        p = c if isinstance(c, MPoly) else MPoly.constant(self.d, c)
+        p = as_poly(self.d, c)
         return LinOp(self.d, [Term(t.num * p, t.phi, t.core) for t in self.terms])
 
     def compose(self, other) -> "LinOp":
@@ -520,6 +506,8 @@ class LinOp:
     def __eq__(self, other):
         if not isinstance(other, (LinOp, MPoly, int, CycNum, Fraction)):
             return NotImplemented
+        if isinstance(other, (LinOp, MPoly, CycNum)) and other.d != self.d:
+            return False
         return self.equals(other)
 
     __hash__ = None
@@ -546,13 +534,12 @@ class LinOp:
 
 
 def as_linop(entry, d: int) -> LinOp:
+    """entry as an operator of modulus d, a polynomial or scalar (`as_poly`) as a multiplication."""
     if isinstance(entry, LinOp):
+        if entry.d != d:
+            raise ModulusMismatch(f"moduli differ: {d} vs {entry.d}")
         return entry
-    if isinstance(entry, MPoly):
-        return LinOp.poly(entry)
-    if isinstance(entry, (int, CycNum, Fraction)):
-        return LinOp.poly(MPoly.constant(d, entry))
-    raise TypeError(f"cannot view {entry!r} as an operator")
+    return LinOp.poly(as_poly(d, entry))
 
 
 def _sum_fractions(d: int, parts) -> tuple[MPoly, MPoly]:

@@ -39,8 +39,8 @@ the other, and the Temperley-Lieb functor's layers are the same pieces.
 
 The pure constructors (unit_mf, perm_mf, perm_dual_iso, s_iso, chi, mu,
 renamed_mu, coev_into_dual, duality_un, duality_pieces, zigzag_morphisms) are
-memoised for the life of the process; a subset S is keyed as the frozenset of
-its residues mod d, however it is spelled.  The twists of an object are memoised on the object itself:
+memoised for the life of the process; a subset S is keyed by
+`polyring.residues(d, S)`, however it is spelled.  The twists of an object are memoised on the object itself:
 twist_mf and diag_twist_mf build ((a)M(b)) once per (M, a mod d, b mod d, l),
 through `MatrixBifact.rescaled`, keyed by the variable scalings, and the memo
 dies with M.  A tensor object is rescaled as the product of its factors'
@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 from .cyclofield import CycNum, EvenModulus, eta_power, require_coprime
 from .linop import LinOp, ResidueCore, Subst, Term, as_linop
-from .polyring import MPoly, difference_quotient, exact_div, perm_product
+from .polyring import MPoly, difference_quotient, exact_div, perm_product, residues
 
 __all__ = [
     "MatrixBifact",
@@ -402,7 +402,7 @@ def unit_mf(d: int, left="x", right="y") -> MatrixBifact:
 
 def perm_mf(d: int, S, left="x", right="y", l: int = 1) -> MatrixBifact:
     """Permutation-type object: d1 = prod_{j in S}(left - eta^{lj} right)."""
-    return _perm_mf(d, frozenset(s % d for s in S), left, right, l)
+    return _perm_mf(d, residues(d, S), left, right, l)
 
 
 @lru_cache(maxsize=None)
@@ -662,12 +662,12 @@ def dual_rank1(M: MatrixBifact) -> MatrixBifact:
 
 def perm_dual_iso(d: int, S, left="x", right="y", l: int = 1) -> MFMorphism:
     """The cycle P_{-S} -> (P_S)^+ with components ((-1)^{|S|+1} prod eta^{-lj}, 1)."""
-    return _perm_dual_iso(d, frozenset(s % d for s in S), left, right, l)
+    return _perm_dual_iso(d, residues(d, S), left, right, l)
 
 
 @lru_cache(maxsize=None)
 def _perm_dual_iso(d: int, S: frozenset, left: str, right: str, l: int) -> MFMorphism:
-    src = perm_mf(d, {(-s) % d for s in S}, left, right, l)
+    src = perm_mf(d, residues(d, [-s for s in S]), left, right, l)
     tgt = dual_rank1(perm_mf(d, S, left, right, l))
     c = CycNum.one(d)
     for j in S:
@@ -730,7 +730,7 @@ def self_dual_subset(d: int) -> frozenset:
 def coev_into_dual(d: int, S, l: int = 1) -> MFMorphism:
     """n_S = (1 (x) iso^{-1}) . coev: I(x,z) -> P_S(x,y) (x) P_{-S}(y,z), where
     iso = perm_dual_iso(d, S, "y", "z") is the comparison P_{-S} -> (P_S)^+."""
-    return _coev_into_dual(d, frozenset(s % d for s in S), l)
+    return _coev_into_dual(d, residues(d, S), l)
 
 
 @lru_cache(maxsize=None)
@@ -842,12 +842,12 @@ def twist_morphism(f: MFMorphism, a: int, l: int = 1) -> MFMorphism:
 
 def s_iso(d: int, S, a: int, b: int, left="x", right="y", l: int = 1) -> MFMorphism:
     """The twist comparison P_{S-a-b} -> ((a)P_S(b)), components (1, eta^{-l|S|a})."""
-    return _s_iso(d, frozenset(s % d for s in S), a, b, left, right, l)
+    return _s_iso(d, residues(d, S), a, b, left, right, l)
 
 
 @lru_cache(maxsize=None)
 def _s_iso(d: int, S: frozenset, a: int, b: int, left: str, right: str, l: int) -> MFMorphism:
-    src = perm_mf(d, {(s - a - b) % d for s in S}, left, right, l)
+    src = perm_mf(d, residues(d, [s - a - b for s in S]), left, right, l)
     tgt = twist_mf(perm_mf(d, S, left, right, l), a, b, l)
     f1 = MPoly.constant(d, eta_power(d, -len(S) * a, l))
     return MFMorphism(src, tgt, 0, [[MPoly.one(d)]], [[f1]])

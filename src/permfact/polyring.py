@@ -8,10 +8,11 @@ so it is canonical and hashable, the constant monomial is the empty set, and
 two polynomials are equal iff their term dicts coincide.  Substitution maps
 each variable to scalar * variable or to 0, so it rewrites monomials one term
 at a time; a scaling (every variable to a multiple of itself) keeps each
-monomial and only multiplies its coefficient.  `div_rem` is the one division
-routine, by the graded-lex leading term of the divisor; `exact_div` is the
-case of a zero remainder, and the Smith form and `linop`'s residue operators
-divide through it too.
+monomial and only multiplies its coefficient; `monomial_image` normalises
+each image, for `linop.Subst` too.  `div_rem` is the one division routine, by
+the graded-lex leading term of the divisor; `exact_div` is the case of a zero
+remainder, and the Smith form and `linop`'s residue operators divide through
+it too.
 
 `perm_product(d, S, u, v, l)` = prod_{j in S} (u - eta^{lj} v) is a binary
 form, so it is built from its coefficient list, memoised per (d, S, l)
@@ -23,8 +24,9 @@ A product with the unit polynomial returns the other operand itself, and a
 product with another nonzero constant scales the other operand's
 coefficients without forming monomial products.  This is safe because
 polynomials are never mutated: nothing writes to `terms` after construction.
-Arithmetic between polynomials or scalars of different moduli d raises
-ModulusMismatch.
+Operands enter through `as_poly` (scalars through `cyclofield.as_scalar`):
+another modulus d raises ModulusMismatch, and `==` answers False.  A subset
+of Z/d is keyed by `residues(d, S)`, wherever a constructor is memoised on it.
 """
 
 from __future__ import annotations
@@ -33,10 +35,13 @@ from fractions import Fraction
 from functools import lru_cache
 from bisect import insort
 
-from .cyclofield import CycNum, ModulusMismatch, eta_power, require_coprime
+from .cyclofield import CycNum, ModulusMismatch, as_scalar, eta_power, require_coprime
 
 __all__ = [
     "MPoly",
+    "as_poly",
+    "monomial_image",
+    "residues",
     "NotDivisible",
     "div_rem",
     "exact_div",
@@ -80,13 +85,14 @@ def _mono_mul(a: frozenset, b: frozenset) -> frozenset:
     return frozenset(e.items())
 
 
-def _scalar(d: int, c) -> CycNum:
-    """c as an element: a CycNum of modulus d, or an int or Fraction (TypeError otherwise)."""
-    if isinstance(c, CycNum):
-        if c.d != d:
-            raise ModulusMismatch(f"moduli differ: {d} vs {c.d}")
-        return c
-    return CycNum.from_rational(d, c)
+def monomial_image(d: int, v: str, img):
+    """img, the image of v, as None or (nonzero scalar of modulus d, variable); TypeError otherwise."""
+    if img is None:
+        return None
+    if not (isinstance(img, tuple) and len(img) == 2 and isinstance(img[1], str)):
+        raise TypeError(f"image of {v!r} must be (scalar, variable) or None, got {img!r}")
+    c = as_scalar(d, img[0])
+    return None if c.is_zero() else (c, img[1])
 
 
 class MPoly:
@@ -106,8 +112,7 @@ class MPoly:
 
     @staticmethod
     def constant(d: int, value) -> "MPoly":
-        c = value if isinstance(value, CycNum) else CycNum.from_rational(d, value)
-        return MPoly(d, {_UNIT: c})
+        return MPoly(d, {_UNIT: as_scalar(d, value)})
 
     @staticmethod
     def zero(d: int) -> "MPoly":
@@ -151,12 +156,8 @@ class MPoly:
         return self.terms[_UNIT]
 
     def _coerce(self, other):
-        if isinstance(other, (MPoly, CycNum)):
-            if other.d != self.d:
-                raise ModulusMismatch(f"moduli differ: {self.d} vs {other.d}")
-            return other if isinstance(other, MPoly) else MPoly.constant(self.d, other)
-        if isinstance(other, (int, Fraction)):
-            return MPoly.constant(self.d, other)
+        if isinstance(other, (MPoly, CycNum, int, Fraction)):
+            return as_poly(self.d, other)
         return NotImplemented
 
     # -- arithmetic -------------------------------------------------------------
@@ -273,14 +274,7 @@ class MPoly:
         Every variable is replaced at once; variables not in `mapping` stay.
         Any other image raises TypeError.
         """
-        images = {}
-        for v, img in mapping.items():
-            if img is not None:
-                if not (isinstance(img, tuple) and len(img) == 2 and isinstance(img[1], str)):
-                    raise TypeError(f"image of {v!r} must be (scalar, variable) or None, got {img!r}")
-                c = _scalar(self.d, img[0])
-                img = None if c.is_zero() else (c, img[1])
-            images[v] = img
+        images = {v: monomial_image(self.d, v, img) for v, img in mapping.items()}
         if not any(v in images for v in self.vars):
             return self
         if all(img is not None and img[1] == v for v, img in images.items()):
@@ -333,6 +327,20 @@ class MPoly:
 
 
 # -- module operations -------------------------------------------------------------
+
+
+def as_poly(d: int, x) -> MPoly:
+    """x as a polynomial of modulus d, a scalar as a constant; the one coercion of a polynomial."""
+    if isinstance(x, MPoly):
+        if x.d != d:
+            raise ModulusMismatch(f"moduli differ: {d} vs {x.d}")
+        return x
+    return MPoly.constant(d, x)
+
+
+def residues(d: int, S) -> frozenset:
+    """The residues mod d of S, the one key of a subset of Z/d."""
+    return frozenset(s % d for s in S)
 
 
 def _glex(vars: tuple):
@@ -425,7 +433,7 @@ def perm_product(d: int, S, u: str, v: str, l: int = 1) -> MPoly:
     require_coprime(d, l)
     if u == v:
         raise ValueError(f"perm_product needs two distinct variables, got {u!r} twice")
-    return _perm_product(d, frozenset(s % d for s in S), u, v, l)
+    return _perm_product(d, residues(d, S), u, v, l)
 
 
 @lru_cache(maxsize=None)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 
-from .cyclofield import CycNum, EvenModulus, kappa, q_root, quantum_int
+from .cyclofield import CycNum, EvenModulus, as_scalar, kappa, q_root, quantum_int
 from .mfcore import (
     MFMorphism,
     duality_pieces,
@@ -250,8 +250,7 @@ class TLMorphism:
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "TLMorphism":
-        if not isinstance(c, CycNum):
-            c = CycNum.from_rational(self.d, c)
+        c = as_scalar(self.d, c)
         return TLMorphism(self.d, self.src, self.tgt, {dg: v * c for dg, v in self.combo.items()}, self.l)
 
     def compose(self, other: "TLMorphism") -> "TLMorphism":

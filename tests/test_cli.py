@@ -1,10 +1,15 @@
 import io
 import json
 import contextlib
+from pathlib import Path
 
 import pytest
 
 from permfact import cli, mfcore
+
+TESTS = Path(__file__).parent
+REFERENCE = TESTS / "reference"
+WORKFLOW = TESTS.parent / ".github" / "workflows" / "tests.yml"
 
 
 def run(argv):
@@ -151,6 +156,11 @@ class TestDecompose:
         assert cert["cycles"] and cert["homology_isomorphism"] and cert["charge_zero"]
         assert cert["homology_dims"] == [2, 2]
 
+    def test_markdown_matches_the_reference(self):
+        rc, out, _ = run(["decompose", "--d", "5", "0:1", "0:2", "--format", "markdown"])
+        assert rc == 0
+        assert out == (REFERENCE / "decompose-d5-0_1-0_2.md").read_text()
+
     def test_unit_passthrough(self):
         rc, out, _ = run(["decompose", "--d", "5", "0:0", "2:3"])
         payload = json.loads(out)["tables"]["decomposition"]
@@ -175,3 +185,11 @@ class TestCompare:
         assert "a+b+(lam+mu-nu)/2" in conv["detail"]
         assert "a+b-(lam+mu-nu)/2" in conv["detail"]
         assert "fails rigidity" in conv["detail"]
+
+
+class TestReferences:
+    def test_every_reference_is_named_by_ci_or_a_test(self):
+        # a reference nothing compares against would drift unnoticed
+        texts = [WORKFLOW.read_text()] + [p.read_text() for p in sorted(TESTS.glob("test_*.py"))]
+        orphans = [p.name for p in sorted(REFERENCE.iterdir()) if not any(p.name in t for t in texts)]
+        assert orphans == []

@@ -22,6 +22,7 @@ from permfact.cyclofield import (
     NotCoprime,
     _FieldData,
     _normal,
+    as_scalar,
     cyclotomic_poly,
     eta_power,
     kappa,
@@ -456,6 +457,22 @@ class TestExactScalars:
     def test_from_rational_rejects_inexact_values(self, bad):
         with pytest.raises(TypeError):
             CycNum.from_rational(3, bad)
+
+    def test_as_scalar_is_the_one_coercion(self):
+        z = CycNum.zeta(3)
+        assert as_scalar(3, z) is z
+        assert as_scalar(3, 1) is CycNum.one(3)
+        assert as_scalar(3, Fraction(2, 3)) == CycNum.from_rational(3, Fraction(2, 3))
+        with pytest.raises(ModulusMismatch):
+            as_scalar(3, CycNum.one(5))
+        for bad in (0.1, True, "1/2", 1j, None):
+            with pytest.raises(TypeError):
+                as_scalar(3, bad)
+        # arithmetic operands go through it
+        with pytest.raises(ModulusMismatch):
+            z * CycNum.one(5)
+        with pytest.raises(TypeError):
+            z + 0.5
 
 
 class TestModulusValidation:

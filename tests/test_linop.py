@@ -459,6 +459,65 @@ def test_operators_combine_with_scalars(op, c):
     assert (op == c) == op.equals(c)
 
 
+OTHER = 5  # a modulus other than D
+OTHER_OPERANDS = pytest.mark.parametrize(
+    "other",
+    [MPoly.var(OTHER, "x"), MPoly.one(OTHER), CycNum.one(OTHER), LinOp.poly(MPoly.one(OTHER))],
+    ids=["poly", "one", "scalar", "operator"],
+)
+
+
+@OTHER_OPERANDS
+def test_operator_arithmetic_with_another_modulus_raises(other):
+    op = LinOp.substitution(D, {"y": (1, "x")})
+    for combine in (
+        lambda: op + other, lambda: other + op,
+        lambda: op - other,
+        lambda: op * other, lambda: other * op,
+    ):
+        with pytest.raises(ModulusMismatch):
+            combine()
+
+
+@OTHER_OPERANDS
+def test_operator_equality_with_another_modulus_is_false(other):
+    for op in (LinOp.substitution(D, {"y": (1, "x")}), LinOp.poly(ONE), LinOp.poly(X)):
+        assert not op == other and op != other
+        assert not other == op and other != op
+
+
+@pytest.mark.parametrize("c", [CycNum.one(OTHER), CycNum.zeta(OTHER, 1), MPoly.var(OTHER, "x")])
+def test_operator_scalings_of_another_modulus_raise(c):
+    with pytest.raises(ModulusMismatch):
+        LinOp.substitution(D, {"y": (1, "x")}).scaled(c)
+    with pytest.raises(ModulusMismatch):
+        LinOp.substitution(D, {"y": (1, "x")}, coeff=c)
+    with pytest.raises(ModulusMismatch):
+        _entry_degree(c, D)
+
+
+def test_substitution_scalar_of_another_modulus_raises():
+    with pytest.raises(ModulusMismatch):
+        Subst(D, {"x": (CycNum.one(OTHER), "y")})
+    with pytest.raises(ModulusMismatch):
+        LinOp.substitution(D, {"x": (CycNum.zeta(OTHER, 1), "x")})
+
+
+@pytest.mark.parametrize("image", ["y", (1, "y", 2), (1, Y), [1, "y"]])
+def test_malformed_substitution_image_raises_type_error(image):
+    with pytest.raises(TypeError):
+        Subst(D, {"x": image})
+    # the same rule as MPoly.subs
+    with pytest.raises(TypeError):
+        X.subs({"x": image})
+
+
+def test_substitution_images_are_normalised():
+    half = CycNum.from_rational(D, Fraction(1, 2))
+    phi = Subst(D, {"x": (0, "y"), "y": (1, "y"), "z": (Fraction(1, 2), "x")})
+    assert phi.mapping == {"x": None, "z": (half, "x")}
+
+
 def test_operators_are_unhashable_and_unequal_to_other_types():
     op = ZERO_TEST_CASES[0][2]
     with pytest.raises(TypeError):

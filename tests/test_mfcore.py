@@ -851,12 +851,15 @@ def _state(x):
 
 class TestConstructorCache:
     def test_spellings_of_one_subset_share_an_object(self):
-        spellings = ({1, 2}, frozenset({1, 2}), [2, 1], {6, 7})
+        # every constructor on a subset is keyed by polyring.residues
+        spellings = ({1, 2}, frozenset({1, 2}), [2, 1], {6, 7}, [1 + 5, 2 - 5], {1 - 5, 2 + 10})
         for S in spellings:
             assert perm_mf(5, S) is perm_mf(5, {1, 2})
             assert perm_product(5, S, "x", "y") is perm_product(5, {1, 2}, "x", "y")
             assert perm_dual_iso(5, S) is perm_dual_iso(5, {1, 2})
             assert s_iso(5, S, 1, 3) is s_iso(5, {1, 2}, 1, 3)
+            assert coev_into_dual(5, S) is coev_into_dual(5, {1, 2})
+            assert tau(5, S, 2) is tau(5, {1, 2}, 2)
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_shared_objects_unchanged_by_a_full_verify(self, l):

@@ -11,12 +11,14 @@ from permfact.cyclofield import CycNum, ModulusMismatch, eta_power
 from permfact.polyring import (
     MPoly,
     NotDivisible,
+    as_poly,
     coeff_of,
     difference_quotient,
     div_rem,
     exact_div,
     leading_coeff,
     perm_product,
+    residues,
 )
 
 D = 3
@@ -121,6 +123,28 @@ class TestModulusGuard:
         assert MPoly.one(3) != MPoly.one(5)
         assert MPoly.zero(3) != MPoly.zero(5)
         assert MPoly.one(3) != CycNum.one(5)
+
+    @pytest.mark.parametrize("c", [CycNum.one(5), CycNum.zeta(5, 1), CycNum.zero(5)])
+    def test_constant_of_another_modulus_raises(self, c):
+        with pytest.raises(ModulusMismatch):
+            MPoly.constant(3, c)
+
+    def test_as_poly_is_the_one_coercion(self):
+        assert as_poly(3, X) is X
+        assert as_poly(3, 2) == MPoly.constant(3, 2)
+        assert as_poly(3, eta_power(3, 1)) == MPoly.constant(3, eta_power(3, 1))
+        for other in (MPoly.one(5), CycNum.one(5)):
+            with pytest.raises(ModulusMismatch):
+                as_poly(3, other)
+        for bad in (0.5, True, "x", None):
+            with pytest.raises(TypeError):
+                as_poly(3, bad)
+
+    def test_residues_is_the_key_of_a_subset(self):
+        key = residues(5, {1, 2})
+        assert key == frozenset({1, 2})
+        for S in ([2, 1], (1, 2), {6, 7}, [1 - 5, 2 + 10], range(1, 3)):
+            assert residues(5, S) == key
 
 
 class TestExactDiv:
