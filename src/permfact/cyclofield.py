@@ -25,7 +25,7 @@ numerator, sigma_k(x) for the units k != 1 mod 2d, over the norm N(x), which
 is rational.  The tables of a modulus are built on first use of that d,
 from Phi_{2d} (the Mobius factorisation of t^{2d} - 1, over Z): all 2d powers
 of zeta (``zeta(d, k)`` is a lookup), the exponent of each of them, the
-reduction of t^k mod Phi_{2d}, the units mod 2d, and a memo of inverses.
+terms of t^k mod Phi_{2d}, the units mod 2d, and a memo of inverses.
 ``quantum_int`` is memoised per (n, q).
 
 Roots of unity are recognised by value, not by how they were built: the
@@ -34,11 +34,14 @@ numerators up in the exponent table once, on first use, and keeps the
 answer (``root_exponent``).  Their arithmetic is exponent arithmetic:
 zeta^j * zeta^k is the table element zeta^{j+k mod 2d}, the inverse of
 zeta^k is zeta^{-k}, and a power is the lookup zeta^{k*e mod 2d}, for
-negative e too.  Every other product goes through the integer kernel, and
-any other base is raised by repeated squaring.  A product with a factor
-equal to one returns the other factor itself, and ``from_rational(d, 0)`` and
-``(d, 1)`` return the shared table elements.  This is safe because elements
-are never mutated: nothing writes to ``num`` or ``den`` after construction.
+negative e too.  Any other element times zeta^k is its numerators times the
+table rows t^{i+k} mod Phi_{2d}, with no convolution and no gcd, since
+zeta^k is a unit of Z[zeta].  Every other product goes through the integer
+kernel, and any other base is raised by repeated squaring.  A product with
+a factor equal to one returns the other factor itself, and
+``from_rational(d, 0)`` and ``(d, 1)`` return the shared table elements.
+This is safe because elements are never mutated: nothing writes to ``num``
+or ``den`` after construction.
 
 Scalars enter the field exactly, through ``as_scalar(d, value)``: a CycNum of
 modulus d as it is (ModulusMismatch for another), an int or Fraction (not a
@@ -182,8 +185,10 @@ class _FieldData:
     whose zeta -> zeta^k are the Galois automorphisms.
     ``zeta_powers``: zeta^k for k in range(2d), as elements.
     ``zeta_exponent``: k for the numerators of zeta^k (each has den 1).
-    ``reduction``: for k = degree .. 2*degree - 2 (every power a product of
-    two reduced elements reaches), the nonzero terms (i, c) of t^k mod Phi.
+    ``power_terms``: for k in range(2d), the nonzero terms (i, c) of
+    t^k mod Phi.
+    ``reduction``: its entries for k = degree .. 2*degree - 2, every power a
+    product of two reduced elements reaches.
     ``inverses``: the memo of ``CycNum.inverse``, keyed by (num, den).
     """
 
@@ -210,9 +215,8 @@ class _FieldData:
         for k, z in enumerate(self.zeta_powers):
             z._root = k
         self.zeta_exponent = {p: k for k, p in enumerate(powers)}
-        self.reduction = tuple(
-            tuple((i, c) for i, c in enumerate(powers[k]) if c) for k in range(deg, 2 * deg - 1)
-        )
+        self.power_terms = tuple(tuple((i, c) for i, c in enumerate(p) if c) for p in powers)
+        self.reduction = self.power_terms[deg : 2 * deg - 1]
         self.zero = _make(d, [0] * deg, 1)
         self.inverses: dict[tuple, CycNum] = {}
 
@@ -343,6 +347,20 @@ class CycNum:
             return self
         if r == 0:
             return other
+        if r > 0 or s > 0:
+            # zeta^k times a non-root: the numerators weight the rows
+            # t^{i+k} mod Phi.  zeta^k is a unit of Z[zeta], so the content
+            # of the numerators, hence the normal form, is kept
+            x, k = (self, s) if s > 0 else (other, r)
+            n, rows = data.n, data.power_terms
+            out = [0] * data.degree
+            for i, c in enumerate(x.num):
+                if c:
+                    for j, z in rows[(i + k) % n]:
+                        out[j] += c * z
+            y = _make(self.d, out, x.den)
+            y._root = -1  # a non-root times a root is no root
+            return y
         deg = data.degree
         terms = [(j, y) for j, y in enumerate(other.num) if y]
         prod = [0] * (2 * deg - 1)
@@ -415,6 +433,8 @@ class CycNum:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, bool):
+            return NotImplemented  # no exact scalar: unequal, as a float is
         if isinstance(other, (int, Fraction)):
             other = CycNum.from_rational(self.d, other)
         if not isinstance(other, CycNum):

@@ -62,10 +62,11 @@ the group by its sums Q_k alone.  A group that shares a map with another group
 or term (injc differing by a step-th root of unity, or a substitution landing
 on a filter map) is expanded as above.
 
-As matrix entries, operators, polynomials and scalars combine by `+`, `*`
-and `==` whatever their type, through `as_linop`: `a * b` is a after b (for
-a polynomial p, `op * p` precomposes with multiplication by p and `p * op`
-multiplies the output by p), and `a == b` is the exact zero test of `a - b`.
+As matrix entries, operators, polynomials and scalars combine by `+`, `-`,
+`*` and `==` whatever their type, through `as_linop`: `a * b` is a after b
+(for a polynomial p, `op * p` precomposes with multiplication by p and
+`p * op` multiplies the output by p), and `a == b` is the exact zero test of
+`a - b`.
 `MPoly` and `CycNum` return NotImplemented for an operator operand, so mixed
 expressions reach the operator's methods.  Operators are not hashable.
 """
@@ -421,6 +422,9 @@ class LinOp:
         other = as_linop(other, self.d)
         return self + (-other)
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def scaled(self, c) -> "LinOp":
         p = as_poly(self.d, c)
         return LinOp(self.d, [Term(t.num * p, t.phi, t.core) for t in self.terms])
@@ -504,7 +508,7 @@ class LinOp:
         return (self - other).is_zero()
 
     def __eq__(self, other):
-        if not isinstance(other, (LinOp, MPoly, int, CycNum, Fraction)):
+        if isinstance(other, bool) or not isinstance(other, (LinOp, MPoly, int, CycNum, Fraction)):
             return NotImplemented
         if isinstance(other, (LinOp, MPoly, CycNum)) and other.d != self.d:
             return False

@@ -230,6 +230,8 @@ class MPoly:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, bool):
+            return NotImplemented  # no exact scalar: unequal, as a float is
         if isinstance(other, (MPoly, CycNum)) and other.d != self.d:
             return False
         other = self._coerce(other)

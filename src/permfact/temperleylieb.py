@@ -17,7 +17,16 @@ coefficient 1, e_i p_n = p_n e_i = 0 for every i, and trace [n+1].
 Idempotence follows from the Jones normal form: every diagram of TL_n other
 than the identity is a word e_{i_1} ... e_{i_k} in the generators with
 coefficient 1 (no closed loops), so p_n D = (p_n e_{i_1}) e_{i_2} ... e_{i_k}
-= 0 for each such D, and p_n p_n = p_n . 1 = p_n.
+= 0 for each such D, and p_n p_n = p_n . 1 = p_n.  Two reflections, which
+keep loops, make most of the products redundant (Kauffman-Lins,
+Temperley-Lieb Recoupling Theory, 1994; Wenzl, On sequences of
+projections, 1987).  The left-right mirror M is an automorphism with
+M(e_i) = e_{n-i}, so when M(p_n) = p_n, e_{n-i} p_n = M(e_i p_n): the left
+products for i <= floor(n/2) give all of them.  The top-bottom flip F is an
+anti-automorphism fixing each e_i, so Y = F(p_n) has Y e_i = F(e_i p_n) = 0;
+expanding p_n = 1 + sum x_D D in normal words gives Y p_n = Y, expanding Y
+gives Y p_n = p_n, so p_n = F(p_n) and p_n e_i = F(e_i p_n) = 0.
+`certify_jw` therefore forms floor(n/2) products and one mirror scan.
 
 The functor is not faithful: End_TL(T (x) T_{d-2}) is 2-dimensional while its
 image is 1-dimensional.  `tl_end_dimension` gets the 2 from a spanning
@@ -411,16 +420,44 @@ def _jw(n: int, d: int, l: int) -> TLMorphism:
     return p
 
 
+def _mirror(dg: TLDiagram) -> TLDiagram:
+    """The left-right reflection of dg: each row read right to left.
+
+    A reflected planar matching is planar, so nothing is checked."""
+    nb, nt = dg.n_bottom, dg.n_top
+    # point p lands on at[p]; each row reverses in place
+    at = [*range(nb - 1, -1, -1), *range(nb + nt - 1, nb - 1, -1)]
+    mate = [0] * (nb + nt)
+    for p, q in enumerate(dg.mate):
+        mate[at[p]] = at[q]
+    return TLDiagram._from_mate(nb, nt, mate)
+
+
 _CERTIFIED: dict = {}  # (n, d, l) -> the TLMorphism certify_jw last accepted there
 
 
 def certify_jw(p: TLMorphism) -> None:
     """Certify that p is the Jones-Wenzl projector on p.src strands.
 
-    Checks the characterisation: identity coefficient 1, e_i p = 0 and
-    p e_i = 0 for every i, and trace [n+1].  The first two determine p_n
-    uniquely and make it idempotent (Jones normal form, see the module
-    docstring).  Raises NotJonesWenzl naming the first condition that fails.
+    Checks, in this order: identity coefficient 1, e_i p = 0 for
+    i = 1 .. floor(n/2), p equal to its left-right mirror, and trace [n+1];
+    that is floor(n/2) diagram products and one coefficient scan.  Raises
+    NotJonesWenzl naming the first condition that fails.
+
+    These imply e_i p = p e_i = 0 for every i, which determine p_n uniquely
+    and make it idempotent (Jones normal form, see the module docstring):
+    - The mirror M reflects diagrams left to right.  It keeps loops,
+      M(a b) = M(a) M(b) and M(e_i) = e_{n-i}, so with M(p) = p,
+      e_{n-i} p = M(e_i p) = 0, and the left products cover every i.
+    - The flip F turns diagrams upside down.  It keeps loops,
+      F(a b) = F(b) F(a) and F(e_i) = e_i.  Write p = 1 + sum x_D D; each
+      D != 1 is a word e_{i_1} ... e_{i_k} with coefficient 1.  Put
+      Y = F(p); then Y e_i = F(e_i p) = 0 for every i.
+    - Expanding p: Y D = (Y e_{i_1}) ... = 0 for each D != 1, so Y p = Y.
+    - Expanding Y: F(D) p = ... (e_{i_1} p) = 0 for each D != 1, so
+      Y p = p.
+    - Hence p = F(p), and p e_i = F(e_i p) = 0.
+
     A success is remembered per (n, d, l) for that very object (morphisms
     are never mutated), so certifying the memoised jw(n, d, l) again costs
     nothing; any other morphism, and every failure, is checked in full.
@@ -432,12 +469,12 @@ def certify_jw(p: TLMorphism) -> None:
         return
     if p.combo.get(tl_identity_diagram(n)) != CycNum.one(d):
         raise NotJonesWenzl(f"identity coefficient of p_{n} != 1")
-    for i in range(1, n):
-        e = tl_e(d, n, i, l)
-        if e.compose(p).combo:
+    for i in range(1, n // 2 + 1):
+        if tl_e(d, n, i, l).compose(p).combo:
             raise NotJonesWenzl(f"e_{i} p_{n} != 0")
-        if p.compose(e).combo:
-            raise NotJonesWenzl(f"p_{n} e_{i} != 0")
+    combo = p.combo
+    if any(combo.get(_mirror(dg)) != c for dg, c in combo.items()):
+        raise NotJonesWenzl(f"p_{n} differs from its left-right reflection")
     if p.trace() != quantum_int(n + 1, q_root(d, l)):
         raise NotJonesWenzl(f"trace p_{n} != [{n + 1}]")
     _CERTIFIED[(n, d, l)] = p

@@ -400,15 +400,25 @@ class TestRootsOfUnity:
 
     @pytest.mark.parametrize("d", KERNEL_DS)
     def test_root_times_other_elements(self, d):
+        # zeta^k times a non-root weights the table rows t^{i+k} mod Phi by
+        # the numerators: the denominator is kept, and the product is no root
         rng = random.Random(d)
         deg = len(CycNum.zero(d).coeffs)
-        for _ in range(4):
-            x = CycNum(d, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)])
+        for top in (1, 1, 6, 6):  # integral elements, then den > 1
+            x = CycNum(d, [Fraction(rng.randint(-9, 9), rng.randint(1, top)) for _ in range(deg)])
+            assert (x.den == 1) == (top == 1) and x.root_exponent() == -1
             for i in range(2 * d):
                 z = CycNum.zeta(d, i)
                 for prod in (z * x, x * z):
                     assert prod.coeffs == _ref_mul(d, z.coeffs, x.coeffs)
-                    assert _normalised(prod)
+                    assert _normalised(prod) and prod.den == x.den
+                    assert prod.root_exponent() == -1
+                    assert CycNum(d, prod.coeffs).root_exponent() == -1
+        for c in (2, -3, Fraction(-3, 4)):
+            for i in range(2 * d):
+                z = CycNum.zeta(d, i)
+                for prod in (z * c, c * z):
+                    assert prod.coeffs == _ref_mul(d, z.coeffs, CycNum.from_rational(d, c).coeffs)
 
     @pytest.mark.parametrize("d", KERNEL_DS)
     def test_root_inverses(self, d):
@@ -473,6 +483,15 @@ class TestExactScalars:
             z * CycNum.one(5)
         with pytest.raises(TypeError):
             z + 0.5
+
+    def test_equality_with_a_bool_is_false(self):
+        # used to raise TypeError: True is not an exact rational
+        for x in (CycNum.one(3), CycNum.zero(3), CycNum.zeta(3)):
+            for b in (True, False):
+                assert not x == b and x != b
+                assert not b == x and b != x
+        assert True not in [CycNum.one(3)] and False not in [CycNum.zero(3)]
+        assert CycNum.one(3) == 1 and CycNum.one(3) != 1.0
 
 
 class TestModulusValidation:

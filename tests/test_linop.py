@@ -459,6 +459,16 @@ def test_operators_combine_with_scalars(op, c):
     assert (op == c) == op.equals(c)
 
 
+@pytest.mark.parametrize("op", OPERATORS)
+@pytest.mark.parametrize("other", [X * Z - Y**2 + 3 * ONE, 2], ids=["poly", "int"])
+def test_polynomial_or_scalar_minus_an_operator(op, other):
+    # MPoly.var(3, 'x') - op and 2 - op used to raise TypeError while + worked
+    diff = other - op
+    assert isinstance(diff, LinOp)
+    assert diff == as_linop(other, D) - op
+    assert diff + op == other
+
+
 OTHER = 5  # a modulus other than D
 OTHER_OPERANDS = pytest.mark.parametrize(
     "other",
@@ -524,6 +534,13 @@ def test_operators_are_unhashable_and_unequal_to_other_types():
         hash(op)
     assert op != "op" and op != None  # noqa: E711
     assert ZERO_TEST_CASES[0][1] == 0 and 0 == ZERO_TEST_CASES[0][1]
+
+
+def test_operator_equality_with_a_bool_is_false():
+    # a bool is no exact scalar, so it compares unequal, as a float does
+    op = LinOp.poly(ONE)
+    assert not op == True and op != True  # noqa: E712
+    assert True not in [op]
 
 
 # -- the residue reductions through div_rem, against the loops they replace --------------

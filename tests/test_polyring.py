@@ -124,6 +124,15 @@ class TestModulusGuard:
         assert MPoly.zero(3) != MPoly.zero(5)
         assert MPoly.one(3) != CycNum.one(5)
 
+    def test_equality_with_a_bool_is_false(self):
+        # used to raise TypeError: True is not an exact rational
+        for f in (MPoly.one(3), MPoly.zero(3), X + Y):
+            for b in (True, False):
+                assert not f == b and f != b
+                assert not b == f and b != f
+        assert True not in [MPoly.one(3)] and False not in [MPoly.zero(3)]
+        assert MPoly.one(3) == 1 and MPoly.one(3) != 0.5
+
     @pytest.mark.parametrize("c", [CycNum.one(5), CycNum.zeta(5, 1), CycNum.zero(5)])
     def test_constant_of_another_modulus_raises(self, c):
         with pytest.raises(ModulusMismatch):

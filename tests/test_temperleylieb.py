@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -118,8 +119,8 @@ def _unchecked_diagram(n_bottom, n_top, pairs):
 class TestJonesWenzl:
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_idempotent_killed_traced(self, d):
-        """The expansion of p p cross-checks the characterisation that
-        certify_jw uses in place of it."""
+        """The two-sided reference: the expansion of p p and of every e_i p
+        and p e_i cross-checks the one-sided certificate of certify_jw."""
         q = q_root(d)
         for n in range(1, d):
             p = jw(n, d)
@@ -183,6 +184,83 @@ class TestJonesWenzl:
             for i in range(n - 1):
                 layer = tl_identity(D, i).tensor(cap).tensor(tl_identity(D, n - i - 2))
                 assert not layer.compose(p).combo
+
+
+def _flip(dg):
+    """The top-bottom flip of dg: bottom point j becomes top point j and back."""
+    nb, nt = dg.n_bottom, dg.n_top
+    at = [*range(nt, nt + nb), *range(nt)]
+    mate = [0] * (nb + nt)
+    for p, q in enumerate(dg.mate):
+        mate[at[p]] = at[q]
+    return TLDiagram._from_mate(nt, nb, mate)
+
+
+def _reflected(m, reflect):
+    """The morphism m with each diagram reflected, coefficients kept."""
+    dgs = {reflect(dg): c for dg, c in m.combo.items()}
+    [(nb, nt)] = {(dg.n_bottom, dg.n_top) for dg in dgs}
+    return TLMorphism(m.d, nb, nt, dgs, m.l)
+
+
+class TestOneSidedCertificate:
+    """certify_jw forms e_i p for i <= n/2 and scans p against its mirror."""
+
+    def test_reflections_respect_composition_and_loops(self):
+        mirror = temperleylieb._mirror
+        pairs = 0
+        for a, b, c in itertools.product(range(5), repeat=3):
+            for g in enumerate_diagrams(a, b):
+                for h in (mirror(g), _flip(g)):  # planar, involutive
+                    assert TLDiagram(h.n_bottom, h.n_top, h.pairs) == h
+                assert mirror(mirror(g)) == g and _flip(_flip(g)) == g
+                gm = TLMorphism.from_diagram(D, g)
+                for f in enumerate_diagrams(b, c):
+                    fm = TLMorphism.from_diagram(D, f)
+                    fg = fm.compose(gm)  # one diagram times kappa^loops
+                    # the mirror is an automorphism, the flip an anti-automorphism
+                    assert _reflected(fg, mirror).combo == _reflected(fm, mirror).compose(_reflected(gm, mirror)).combo
+                    assert _reflected(fg, _flip).combo == _reflected(gm, _flip).compose(_reflected(fm, _flip)).combo
+                    pairs += 1
+        assert pairs > 100
+        for n in range(2, 5):
+            for i in range(1, n):
+                e = temperleylieb.e_diagram(n, i)
+                assert mirror(e) == temperleylieb.e_diagram(n, n - i) and _flip(e) == e
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_projectors_are_reflection_symmetric(self, d):
+        for n in range(1, d):
+            p = jw(n, d)
+            assert _reflected(p, temperleylieb._mirror).combo == p.combo
+            assert _reflected(p, _flip).combo == p.combo
+
+    def test_left_products_alone_do_not_certify(self):
+        # identity coefficient 1 and e_1 X = 0, but X is not its mirror
+        e1, e2 = tl_e(D, 3, 1), tl_e(D, 3, 2)
+        x = jw(3, D) + e2 - e1.compose(e2).scaled(kappa(D).inverse())
+        assert x.combo[temperleylieb.tl_identity_diagram(3)] == CycNum.one(D)
+        assert not e1.compose(x).combo
+        with pytest.raises(NotJonesWenzl, match=r"^p_3 differs from its left-right reflection$"):
+            certify_jw(x)
+
+    def test_floor_half_left_products_and_no_right_ones(self, monkeypatch):
+        projectors = [jw(n, 7) for n in range(1, 7)]
+        monkeypatch.setattr(temperleylieb, "_CERTIFIED", {})
+        calls = []
+        compose = TLMorphism.compose
+
+        def counted(self, other):
+            calls.append((self, other))
+            return compose(self, other)
+
+        monkeypatch.setattr(TLMorphism, "compose", counted)
+        for n, p in enumerate(projectors, start=1):
+            calls.clear()
+            certify_jw(p)
+            assert [left.combo for left, _ in calls] == [tl_e(7, n, i).combo for i in range(1, n // 2 + 1)]
+            assert all(right is p for _, right in calls)
+            assert not any(left is p for left, _ in calls)
 
 
 def _two_sided_jw(n, d, l):
