@@ -34,7 +34,7 @@ from .linop import LinOp
 from .mfcore import (
     MatrixBifact,
     MFMorphism,
-    mat_scale,
+    carries,
     perm_mf,
     sum_morphism,
     tensor_mf,
@@ -320,16 +320,16 @@ def g_pair_transported(base, d: int, a: int, b: int, mu: int, l: int = 1):
     A, B, Qm, Qp = _g_objects(d, a, b, mu, l)
     sigma = transport_sigma(d, a, b, l)
     c, one = eta_power(d, a * (mu + 1), l), CycNum.one(d)
-    carried = lambda mat: [[e.subs(sigma) for e in row] for row in mat]
     for name, M0, M, k in (
         ("P_{a:1}", A0, A.mf, one),
         ("P_{b:mu}", B0, B.mf, c),
         ("Q-", Qm0.mf, Qm.mf, one),
         ("Q+", Qp0.mf, Qp.mf, one),
     ):
-        if carried(M0.d1) != mat_scale(M.d1, k) or carried(M0.d0) != mat_scale(M.d0, k.inverse()):
+        if not carries(sigma, M0, M, k):
             raise TransportMismatch(f"sigma does not carry {name} from (0, 0, {mu}) to ({a}, {b}, {mu})")
     AB = graded_tensor(A, B)
+    carried = lambda mat: [[e.subs(sigma) for e in row] for row in mat]
 
     def moved(g, Q, row, k):
         f0, f1 = carried(g.f0), carried(g.f1)

@@ -40,7 +40,9 @@ the other, and the Temperley-Lieb functor's layers are the same pieces.
 The pure constructors (unit_mf, perm_mf, perm_dual_iso, s_iso, chi, mu,
 renamed_mu, coev_into_dual, duality_un, duality_pieces, zigzag_morphisms) are
 memoised for the life of the process; a subset S is keyed by
-`polyring.residues(d, S)`, however it is spelled.  The twists of an object are memoised on the object itself:
+`polyring.residues(d, S)`, however it is spelled, and a twist label of chi,
+mu and renamed_mu by its residue mod d (`z_labels`, which also rejects an
+even d and a label that is not an int).  The twists of an object are memoised on the object itself:
 twist_mf and diag_twist_mf build ((a)M(b)) once per (M, a mod d, b mod d, l),
 through `MatrixBifact.rescaled`, keyed by the variable scalings, and the memo
 dies with M.  A tensor object is rescaled as the product of its factors'
@@ -72,6 +74,7 @@ __all__ = [
     "unit_mf",
     "perm_mf",
     "verify_factorisation",
+    "carries",
     "tensor_mf",
     "direct_sum_mf",
     "reassoc",
@@ -90,6 +93,7 @@ __all__ = [
     "diag_twist_mf",
     "twist_morphism",
     "s_iso",
+    "z_labels",
     "chi",
     "mu",
     "renamed_mu",
@@ -418,6 +422,14 @@ def verify_factorisation(M: MatrixBifact) -> bool:
     target0 = mat_scale(_identity_matrix(M.rank0, d), W)
     target1 = mat_scale(_identity_matrix(M.rank1, d), W)
     return mat_mul(M.d1, M.d0, d) == target0 and mat_mul(M.d0, M.d1, d) == target1
+
+
+def carries(sub: dict, M: MatrixBifact, N: MatrixBifact, k: CycNum) -> bool:
+    """The monomial map `sub` (as in MPoly.subs, every variable kept) takes d1
+    of M to k * d1 of N and d0 to k^-1 * d0; then (1 on N_0, k^-1 on N_1) is a
+    strict isomorphism from N to the carried M."""
+    moved = M.substituted(sub)
+    return moved.d1 == mat_scale(N.d1, k) and moved.d0 == mat_scale(N.d0, k.inverse())
 
 
 # summands (i, j) of M_i (x) N_j in the storage order of (M (x) N)_0 and (M (x) N)_1
@@ -853,19 +865,41 @@ def _s_iso(d: int, S: frozenset, a: int, b: int, left: str, right: str, l: int) 
     return MFMorphism(src, tgt, 0, [[MPoly.one(d)]], [[f1]])
 
 
-@lru_cache(maxsize=None)
+def z_labels(d: int, *labels) -> tuple:
+    """The labels as residues mod d: elements of the group Z_d of twists.
+
+    EvenModulus unless d is odd and >= 3; TypeError for a label that is not
+    an int (a bool included)."""
+    if d % 2 == 0 or d < 3:
+        raise EvenModulus(f"the Z_d twists need odd d >= 3, got {d}")
+    for a in labels:
+        if not isinstance(a, int) or isinstance(a, bool):
+            raise TypeError(f"a Z_{d} label must be an int, got {a!r}")
+    return tuple(a % d for a in labels)
+
+
 def chi(d: int, a: int, left="x", right="y", l: int = 1) -> MatrixBifact:
     """chi(a) = ((a)I): d1 = eta^{la} left - right."""
+    (a,) = z_labels(d, a)
+    return _chi(d, a, left, right, l)
+
+
+@lru_cache(maxsize=None)
+def _chi(d: int, a: int, left: str, right: str, l: int) -> MatrixBifact:
     return twist_mf(unit_mf(d, left, right), a, 0, l)
 
 
-@lru_cache(maxsize=None)
 def mu(d: int, a: int, b: int, l: int = 1) -> MFMorphism:
     """mu_{a,b} = ((a)(lambda_{(b)I})): chi(a) (x) chi(b) -> chi(a+b).
 
     In honest form it projects to the I0-summands and substitutes the middle
     variable by eta^{la} * left.
     """
+    return _mu(d, *z_labels(d, a, b), l)
+
+
+@lru_cache(maxsize=None)
+def _mu(d: int, a: int, b: int, l: int) -> MFMorphism:
     ca = chi(d, a, "x", "y1", l)
     cb = chi(d, b, "y1", "z", l)
     src = tensor_mf(ca, cb)
@@ -879,7 +913,7 @@ def mu(d: int, a: int, b: int, l: int = 1) -> MFMorphism:
 
 def renamed_mu(d: int, a: int, b: int, mapping: dict, l: int = 1) -> MFMorphism:
     """mu(d, a, b, l) with its variables renamed by `mapping`."""
-    return _renamed_mu(d, a, b, l, tuple(sorted(mapping.items())))
+    return _renamed_mu(d, *z_labels(d, a, b), l, tuple(sorted(mapping.items())))
 
 
 @lru_cache(maxsize=None)
