@@ -87,6 +87,20 @@ def _consecutive_subsets(d):
     return [GradedLabel(d, a, lam).subset for a in range(d) for lam in range(d - 1)]
 
 
+def _orbit_bases(d):
+    """P_{0:lam}: each consecutive label is the rotation sigma_a of one."""
+    return [GradedLabel(d, 0, lam).subset for lam in range(d - 1)]
+
+
+def _unrotated(d, l):
+    """None when sigma_a takes P_{0:lam} onto P_{a:lam} at every label, else
+    the detail naming the first label where it does not."""
+    bad = correspondence.rotation_failure(d, l)
+    if bad is None:
+        return None
+    return f"{sorted(bad.subset)} is not the rotation of {sorted(GradedLabel(d, 0, bad.lam).subset)}"
+
+
 def _proper_subsets(d):
     return [frozenset(i for i in range(d) if mask >> i & 1) for mask in range(1, 2**d - 1)]
 
@@ -96,9 +110,13 @@ def _proper_subsets(d):
 
 @check("core", "d1.d0 = d0.d1 = (x^d - y^d).1")
 def factorisation_conditions(d, l):
-    for lab in _consecutive_subsets(d):
+    # the orbit bases, carried to every other label (correspondence docstring)
+    for lab in _orbit_bases(d):
         if not mfcore.verify_factorisation(mfcore.perm_mf(d, lab, l=l)):
             return False, f"failed on {sorted(lab)}"
+    unrotated = _unrotated(d, l)
+    if unrotated is not None:
+        return False, unrotated
     A = mfcore.perm_mf(d, {0, 1}, "x", "y1", l=l)
     B = mfcore.perm_mf(d, {1, 2}, "y1", "z", l=l)
     if not mfcore.verify_factorisation(mfcore.tensor_mf(A, B)):
@@ -195,12 +213,17 @@ def decomposition_certificates(d, l):
 
 @check("graded", "charge-0 cycles are C.1 iff R = S")
 def graded_hom_rigidity(d, l):
+    # the rows of the orbit bases: dim hom(R + a, S + a) = dim hom(R, S)
+    # (correspondence docstring)
     subsets = _consecutive_subsets(d)
-    for R in subsets:
+    for R in _orbit_bases(d):
         for S in subsets:
             dim = graded.graded_hom_dim(d, R, S, l)
             if dim != (1 if R == S else 0):
                 return False, f"dim hom({sorted(R)}, {sorted(S)}) = {dim}"
+    unrotated = _unrotated(d, l)
+    if unrotated is not None:
+        return False, unrotated
     return True, f"hom dimension is delta_RS over {len(subsets)}^2 pairs"
 
 

@@ -43,8 +43,19 @@ S + c.  So the cocycle is computed on one subset per rotation orbit
 (`tau_cocycle_ok`), and every other subset needs only the identity
 sigma_c(P_S) = P_{S+c} in d1 and d0.
 
+Consecutive labels: sigma_a takes P_{0:lam} onto P_{a:lam} exactly
+(`rotation_failure` checks it for every label), and sigma_a sigma_c =
+sigma_{a+c}, so it takes P_{c:lam} onto P_{a+c:lam} too.  sigma_a fixes
+x^d - y^d, so d1 d0 = d0 d1 = x^d - y^d at P_{0:lam} carries to P_{a:lam};
+it fixes constants and is invertible, so the constant pairs (p, q) with
+p d1_R = q d1_S are those with p d1_{R-a} = q d1_{S-a}, and
+graded_hom_dim(R, S) = graded_hom_dim(R - a, S - a).  So the core and
+graded suites compute the product identity at each P_{0:lam} and
+graded_hom_dim(R_0, S) for each base R_0 and every S only.
+
 The Z_d constructors and certificates (tau, tau_cocycle_ok, mu_hexagon_ok
-here, chi, mu and renamed_mu in mfcore) take labels through
+here, s_iso, twist_mf, diag_twist_mf, twist_morphism, chi, mu and renamed_mu
+in mfcore) take labels through
 `mfcore.z_labels`: EvenModulus unless d is odd and >= 3, TypeError for a
 label that is not an int, and every label reduced mod d before any memo.
 """
@@ -81,6 +92,7 @@ __all__ = [
     "tau_cocycle_ok",
     "rotation_sigma",
     "tau_cocycle_failure",
+    "rotation_failure",
     "mu_hexagon_ok",
     "mu_transport_ok",
     "mu_hexagon_failure",
@@ -148,6 +160,20 @@ def tau_cocycle_failure(d: int, subsets, l: int = 1):
             certified.add(R)
         if c and not carries(rotation_sigma(d, c, l), perm_mf(d, R, l=l), perm_mf(d, S, l=l), one):
             return S
+    return None
+
+
+def rotation_failure(d: int, l: int = 1):
+    """The first consecutive label a:lam, a != 0, whose object P_{a:lam} is
+    not sigma_a(P_{0:lam}) in d1 and d0, or None (module docstring)."""
+    one = CycNum.one(d)
+    bases = [perm_mf(d, GradedLabel(d, 0, lam).subset, l=l) for lam in range(d - 1)]
+    for a in range(1, d):
+        sigma = rotation_sigma(d, a, l)
+        for lam, base in enumerate(bases):
+            label = GradedLabel(d, a, lam)
+            if not carries(sigma, base, perm_mf(d, label.subset, l=l), one):
+                return label
     return None
 
 

@@ -26,6 +26,12 @@ S^-1 (K^r + ker(d_out S^-1 restricted to the last n - r coordinates)), and H
 is that second kernel: one basis vector per free column of its row echelon
 form, with coordinate (S v)_{r+j} at free column j.
 
+A strict isomorphism needs no homology: an even cycle whose two components
+are square, constant and invertible has the constant inverse, which is a
+cycle too, so H(f) is invertible.  is_homotopy_iso answers such a map from
+the ranks of its components (`row_reduce`) and the cycle test, and every
+other morphism, a non-cycle included, from the homology.
+
 The homotopy solver has one mode, the graded one: the entry degrees of h are
 forced by the charges and passed in, and it writes f - g = delta(h) as a
 linear system over the field in the coefficients of h on that monomial
@@ -322,8 +328,24 @@ def row_reduce(rows) -> dict[int, dict[int, CycNum]]:
     return pivots
 
 
+def _is_strict_iso(f: MFMorphism) -> bool:
+    """f is an even cycle whose two components are square, constant and
+    invertible matrices."""
+    if f.z2_degree != 0 or (f.src.rank0, f.src.rank1) != (f.tgt.rank0, f.tgt.rank1):
+        return False
+    for mat in (f.f0, f.f1):
+        if not all(isinstance(e, MPoly) and e.is_constant() for row in mat for e in row):
+            return False
+        if len(row_reduce({j: e.constant_value() for j, e in enumerate(row)} for row in mat)) != len(mat):
+            return False
+    return f.is_cycle()
+
+
 def is_homotopy_iso(f: MFMorphism) -> bool:
-    """True iff H(f) is a linear isomorphism in both parities."""
+    """True iff H(f) is a linear isomorphism in both parities; a strict
+    isomorphism is one without its homology (module docstring)."""
+    if _is_strict_iso(f):
+        return True
     m0, m1 = induced_h(f)
     src_h, tgt_h = HomologyData.of(f.src), HomologyData.of(f.tgt)
     if src_h.dim_h0 != tgt_h.dim_h0 or src_h.dim_h1 != tgt_h.dim_h1:

@@ -40,9 +40,12 @@ the other, and the Temperley-Lieb functor's layers are the same pieces.
 The pure constructors (unit_mf, perm_mf, perm_dual_iso, s_iso, chi, mu,
 renamed_mu, coev_into_dual, duality_un, duality_pieces, zigzag_morphisms) are
 memoised for the life of the process; a subset S is keyed by
-`polyring.residues(d, S)`, however it is spelled, and a twist label of chi,
-mu and renamed_mu by its residue mod d (`z_labels`, which also rejects an
-even d and a label that is not an int).  The twists of an object are memoised on the object itself:
+`polyring.residues(d, S)`, however it is spelled, and a twist label of s_iso,
+chi, mu and renamed_mu by its residue mod d (`z_labels`, which also rejects
+an even d and a label that is not an int; the twists take theirs through it
+too).  ev_coev keeps its pair on the object, as `invariants.HomologyData.of`
+keeps the homology, so the pair dies with the object.  The twists of an
+object are memoised on the object itself:
 twist_mf and diag_twist_mf build ((a)M(b)) once per (M, a mod d, b mod d, l),
 through `MatrixBifact.rescaled`, keyed by the variable scalings, and the memo
 dies with M.  A tensor object is rescaled as the product of its factors'
@@ -188,6 +191,7 @@ class MatrixBifact:
     _rescaled = None  # {scales: object}, filled by rescaled
     _origin = None  # (weak reference to the base, scales) of a rescaled object
     _homology = None  # filled by invariants.HomologyData.of
+    _ev_coev = None  # filled by ev_coev
 
     def __init__(self, d, left, right, int_vars, d1, d0, tags0=None, tags1=None):
         _require_differential(d, d1, d0)
@@ -690,7 +694,15 @@ def _perm_dual_iso(d: int, S: frozenset, left: str, right: str, l: int) -> MFMor
 
 
 def ev_coev(M: MatrixBifact) -> tuple[MFMorphism, MFMorphism]:
-    """Evaluation M+ (x) M -> I and coevaluation I -> M (x) M+ (variables x,y,z)."""
+    """Evaluation M+ (x) M -> I and coevaluation I -> M (x) M+ (variables x,y,z).
+
+    The pair is built on first request and kept on M, so it dies with M."""
+    if M._ev_coev is None:
+        M._ev_coev = _ev_coev(M)
+    return M._ev_coev
+
+
+def _ev_coev(M: MatrixBifact) -> tuple[MFMorphism, MFMorphism]:
     if M.rank0 != 1 or M.rank1 != 1:
         raise RankUnsupported("duality maps need a rank-(1,1) object")
     d = M.d
@@ -818,6 +830,7 @@ def twist_mf(M: MatrixBifact, a: int, b: int, l: int = 1) -> MatrixBifact:
     Like every twist below (and chi, mu, renamed_mu, which are built from
     it), raises NotCoprime unless gcd(l, d) = 1."""
     require_coprime(M.d, l)
+    a, b = z_labels(M.d, a, b)
     inner = (CycNum.one(M.d),) * len(M.int_vars)
     return M.rescaled((eta_power(M.d, a, l),) + inner + (eta_power(M.d, -b, l),))
 
@@ -825,6 +838,7 @@ def twist_mf(M: MatrixBifact, a: int, b: int, l: int = 1) -> MatrixBifact:
 def diag_twist_mf(M: MatrixBifact, a: int, l: int = 1) -> MatrixBifact:
     """((a)M(-a)) with every variable scaled: the per-factor form for tensor words."""
     require_coprime(M.d, l)
+    (a,) = z_labels(M.d, a)
     return M.rescaled((eta_power(M.d, a, l),) * len(M.all_vars))
 
 
@@ -832,6 +846,7 @@ def twist_morphism(f: MFMorphism, a: int, l: int = 1) -> MFMorphism:
     """Apply the diagonal twist functor ((a)(-)(-a)) to a morphism (honest form)."""
     d = f.d
     require_coprime(d, l)
+    (a,) = z_labels(d, a)
     e = eta_power(d, a, l)
     einv = eta_power(d, -a, l)
     out_map = Subst(d, {v: (e, v) for v in f.tgt.all_vars})
@@ -854,7 +869,7 @@ def twist_morphism(f: MFMorphism, a: int, l: int = 1) -> MFMorphism:
 
 def s_iso(d: int, S, a: int, b: int, left="x", right="y", l: int = 1) -> MFMorphism:
     """The twist comparison P_{S-a-b} -> ((a)P_S(b)), components (1, eta^{-l|S|a})."""
-    return _s_iso(d, residues(d, S), a, b, left, right, l)
+    return _s_iso(d, residues(d, S), *z_labels(d, a, b), left, right, l)
 
 
 @lru_cache(maxsize=None)

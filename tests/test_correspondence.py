@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from permfact import checks, correspondence, mfcore
+from permfact import checks, correspondence, graded, mfcore
 from permfact.cftside import NSLabel, ParityViolation, cft_fusion_ring, ns_fuse
 from permfact.correspondence import (
     check_equivariant,
@@ -13,6 +13,7 @@ from permfact.correspondence import (
     mu_hexagon_failure,
     mu_hexagon_ok,
     mu_transport_ok,
+    rotation_failure,
     tau,
     tau_cocycle_failure,
     tau_cocycle_ok,
@@ -20,10 +21,10 @@ from permfact.correspondence import (
     verify_equivalence,
 )
 from permfact.cyclofield import EvenModulus, eta_power
-from permfact.graded import GradedLabel, decompose_product
+from permfact.graded import GradedLabel, decompose_product, graded_hom_dim
 from permfact.linop import LinOp
-from permfact.mfcore import MFMorphism, chi, duality_un, identity_morphism, mu, renamed_mu, twist_morphism
-from permfact.polyring import MPoly
+from permfact.mfcore import MatrixBifact, MFMorphism, chi, duality_un, identity_morphism, mu, renamed_mu, twist_morphism
+from permfact.polyring import MPoly, residues
 
 TWIST_PINS = Path(__file__).parent / "reference" / "twisted-morphisms.d5.json"
 
@@ -173,6 +174,74 @@ class TestOrbitCertificates:
         monkeypatch.setattr(correspondence, "rotation_sigma", off)
         assert tau_cocycle_failure(d, [{0}, {2, 3}], 1) == frozenset({2, 3})
         assert checks.tau_cocycle(d, 1) == (False, "failed on [1]")
+
+
+def _double_d0(monkeypatch, d, S):
+    """perm_mf, except that P_S at d has its d0 doubled, wherever mfcore or
+    correspondence builds it."""
+    closed_form, broken = mfcore.perm_mf, residues(d, S)
+
+    def patched(dd, T, left="x", right="y", l=1):
+        M = closed_form(dd, T, left, right, l)
+        if (dd, residues(dd, T)) != (d, broken):
+            return M
+        return MatrixBifact(dd, M.left, M.right, (), M.d1, [[M.d0[0][0] * 2]])
+
+    monkeypatch.setattr(mfcore, "perm_mf", patched)
+    monkeypatch.setattr(correspondence, "perm_mf", patched)
+
+
+class TestLabelOrbits:
+    """The core and graded label loops computed on the orbit bases P_{0:lam}
+    and carried to every consecutive label along sigma_a (correspondence
+    module docstring)."""
+
+    @pytest.mark.parametrize("d,l", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (9, 2)])
+    def test_agree_with_brute_force(self, d, l):
+        subsets = checks._consecutive_subsets(d)
+        assert all(mfcore.verify_factorisation(mfcore.perm_mf(d, S, l=l)) for S in subsets)
+        assert all(graded_hom_dim(d, R, S, l) == (R == S) for R in subsets for S in subsets)
+        assert rotation_failure(d, l) is None
+        n = d * (d - 1)
+        assert checks.factorisation_conditions(d, l) == (True, f"{n} consecutive objects + a tensor product")
+        assert checks.graded_hom_rigidity(d, l) == (True, f"hom dimension is delta_RS over {n}^2 pairs")
+
+    def test_only_the_bases_are_computed(self, monkeypatch):
+        d, calls = 5, {"verify_factorisation": [], "graded_hom_dim": []}
+        for module, name in ((mfcore, "verify_factorisation"), (graded, "graded_hom_dim")):
+            fn, log = getattr(module, name), calls[name]
+            monkeypatch.setattr(module, name, lambda *args, fn=fn, log=log: log.append(args) or fn(*args))
+        assert checks.factorisation_conditions(d, 1)[0] and checks.graded_hom_rigidity(d, 1)[0]
+        assert len(calls["verify_factorisation"]) == (d - 1) + 1  # the bases and the tensor product
+        assert len(calls["graded_hom_dim"]) == (d - 1) * d * (d - 1)
+        assert {args[1] for args in calls["graded_hom_dim"]} == {GradedLabel(d, 0, lam).subset for lam in range(d - 1)}
+
+    def test_a_broken_base_fails_at_the_base(self, monkeypatch):
+        d = 5
+        _double_d0(monkeypatch, d, {0, 1})
+        assert checks.factorisation_conditions(d, 1) == (False, "failed on [0, 1]")
+        # graded_hom_dim reads the products themselves: P_{0:1} given those of P_{1:1}
+        closed_form = graded.perm_product
+        swapped = lambda d, S, *rest: closed_form(d, {1, 2} if S == frozenset({0, 1}) else S, *rest)
+        monkeypatch.setattr(graded, "perm_product", swapped)
+        assert checks.graded_hom_rigidity(d, 1) == (False, "dim hom([0, 1], [1, 2]) = 1")
+
+    def test_a_rotation_off_by_one_step_is_rejected(self, monkeypatch):
+        d = 5
+        off = lambda d, c, l=1: {"y": (eta_power(d, c + 1, l), "y")}
+        monkeypatch.setattr(correspondence, "rotation_sigma", off)
+        assert rotation_failure(d, 1) == GradedLabel(d, 1, 0)
+        assert checks.factorisation_conditions(d, 1) == (False, "[1] is not the rotation of [0]")
+        assert checks.graded_hom_rigidity(d, 1) == (False, "[1] is not the rotation of [0]")
+
+    def test_a_label_that_is_not_the_image_of_its_base_is_rejected(self, monkeypatch):
+        # P_{2:1} with d0 doubled: no factorisation, and not sigma_2(P_{0:1})
+        d = 5
+        _double_d0(monkeypatch, d, {2, 3})
+        assert not mfcore.verify_factorisation(mfcore.perm_mf(d, {2, 3}))
+        assert rotation_failure(d, 1) == GradedLabel(d, 2, 1)
+        assert checks.factorisation_conditions(d, 1) == (False, "[2, 3] is not the rotation of [0, 1]")
+        assert checks.graded_hom_rigidity(d, 1) == (False, "[2, 3] is not the rotation of [0, 1]")
 
 
 class TestZdLabels:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import permfact
 from permfact import invariants
+from permfact.correspondence import tau
 from permfact.cyclofield import CycNum
 from permfact.graded import GradedMF, g_pair, graded_homotopy_degrees, graded_tensor, hat_p
 from permfact.invariants import (
@@ -233,6 +234,72 @@ class TestHomology:
             HomologyData(triple)
 
 
+def _proper_subsets(d):
+    return [frozenset(i for i in range(d) if mask >> i & 1) for mask in range(1, 2**d - 1)]
+
+
+@pytest.fixture
+def homology_path(monkeypatch):
+    """Counts the induced_h calls of is_homotopy_iso: one per morphism that
+    the strict-isomorphism rule leaves to the homology."""
+    calls = []
+    real = invariants.induced_h
+    monkeypatch.setattr(invariants, "induced_h", lambda f: calls.append(f) or real(f))
+    return calls
+
+
+class TestStrictIsomorphism:
+    """An even cycle with square, constant, invertible components is an
+    isomorphism without its homology; everything else keeps the homology."""
+
+    @pytest.mark.parametrize("d,l", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
+    def test_agrees_with_the_homology_path(self, d, l, monkeypatch):
+        subsets = _proper_subsets(d)
+        maps = [perm_dual_iso(d, S, l=l) for S in subsets]
+        maps += [s_iso(d, S, a, b, l=l) for S in subsets for a in range(d) for b in range(d)]
+        maps += [tau(d, S, a, l=l) for S in subsets for a in range(d)]
+        assert all(invariants._is_strict_iso(f) for f in maps)
+        by_rule = [is_homotopy_iso(f) for f in maps]
+        monkeypatch.setattr(invariants, "_is_strict_iso", lambda f: False)
+        assert [is_homotopy_iso(f) for f in maps] == by_rule == [True] * len(maps)
+
+    def test_no_homology_is_built(self, monkeypatch, homology_path):
+        built = []
+        init = HomologyData.__init__
+        monkeypatch.setattr(HomologyData, "__init__", lambda self, M: built.append(M) or init(self, M))
+        f = s_iso(5, {0, 1}, 2, 0)
+        assert is_homotopy_iso(f) and is_homotopy_iso(perm_dual_iso(5, {1, 2}))
+        assert built == [] and homology_path == []
+
+    @pytest.mark.parametrize(
+        "f0,f1,verdict",
+        [
+            pytest.param(1, 0, False, id="zero-odd-component"),
+            pytest.param(0, 0, False, id="zero-map"),
+            pytest.param(1, 2, True, id="non-cycle"),
+            pytest.param("1 + x", "1 + x", True, id="polynomial-cycle"),
+        ],
+    )
+    def test_a_map_outside_the_rule_keeps_its_homology_answer(self, f0, f1, verdict, homology_path):
+        d = 5
+        P = perm_mf(d, {1, 2}).renamed({})
+        entry = lambda c: MPoly.one(d) + MPoly.var(d, "x") if c == "1 + x" else MPoly.constant(d, c)
+        f = MFMorphism(P, P, 0, [[entry(f0)]], [[entry(f1)]])
+        assert not invariants._is_strict_iso(f)
+        assert is_homotopy_iso(f) is verdict
+        assert homology_path == [f]
+
+    def test_a_singular_constant_cycle_keeps_its_homology_answer(self, homology_path):
+        d = 5
+        P = perm_mf(d, {1, 2})
+        PP = direct_sum_mf(P, P)
+        one, zero = MPoly.one(d), MPoly.zero(d)
+        proj = [[one, zero], [zero, zero]]
+        f = MFMorphism(PP, PP, 0, proj, proj)
+        assert f.is_cycle() and not invariants._is_strict_iso(f)
+        assert not is_homotopy_iso(f) and homology_path == [f]
+
+
 class TestSharedHomology:
     def test_consecutive_objects_d5(self):
         d = 5
@@ -262,7 +329,9 @@ class TestSharedHomology:
 
         monkeypatch.setattr(HomologyData, "__init__", counting)
         d = 5
-        f = s_iso(d, {0, 1}, 2, 0)
+        # lambda has operator entries, so the strict-isomorphism rule leaves
+        # it to the homology; a renamed copy of T has no homology kept yet
+        f, _ = unit_isos(perm_mf(d, {2, 3}, "x", "z").renamed({}))
         H_tgt = HomologyData.of(f.tgt)
         assert is_homotopy_iso(f) and is_homotopy_iso(f)
         assert len(built) == 2 and built[1] is f.src

@@ -11,7 +11,7 @@ import permfact
 from permfact import cli, invariants, mfcore
 from permfact.checks import build_checks
 from permfact.correspondence import mu_hexagon_ok, tau
-from permfact.cyclofield import CycNum, NotCoprime, eta_power, kappa
+from permfact.cyclofield import CycNum, EvenModulus, NotCoprime, eta_power, kappa
 from permfact.invariants import HomologyData
 from permfact.mfcore import (
     InvalidDifferential,
@@ -476,6 +476,17 @@ class TestEvCoev:
             for f in probes:
                 assert B.apply(f) == exact_div(core.apply(f), x - z), (M, f)
 
+    def test_the_pair_is_built_once_per_object(self, monkeypatch):
+        built = []
+        build = mfcore._ev_coev
+        monkeypatch.setattr(mfcore, "_ev_coev", lambda M: built.append(M) or build(M))
+        M = perm_mf(5, {1, 2}).renamed({})
+        pair = ev_coev(M)
+        assert ev_coev(M) is pair and built == [M]
+        # an equal object built apart builds its own pair
+        apart = M.renamed({})
+        assert ev_coev(apart) is not pair and built == [M, apart]
+
     def test_coev_components_match_display(self):
         d = 3
         M = perm_mf(d, {1, 2})
@@ -656,6 +667,36 @@ class TestTwists:
         again = twist_mf(tw, 2, -2)
         assert again is twist_mf(tw, 2, -2)
         assert again == tw.substituted({v: (eta_power(d, 2), v) for v in ("x", "y")})
+
+
+class TestTwistLabels:
+    """s_iso and the twists take their labels through z_labels."""
+
+    def test_s_iso_rejects_a_bool_label(self):
+        with pytest.raises(TypeError, match="label must be an int"):
+            s_iso(3, {0}, True, 0)
+
+    def test_s_iso_rejects_an_even_modulus(self):
+        with pytest.raises(EvenModulus):
+            s_iso(4, {0}, 1, 0)
+
+    def test_s_iso_reduces_its_labels_before_the_memo(self):
+        assert s_iso(3, {0}, 4, 0) is s_iso(3, {0}, 1, 0)
+        assert s_iso(5, {1, 2}, -1, 7) is s_iso(5, {1, 2}, 4, 2)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda a: twist_mf(perm_mf(3, {0}), a, 0), id="twist_mf"),
+            pytest.param(lambda a: twist_mf(perm_mf(3, {0}), 0, a), id="twist_mf-right"),
+            pytest.param(lambda a: diag_twist_mf(perm_mf(3, {0}), a), id="diag_twist_mf"),
+            pytest.param(lambda a: twist_morphism(identity_morphism(perm_mf(3, {0})), a), id="twist_morphism"),
+        ],
+    )
+    def test_twists_reject_a_label_that_is_not_an_int(self, build):
+        # twist_mf(perm_mf(3, {0}), 0.5, 0) used to die on tuple indices in cyclofield
+        with pytest.raises(TypeError, match="label must be an int"):
+            build(0.5)
 
 
 class TestMu:
