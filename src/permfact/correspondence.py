@@ -35,34 +35,26 @@ times the uniform scaling by eta^{lc}.  The constant psi's are strict
 isomorphisms, the same on both sides, so they cancel, and both composites at
 (a, b, c) are the carried composites at (0, 0, 0): equal, since those are.
 
-tau: tau_{S;a} has constant components that depend only on |S| and a, and
-the rotation sigma_c: y -> eta^{lc} y takes P_S onto P_{S+c} exactly.
-sigma_c commutes with the twists and fixes constants, so it carries
-tau_{S;a} onto tau_{S+c;a} and the cocycle identity at S onto the one at
-S + c.  So the cocycle is computed on one subset per rotation orbit
-(`tau_cocycle_ok`), and every other subset needs only the identity
-sigma_c(P_S) = P_{S+c} in d1 and d0.
-
-Consecutive labels: sigma_a takes P_{0:lam} onto P_{a:lam} exactly
-(`rotation_failure` checks it for every label), and sigma_a sigma_c =
-sigma_{a+c}, so it takes P_{c:lam} onto P_{a+c:lam} too.  sigma_a fixes
-x^d - y^d, so d1 d0 = d0 d1 = x^d - y^d at P_{0:lam} carries to P_{a:lam};
-it fixes constants and is invertible, so the constant pairs (p, q) with
-p d1_R = q d1_S are those with p d1_{R-a} = q d1_{S-a}, and
-graded_hom_dim(R, S) = graded_hom_dim(R - a, S - a).  So the core and
-graded suites compute the product identity at each P_{0:lam} and
-graded_hom_dim(R_0, S) for each base R_0 and every S only.
+Rotation orbits: sigma_c: y -> eta^{lc} y takes P_R onto P_{R+c} exactly,
+and sigma_a sigma_c = sigma_{a+c}.  It fixes x^d - y^d and constants,
+commutes with the twists and is invertible, so it carries each of these
+properties of P_R to P_{R+c}: the product identity d1 d0 = d0 d1 =
+x^d - y^d; the constant pairs (p, q) with p d1_R = q d1_S, so
+graded_hom_dim(R + c, S) = graded_hom_dim(R, S - c); and the tau cocycle,
+since tau_{S;a} has constant components that depend only on |S| and a, so
+sigma_c takes tau_{R;a} onto tau_{R+c;a}.  `orbit_failure` computes such a
+property once per rotation orbit, at its base R (the rotation with the
+smallest bit mask; P_{0:lam} for a consecutive label), and every other
+subset R + c needs only sigma_c(P_R) = P_{R+c} in d1 and d0.
 
 The Z_d constructors and certificates (tau, tau_cocycle_ok, mu_hexagon_ok
-here, s_iso, twist_mf, diag_twist_mf, twist_morphism, chi, mu and renamed_mu
-in mfcore) take labels through
-`mfcore.z_labels`: EvenModulus unless d is odd and >= 3, TypeError for a
-label that is not an int, and every label reduced mod d before any memo.
+here, s_iso, twist_mf, diag_twist_mf, twist_morphism, chi and mu in mfcore)
+take labels through `mfcore.z_labels`: EvenModulus unless d is odd and >= 3,
+TypeError for a label that is not an int, and every label reduced mod d
+before any memo.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .cftside import ParityViolation, cft_fusion_ring, quantum_dim
 from .cyclofield import CycNum, eta_power, q_root, quantum_int
@@ -78,7 +70,6 @@ from .mfcore import (
     mu,
     perm_mf,
     reassoc,
-    renamed_mu,
     s_iso,
     self_dual_subset,
     tensor_morphism,
@@ -91,8 +82,8 @@ __all__ = [
     "tau",
     "tau_cocycle_ok",
     "rotation_sigma",
-    "tau_cocycle_failure",
-    "rotation_failure",
+    "orbit_base",
+    "orbit_failure",
     "mu_hexagon_ok",
     "mu_transport_ok",
     "mu_hexagon_failure",
@@ -107,25 +98,17 @@ __all__ = [
 def tau(d: int, S, a: int, left="x", right="y", l: int = 1) -> MFMorphism:
     """tau_{S;a} = eta^{(d+1)/2 * a * (|S|-1)} * s_{a,-a}: P_S -> ((a)P_S(-a))."""
     (a,) = z_labels(d, a)
-    return _tau(d, residues(d, S), a, left, right, l)
-
-
-@lru_cache(maxsize=None)
-def _tau(d: int, S: frozenset, a: int, left: str, right: str, l: int) -> MFMorphism:
-    base = s_iso(d, S, a, -a, left, right, l)
+    S = residues(d, S)
     scalar = eta_power(d, ((d + 1) // 2) * a * (len(S) - 1), l)
-    return base.scaled(scalar)
+    return s_iso(d, S, a, -a, left, right, l).scaled(scalar)
 
 
 def tau_cocycle_ok(d: int, S, l: int = 1) -> bool:
     """((a)tau_b(-a)) . tau_a = tau_{a+b} for all a, b."""
-    for a in range(d):
-        ta = tau(d, S, a, l=l)
-        for b in range(d):
-            tb = tau(d, S, b, l=l)
-            lhs = twist_morphism(tb, a, l).compose(ta)
-            rhs = tau(d, S, a + b, l=l)
-            if not lhs.equals(rhs):
+    taus = [tau(d, S, a, l=l) for a in range(d)]
+    for a, ta in enumerate(taus):
+        for b, tb in enumerate(taus):
+            if not twist_morphism(tb, a, l).compose(ta).equals(taus[(a + b) % d]):
                 return False
     return True
 
@@ -135,45 +118,33 @@ def rotation_sigma(d: int, c: int, l: int = 1) -> dict:
     return {"y": (eta_power(d, c, l), "y")}
 
 
-def _orbit_base(d: int, S: frozenset) -> tuple:
+def orbit_base(d: int, S) -> tuple:
     """(R, c): the rotation R of S with the smallest bit mask, and the least c
-    with R + c = S."""
+    with R + c = S; c = 0 exactly when S is its own base."""
+    S = residues(d, S)
     mask = lambda c: sum(1 << ((s - c) % d) for s in S)
     c = min(range(d), key=lambda c: (mask(c), c))
     return residues(d, [s - c for s in S]), c
 
 
-def tau_cocycle_failure(d: int, subsets, l: int = 1):
-    """The first of `subsets` whose tau cocycle is not certified, or None.
+def orbit_failure(d: int, subsets, certify, l: int = 1):
+    """None when every one of `subsets` is certified, else the first failure:
+    the orbit base R where certify(R) is False, or the subset S = R + c that
+    sigma_c does not take P_R onto.
 
-    The cocycle is computed once per rotation orbit, at the rotation with the
-    smallest bit mask, and carried to each other subset R + c along
-    sigma_c (module docstring), which must take P_R onto P_{R+c}."""
+    certify(R) computes a property that sigma_c carries (module docstring)
+    once per rotation orbit, at its base R (`orbit_base`); each other subset
+    of the orbit then needs only sigma_c(P_R) = P_S in d1 and d0."""
     one = CycNum.one(d)
     certified = set()
     for S in subsets:
-        S = residues(d, S)
-        R, c = _orbit_base(d, S)
+        R, c = orbit_base(d, S)
         if R not in certified:
-            if not tau_cocycle_ok(d, R, l):
-                return S
+            if not certify(R):
+                return R
             certified.add(R)
         if c and not carries(rotation_sigma(d, c, l), perm_mf(d, R, l=l), perm_mf(d, S, l=l), one):
-            return S
-    return None
-
-
-def rotation_failure(d: int, l: int = 1):
-    """The first consecutive label a:lam, a != 0, whose object P_{a:lam} is
-    not sigma_a(P_{0:lam}) in d1 and d0, or None (module docstring)."""
-    one = CycNum.one(d)
-    bases = [perm_mf(d, GradedLabel(d, 0, lam).subset, l=l) for lam in range(d - 1)]
-    for a in range(1, d):
-        sigma = rotation_sigma(d, a, l)
-        for lam, base in enumerate(bases):
-            label = GradedLabel(d, a, lam)
-            if not carries(sigma, base, perm_mf(d, label.subset, l=l), one):
-                return label
+            return residues(d, S)
     return None
 
 
@@ -181,13 +152,13 @@ def mu_hexagon_ok(d: int, a: int, b: int, c: int, l: int = 1) -> bool:
     """mu_{a,b+c} . (1 (x) mu_{b,c}) = mu_{a+b,c} . (mu_{a,b} (x) 1) strictly on
     (chi(a) (x) chi(b)) (x) chi(c), each side reassociated from that source."""
     a, b, c = z_labels(d, a, b, c)
-    mu_bc = renamed_mu(d, b, c, {"x": "y1", "y1": "y2"}, l)
+    mu_bc = mu(d, b, c, l).renamed({"x": "y1", "y1": "y2"})
     step1 = tensor_morphism(identity_morphism(chi(d, a, "x", "y1", l)), mu_bc)
-    mu_ab = renamed_mu(d, a, b, {"z": "y2"}, l)
+    mu_ab = mu(d, a, b, l).renamed({"z": "y2"})
     step2 = tensor_morphism(mu_ab, identity_morphism(chi(d, c, "y2", "z", l)))
     # step2 starts at (chi(a) (x) chi(b)) (x) chi(c) itself
     p1 = mu(d, a, b + c, l).compose(step1).compose(reassoc(step2.src, step1.src))
-    p2 = renamed_mu(d, a + b, c, {"y1": "y2"}, l).compose(step2)
+    p2 = mu(d, a + b, c, l).renamed({"y1": "y2"}).compose(step2)
     return p1.equals(p2)
 
 
@@ -233,43 +204,39 @@ def mu_hexagon_failure(d: int, l: int = 1):
     return None
 
 
-def check_equivariant(f: MFMorphism, src_tau, tgt_tau, d: int, l: int = 1) -> bool:
-    """The equivariance square tgt_tau(a) . f = ((a)f(-a)) . src_tau(a) for all a."""
+def check_equivariant(f: MFMorphism, src_taus, tgt_taus, d: int, l: int = 1) -> bool:
+    """The equivariance square tgt_taus[a] . f = ((a)f(-a)) . src_taus[a] for all a."""
     for a in range(d):
-        lhs = tgt_tau(a).compose(f)
-        rhs = twist_morphism(f, a, l).compose(src_tau(a))
+        lhs = tgt_taus[a].compose(f)
+        rhs = twist_morphism(f, a, l).compose(src_taus[a])
         if not lhs.equals(rhs):
             return False
     return True
 
 
-def _tau_unit(d: int, a: int, l: int = 1) -> MFMorphism:
-    return tau(d, {0}, a, "x", "z", l)
+def _unit_taus(d: int, l: int) -> list:
+    """tau_{{0};a} on the unit I(x, z), for a = 0, ..., d - 1."""
+    return [tau(d, {0}, a, "x", "z", l) for a in range(d)]
+
+
+def _pair_taus(d: int, S, l: int) -> list:
+    """tau_{S;a} (x) tau_{-S;a} on P_S(x, y) (x) P_{-S}(y, z), for each a."""
+    minusS = {-s for s in S}
+    return [tensor_morphism(tau(d, S, a, "x", "y", l), tau(d, minusS, a, "y", "z", l)) for a in range(d)]
 
 
 def un_equivariant_ok(d: int, l: int = 1) -> bool:
     """u and n intertwine the twists of T (x) T and of the unit."""
     u, n, T, _ = duality_un(d, l)
-    S = self_dual_subset(d)
-
-    def tt_tau(a):
-        t1 = tau(d, S, a, "x", "y", l)
-        t2 = tau(d, S, a, "y", "z", l)
-        return tensor_morphism(t1, t2)
-
-    u_ok = check_equivariant(u, tt_tau, lambda a: _tau_unit(d, a, l), d, l)
-    n_ok = check_equivariant(n, lambda a: _tau_unit(d, a, l), tt_tau, d, l)
+    units, pairs = _unit_taus(d, l), _pair_taus(d, self_dual_subset(d), l)
+    u_ok = check_equivariant(u, pairs, units, d, l)
+    n_ok = check_equivariant(n, units, pairs, d, l)
     return u_ok and n_ok
 
 
 def coev_square_ok(d: int, S, l: int = 1) -> bool:
     """The coevaluation of P_S, rewritten to land in P_S (x) P_{-S}, is equivariant."""
-    minusS = {-s for s in S}
-
-    def pair_tau(a):
-        return tensor_morphism(tau(d, S, a, "x", "y", l), tau(d, minusS, a, "y", "z", l))
-
-    return check_equivariant(coev_into_dual(d, S, l), lambda a: _tau_unit(d, a, l), pair_tau, d, l)
+    return check_equivariant(coev_into_dual(d, S, l), _unit_taus(d, l), _pair_taus(d, S, l), d, l)
 
 
 # -- the label dictionary -----------------------------------------------------------

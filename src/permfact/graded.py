@@ -38,6 +38,7 @@ from .mfcore import (
     perm_mf,
     sum_morphism,
     tensor_mf,
+    z_labels,
 )
 from .polyring import MPoly, as_poly, exact_div, perm_product, residues
 
@@ -67,15 +68,22 @@ class ChargeCountMismatch(ValueError):
 
 
 class GradedLabel:
-    """Consecutive index label a:lam, the set {a, ..., a+lam} in Z_d."""
+    """Consecutive index label a:lam, the set {a, ..., a+lam} in Z_d.
+
+    a is taken through `mfcore.z_labels` (EvenModulus unless d is odd and
+    >= 3, TypeError unless a is an int, then reduced mod d); lam must be an
+    int in 0..d-2 (TypeError, ValueError)."""
 
     __slots__ = ("d", "a", "lam")
 
     def __init__(self, d: int, a: int, lam: int):
+        (a,) = z_labels(d, a)
+        if not isinstance(lam, int) or isinstance(lam, bool):
+            raise TypeError(f"lam must be an int, got {lam!r}")
         if not (0 <= lam <= d - 2):
             raise ValueError(f"lam = {lam} outside 0..{d - 2}")
         self.d = d
-        self.a = a % d
+        self.a = a
         self.lam = lam
 
     @property
@@ -271,17 +279,19 @@ def g_pair_certified(d: int, a: int, b: int, mu: int, l: int = 1) -> PairCertifi
     """Run every checkable property of the pair; returns a result dict."""
     pair = g_pair(d, a, b, mu, l)
     g_minus, g_plus, Qm, Qp, AB = pair
+    # delta of the sum is the two deltas side by side, and is_homotopy_iso
+    # answers only a cycle, so the sum certifies both maps as cycles; each
+    # map is tested alone only when the sum fails
+    homology_iso = is_homotopy_iso(sum_morphism(g_minus, g_plus))
     out = PairCertificate(
-        cycle_minus=g_minus.is_cycle(),
-        cycle_plus=g_plus.is_cycle(),
+        cycle_minus=homology_iso or g_minus.is_cycle(),
+        cycle_plus=homology_iso or g_plus.is_cycle(),
         graded_endpoints=graded_check(Qm) and graded_check(Qp) and graded_check(AB),
         degree_minus=morphism_c_degree(g_minus, Qm, AB),
         degree_plus=morphism_c_degree(g_plus, Qp, AB),
     )
     out.pair = pair
-    # a map on homology is induced by cycles only; a non-cycle pair fails here
-    cycles = out["cycle_minus"] and out["cycle_plus"]
-    out["homology_iso"] = cycles and is_homotopy_iso(sum_morphism(g_minus, g_plus))
+    out["homology_iso"] = homology_iso
     H = HomologyData.of(AB.mf)  # the target's, shared with is_homotopy_iso
     out["dims"] = (H.dim_h0, H.dim_h1)
     out["dims_expected"] = (1, 1) if mu == d - 2 else (2, 2)

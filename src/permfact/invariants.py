@@ -26,11 +26,12 @@ S^-1 (K^r + ker(d_out S^-1 restricted to the last n - r coordinates)), and H
 is that second kernel: one basis vector per free column of its row echelon
 form, with coordinate (S v)_{r+j} at free column j.
 
-A strict isomorphism needs no homology: an even cycle whose two components
-are square, constant and invertible has the constant inverse, which is a
-cycle too, so H(f) is invertible.  is_homotopy_iso answers such a map from
-the ranks of its components (`row_reduce`) and the cycle test, and every
-other morphism, a non-cycle included, from the homology.
+Only a cycle induces a map on homology, so is_homotopy_iso answers False
+for any other morphism before it reads anything else.  A strict isomorphism
+needs no homology: an even cycle whose two components are square, constant
+and invertible has the constant inverse, which is a cycle too, so H(f) is
+invertible.  is_homotopy_iso answers such a cycle from the ranks of its
+components (`row_reduce`), and every other cycle from the homology.
 
 The homotopy solver has one mode, the graded one: the entry degrees of h are
 forced by the charges and passed in, and it writes f - g = delta(h) as a
@@ -329,7 +330,7 @@ def row_reduce(rows) -> dict[int, dict[int, CycNum]]:
 
 
 def _is_strict_iso(f: MFMorphism) -> bool:
-    """f is an even cycle whose two components are square, constant and
+    """The cycle f is even and its two components are square, constant and
     invertible matrices."""
     if f.z2_degree != 0 or (f.src.rank0, f.src.rank1) != (f.tgt.rank0, f.tgt.rank1):
         return False
@@ -338,12 +339,15 @@ def _is_strict_iso(f: MFMorphism) -> bool:
             return False
         if len(row_reduce({j: e.constant_value() for j, e in enumerate(row)} for row in mat)) != len(mat):
             return False
-    return f.is_cycle()
+    return True
 
 
 def is_homotopy_iso(f: MFMorphism) -> bool:
-    """True iff H(f) is a linear isomorphism in both parities; a strict
-    isomorphism is one without its homology (module docstring)."""
+    """True iff f is a cycle and H(f) is a linear isomorphism in both
+    parities; a strict isomorphism is one without its homology (module
+    docstring)."""
+    if not f.is_cycle():
+        return False
     if _is_strict_iso(f):
         return True
     m0, m1 = induced_h(f)

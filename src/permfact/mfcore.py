@@ -37,23 +37,32 @@ lambda . (u (x) 1) and the cups (1 (x) n) . sec_rho and (n (x) 1) . sec_lambda.
 Each zig-zag is a cup spliced in on one side followed by a cap spliced out on
 the other, and the Temperley-Lieb functor's layers are the same pieces.
 
-The pure constructors (unit_mf, perm_mf, perm_dual_iso, s_iso, chi, mu,
-renamed_mu, coev_into_dual, duality_un, duality_pieces, zigzag_morphisms) are
-memoised for the life of the process; a subset S is keyed by
-`polyring.residues(d, S)`, however it is spelled, and a twist label of s_iso,
-chi, mu and renamed_mu by its residue mod d (`z_labels`, which also rejects
-an even d and a label that is not an int; the twists take theirs through it
-too).  ev_coev keeps its pair on the object, as `invariants.HomologyData.of`
-keeps the homology, so the pair dies with the object.  The twists of an
-object are memoised on the object itself:
-twist_mf and diag_twist_mf build ((a)M(b)) once per (M, a mod d, b mod d, l),
-through `MatrixBifact.rescaled`, keyed by the variable scalings, and the memo
-dies with M.  A tensor object is rescaled as the product of its factors'
-own rescalings, so every twist of a leaf is built once, on the leaf.  A
-twist of a twisted object is a twist of its base, so the twists of P_S that
-tau and its cocycle reach are d objects, not d^2.  Every
-caller with the same arguments gets the same object, so no caller may write
-to a returned object or its matrices.
+Memos are kept only where the checks come back to the same arguments.
+unit_mf, perm_mf, chi, mu, duality_un, duality_pieces and zigzag_morphisms
+are memoised for the life of the process (with polyring.perm_product,
+temperleylieb's Jones-Wenzl projectors and cyclofield.quantum_int): on
+`verify --d 5` perm_mf answers 597 of its 669 calls from the memo, chi 61
+of 77 and mu 30 of 55, duality_un and duality_pieces are each read three
+times, and a rebuilt zigzag_morphisms pair costs about 2 ms at d = 5.  A
+subset S is keyed by `polyring.residues(d, S)`, however it is spelled, and
+a twist label of chi and mu by its residue mod d (`z_labels`, which also
+rejects an even d and a label that is not an int; the twists, s_iso and
+correspondence.tau take theirs through it too).  perm_dual_iso, s_iso and
+coev_into_dual are built on each call: a check asks for each of them about
+once, and what they are built from is memoised.  ev_coev keeps its pair on
+the object, as `invariants.HomologyData.of` keeps the homology, so the pair
+dies with the object.  The twists of an object are memoised on the object
+itself: twist_mf and diag_twist_mf build ((a)M(b)) once per (M, a mod d,
+b mod d, l), through `MatrixBifact.rescaled`, keyed by the variable
+scalings, and the memo dies with M.  Every tau and s_iso of P_S twists the
+memoised P_S, so this memo serves them all (without it, `verify --d 11
+--suites equivariance --root-exponent 2` takes about 4 s instead of 1.4 s).  A
+tensor object is rescaled as the product of its factors' own rescalings, so
+every twist of a leaf is built once, on the leaf.  A twist of a twisted
+object is a twist of its base, so the twists of P_S that tau and its
+cocycle reach are d objects, not d^2.  A memo hands every caller with the
+same arguments the same object, so no caller may write to a returned object
+or its matrices.
 """
 
 from __future__ import annotations
@@ -99,7 +108,6 @@ __all__ = [
     "z_labels",
     "chi",
     "mu",
-    "renamed_mu",
     "tensor_morphism",
     "sum_morphism",
     "zigzag_morphisms",
@@ -678,11 +686,7 @@ def dual_rank1(M: MatrixBifact) -> MatrixBifact:
 
 def perm_dual_iso(d: int, S, left="x", right="y", l: int = 1) -> MFMorphism:
     """The cycle P_{-S} -> (P_S)^+ with components ((-1)^{|S|+1} prod eta^{-lj}, 1)."""
-    return _perm_dual_iso(d, residues(d, S), left, right, l)
-
-
-@lru_cache(maxsize=None)
-def _perm_dual_iso(d: int, S: frozenset, left: str, right: str, l: int) -> MFMorphism:
+    S = residues(d, S)
     src = perm_mf(d, residues(d, [-s for s in S]), left, right, l)
     tgt = dual_rank1(perm_mf(d, S, left, right, l))
     c = CycNum.one(d)
@@ -754,11 +758,7 @@ def self_dual_subset(d: int) -> frozenset:
 def coev_into_dual(d: int, S, l: int = 1) -> MFMorphism:
     """n_S = (1 (x) iso^{-1}) . coev: I(x,z) -> P_S(x,y) (x) P_{-S}(y,z), where
     iso = perm_dual_iso(d, S, "y", "z") is the comparison P_{-S} -> (P_S)^+."""
-    return _coev_into_dual(d, residues(d, S), l)
-
-
-@lru_cache(maxsize=None)
-def _coev_into_dual(d: int, S: frozenset, l: int) -> MFMorphism:
+    S = residues(d, S)
     M = perm_mf(d, S, "x", "y", l)
     _, coev = ev_coev(M)
     iso = perm_dual_iso(d, S, "y", "z", l)
@@ -827,8 +827,8 @@ def duality_pieces(d: int, l: int = 1) -> DualityPieces:
 def twist_mf(M: MatrixBifact, a: int, b: int, l: int = 1) -> MatrixBifact:
     """((a)M(b)) in honest form: left var scaled by eta^{la}, right by eta^{-lb}.
 
-    Like every twist below (and chi, mu, renamed_mu, which are built from
-    it), raises NotCoprime unless gcd(l, d) = 1."""
+    Like every twist below (and chi and mu, which are built from it),
+    raises NotCoprime unless gcd(l, d) = 1."""
     require_coprime(M.d, l)
     a, b = z_labels(M.d, a, b)
     inner = (CycNum.one(M.d),) * len(M.int_vars)
@@ -869,11 +869,8 @@ def twist_morphism(f: MFMorphism, a: int, l: int = 1) -> MFMorphism:
 
 def s_iso(d: int, S, a: int, b: int, left="x", right="y", l: int = 1) -> MFMorphism:
     """The twist comparison P_{S-a-b} -> ((a)P_S(b)), components (1, eta^{-l|S|a})."""
-    return _s_iso(d, residues(d, S), *z_labels(d, a, b), left, right, l)
-
-
-@lru_cache(maxsize=None)
-def _s_iso(d: int, S: frozenset, a: int, b: int, left: str, right: str, l: int) -> MFMorphism:
+    S = residues(d, S)
+    a, b = z_labels(d, a, b)
     src = perm_mf(d, residues(d, [s - a - b for s in S]), left, right, l)
     tgt = twist_mf(perm_mf(d, S, left, right, l), a, b, l)
     f1 = MPoly.constant(d, eta_power(d, -len(S) * a, l))
@@ -924,16 +921,6 @@ def _mu(d: int, a: int, b: int, l: int) -> MFMorphism:
     f0 = [[sub, zero]]
     f1 = [[zero, sub]]
     return MFMorphism(src, tgt, 0, f0, f1)
-
-
-def renamed_mu(d: int, a: int, b: int, mapping: dict, l: int = 1) -> MFMorphism:
-    """mu(d, a, b, l) with its variables renamed by `mapping`."""
-    return _renamed_mu(d, *z_labels(d, a, b), l, tuple(sorted(mapping.items())))
-
-
-@lru_cache(maxsize=None)
-def _renamed_mu(d: int, a: int, b: int, l: int, mapping: tuple) -> MFMorphism:
-    return mu(d, a, b, l).renamed(dict(mapping))
 
 
 # -- duality zig-zags --------------------------------------------------------------

@@ -13,9 +13,8 @@ from permfact.correspondence import (
     mu_hexagon_failure,
     mu_hexagon_ok,
     mu_transport_ok,
-    rotation_failure,
+    orbit_failure,
     tau,
-    tau_cocycle_failure,
     tau_cocycle_ok,
     un_equivariant_ok,
     verify_equivalence,
@@ -23,7 +22,7 @@ from permfact.correspondence import (
 from permfact.cyclofield import EvenModulus, eta_power
 from permfact.graded import GradedLabel, decompose_product, graded_hom_dim
 from permfact.linop import LinOp
-from permfact.mfcore import MatrixBifact, MFMorphism, chi, duality_un, identity_morphism, mu, renamed_mu, twist_morphism
+from permfact.mfcore import MatrixBifact, MFMorphism, chi, duality_un, identity_morphism, mu, twist_morphism
 from permfact.polyring import MPoly, residues
 
 TWIST_PINS = Path(__file__).parent / "reference" / "twisted-morphisms.d5.json"
@@ -45,7 +44,14 @@ class TestTau:
 
     def test_spellings_of_one_subset_share_an_object(self):
         for S in (frozenset({1, 2}), [2, 1], {6, 7}):
-            assert tau(5, S, 3) is tau(5, {1, 2}, 3)
+            assert tau(5, S, 3).equals(tau(5, {1, 2}, 3))
+
+    @pytest.mark.parametrize("d,l", [(3, 1), (5, 2), (7, 1)])
+    def test_cocycle_builds_each_tau_once(self, monkeypatch, d, l):
+        calls, fn = [], correspondence.tau
+        monkeypatch.setattr(correspondence, "tau", lambda *args, **kw: calls.append(args[2]) or fn(*args, **kw))
+        assert tau_cocycle_ok(d, {0, 2}, l)
+        assert calls == list(range(d))
 
     def test_unit_structure_is_bare_twist(self):
         # on P_{0} the prefactor eta^{...(|S|-1)} is 1
@@ -72,12 +78,24 @@ class TestEquivariance:
 
         M = perm_mf(d, S)
         f = identity_morphism(M)
-        struct = lambda a: tau(d, S, a)
+        struct = [tau(d, S, a) for a in range(d)]
         assert check_equivariant(f, struct, struct, d)
 
 
 def _proper_subsets(d):
     return [frozenset(i for i in range(d) if mask >> i & 1) for mask in range(1, 2**d - 1)]
+
+
+def _tau_failure(d, subsets, l):
+    """orbit_failure with the tau cocycle as the certificate, as tau_cocycle runs it."""
+    return orbit_failure(d, subsets, lambda R: correspondence.tau_cocycle_ok(d, R, l), l)
+
+
+def _factorisation_failure(d, l):
+    """orbit_failure with the product identity on the consecutive labels, as
+    factorisation_conditions runs it."""
+    certify = lambda R: mfcore.verify_factorisation(mfcore.perm_mf(d, R, l=l))
+    return orbit_failure(d, checks._consecutive_subsets(d), certify, l)
 
 
 def _mu_off_by_eta(pair):
@@ -102,7 +120,7 @@ class TestOrbitCertificates:
     @pytest.mark.parametrize("d,l", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
     def test_agree_with_brute_force(self, d, l):
         subsets = _proper_subsets(d)
-        assert tau_cocycle_failure(d, subsets, l) is None
+        assert _tau_failure(d, subsets, l) is None
         assert all(tau_cocycle_ok(d, S, l) for S in subsets)
         assert mu_hexagon_failure(d, l) is None
         assert all(mu_hexagon_ok(d, a, b, c, l) for a in range(d) for b in range(d) for c in range(d))
@@ -123,7 +141,7 @@ class TestOrbitCertificates:
         d, calls = 9, []
         fn = correspondence.tau_cocycle_ok
         monkeypatch.setattr(correspondence, "tau_cocycle_ok", lambda *args: calls.append(args[1]) or fn(*args))
-        assert tau_cocycle_failure(d, [{0, 3, 6}, {1, 4, 7}, {2, 5, 8}, {1, 2, 4, 5, 7, 8}], 2) is None
+        assert _tau_failure(d, [{0, 3, 6}, {1, 4, 7}, {2, 5, 8}, {1, 2, 4, 5, 7, 8}], 2) is None
         assert calls == [frozenset({0, 3, 6}), frozenset({0, 1, 3, 4, 6, 7})]
         assert checks.tau_cocycle(d, 1) == (True, "tau cocycle over 510 subsets, all group pairs")
         assert len(calls) == 2 + 58
@@ -168,11 +186,18 @@ class TestOrbitCertificates:
         assert mu_hexagon_ok(d, 0, 0, 0) and not mu_hexagon_ok(d, 0, 0, 1)
         assert checks.mu_hexagon_strict(d, 1) == (False, "failed at (0, 0, 0)")
 
+    def test_a_failed_certificate_names_the_base(self):
+        # the base is certified when its orbit is first met, listed or not
+        certified = []
+        fails_at = lambda R: certified.append(R) or R != frozenset({0, 2})
+        assert orbit_failure(5, [{1}, {2, 3}, [4, 1], {3, 0}], fails_at, 1) == frozenset({0, 2})
+        assert certified == [frozenset({0}), frozenset({0, 1}), frozenset({0, 2})]
+
     def test_a_rotation_off_by_one_step_is_rejected(self, monkeypatch):
         d = 5
         off = lambda d, c, l=1: {"y": (eta_power(d, c + 1, l), "y")}
         monkeypatch.setattr(correspondence, "rotation_sigma", off)
-        assert tau_cocycle_failure(d, [{0}, {2, 3}], 1) == frozenset({2, 3})
+        assert _tau_failure(d, [{0}, {2, 3}], 1) == frozenset({2, 3})
         assert checks.tau_cocycle(d, 1) == (False, "failed on [1]")
 
 
@@ -201,7 +226,7 @@ class TestLabelOrbits:
         subsets = checks._consecutive_subsets(d)
         assert all(mfcore.verify_factorisation(mfcore.perm_mf(d, S, l=l)) for S in subsets)
         assert all(graded_hom_dim(d, R, S, l) == (R == S) for R in subsets for S in subsets)
-        assert rotation_failure(d, l) is None
+        assert _factorisation_failure(d, l) is None
         n = d * (d - 1)
         assert checks.factorisation_conditions(d, l) == (True, f"{n} consecutive objects + a tensor product")
         assert checks.graded_hom_rigidity(d, l) == (True, f"hom dimension is delta_RS over {n}^2 pairs")
@@ -219,6 +244,7 @@ class TestLabelOrbits:
     def test_a_broken_base_fails_at_the_base(self, monkeypatch):
         d = 5
         _double_d0(monkeypatch, d, {0, 1})
+        assert _factorisation_failure(d, 1) == frozenset({0, 1})
         assert checks.factorisation_conditions(d, 1) == (False, "failed on [0, 1]")
         # graded_hom_dim reads the products themselves: P_{0:1} given those of P_{1:1}
         closed_form = graded.perm_product
@@ -230,7 +256,7 @@ class TestLabelOrbits:
         d = 5
         off = lambda d, c, l=1: {"y": (eta_power(d, c + 1, l), "y")}
         monkeypatch.setattr(correspondence, "rotation_sigma", off)
-        assert rotation_failure(d, 1) == GradedLabel(d, 1, 0)
+        assert _factorisation_failure(d, 1) == frozenset({1})
         assert checks.factorisation_conditions(d, 1) == (False, "[1] is not the rotation of [0]")
         assert checks.graded_hom_rigidity(d, 1) == (False, "[1] is not the rotation of [0]")
 
@@ -239,7 +265,7 @@ class TestLabelOrbits:
         d = 5
         _double_d0(monkeypatch, d, {2, 3})
         assert not mfcore.verify_factorisation(mfcore.perm_mf(d, {2, 3}))
-        assert rotation_failure(d, 1) == GradedLabel(d, 2, 1)
+        assert _factorisation_failure(d, 1) == frozenset({2, 3})
         assert checks.factorisation_conditions(d, 1) == (False, "[2, 3] is not the rotation of [0, 1]")
         assert checks.graded_hom_rigidity(d, 1) == (False, "[2, 3] is not the rotation of [0, 1]")
 
@@ -252,7 +278,8 @@ class TestZdLabels:
         "tau_cocycle_ok": lambda d, a: tau_cocycle_ok(d, {a}),
         "chi": lambda d, a: chi(d, a),
         "mu": lambda d, a: mu(d, a, 0),
-        "renamed_mu": lambda d, a: renamed_mu(d, 0, a, {"z": "y2"}),
+        # the renamed mu that mu_hexagon_ok composes
+        "renamed_mu": lambda d, a: mu(d, 0, a).renamed({"z": "y2"}),
         "mu_hexagon_ok": lambda d, a: mu_hexagon_ok(d, a, 0, 0),
     }
 
@@ -274,9 +301,8 @@ class TestZdLabels:
     def test_labels_reduced_before_the_memo(self):
         assert mu(3, 4, 0) is mu(3, 1, 0)
         assert mu(5, -1, 7) is mu(5, 4, 2)
-        assert tau(3, {0}, 4) is tau(3, {0}, 1)
+        assert tau(3, {0}, 4).equals(tau(3, {0}, 1))
         assert chi(5, -2, "y1", "z") is chi(5, 3, "y1", "z")
-        assert renamed_mu(5, 6, -1, {"z": "y2"}) is renamed_mu(5, 1, 4, {"z": "y2"})
         assert mu_hexagon_ok(5, 6, -1, 12)
 
 

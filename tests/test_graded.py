@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from permfact import checks, cli, graded
-from permfact.cyclofield import eta_power
+from permfact.correspondence import label_map
+from permfact.cyclofield import EvenModulus, eta_power
 from permfact.graded import (
     ChargeCountMismatch,
     GradedLabel,
@@ -126,6 +127,14 @@ class TestGPair:
         for mu, expect in ((1, (2, 2)), (3, (1, 1))):
             res = g_pair_certified(d, 0, 0, mu)
             assert res["dims"] == expect
+
+    def test_the_sum_certifies_both_cycles(self, monkeypatch):
+        # delta of (g-, g+) is the two deltas side by side: one cycle test
+        tested, is_cycle = [], MFMorphism.is_cycle
+        monkeypatch.setattr(MFMorphism, "is_cycle", lambda f: tested.append(f) or is_cycle(f))
+        res = g_pair_certified(5, 1, 2, 1)
+        assert res["ok"] and res["cycle_minus"] is res["cycle_plus"] is True
+        assert len(tested) == 1 and tested[0].src.rank0 == 2
 
     def test_certificate_builds_the_product_homology_once(self, monkeypatch):
         built = []
@@ -281,6 +290,44 @@ class TestFusionRing:
         unit = GradedLabel(5, 0, 0)
         for lbl in R.labels:
             assert R.product(unit, lbl) == {lbl: 1}
+
+
+class TestLabelValidation:
+    """GradedLabel takes a through mfcore.z_labels and lam only as an int in 0..d-2."""
+
+    def test_an_even_modulus_is_rejected(self):
+        # GradedLabel(4, 0, 1) used to build a label
+        with pytest.raises(EvenModulus):
+            GradedLabel(4, 0, 1)
+
+    def test_a_bool_index_is_rejected(self):
+        # GradedLabel(5, True, 1) used to build 1:1
+        with pytest.raises(TypeError, match="label must be an int"):
+            GradedLabel(5, True, 1)
+
+    def test_a_fractional_index_is_rejected(self):
+        # GradedLabel(5, 0.5, 1).subset used to be {0.5, 1.5}
+        with pytest.raises(TypeError, match="label must be an int"):
+            GradedLabel(5, 0.5, 1)
+
+    def test_label_map_rejects_an_even_modulus(self):
+        # label_map(4, 0, 2) used to return 1:0
+        with pytest.raises(EvenModulus):
+            label_map(4, 0, 2)
+
+    @pytest.mark.parametrize("lam", [True, 1.0, "1", None])
+    def test_lam_must_be_an_int(self, lam):
+        with pytest.raises(TypeError, match="lam must be an int"):
+            GradedLabel(5, 0, lam)
+
+    @pytest.mark.parametrize("lam", [-1, 4])
+    def test_lam_outside_its_range_is_rejected(self, lam):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            GradedLabel(5, 0, lam)
+
+    def test_the_index_is_reduced_mod_d(self):
+        assert GradedLabel(5, -1, 2) == GradedLabel(5, 9, 2)
+        assert GradedLabel(5, -1, 2).subset == frozenset({4, 0, 1})
 
 
 class TestGradedHomotopyDegrees:

@@ -248,6 +248,15 @@ def homology_path(monkeypatch):
     return calls
 
 
+def _constant_endomorphism(f0, f1):
+    """The even map (f0, f1) of P_{1,2} at d = 5, on a copy no memo holds;
+    "1 + x" stands for that polynomial."""
+    d = 5
+    P = perm_mf(d, {1, 2}).renamed({})
+    entry = lambda c: MPoly.one(d) + MPoly.var(d, "x") if c == "1 + x" else MPoly.constant(d, c)
+    return MFMorphism(P, P, 0, [[entry(f0)]], [[entry(f1)]])
+
+
 class TestStrictIsomorphism:
     """An even cycle with square, constant, invertible components is an
     isomorphism without its homology; everything else keeps the homology."""
@@ -274,20 +283,31 @@ class TestStrictIsomorphism:
     @pytest.mark.parametrize(
         "f0,f1,verdict",
         [
-            pytest.param(1, 0, False, id="zero-odd-component"),
             pytest.param(0, 0, False, id="zero-map"),
-            pytest.param(1, 2, True, id="non-cycle"),
             pytest.param("1 + x", "1 + x", True, id="polynomial-cycle"),
         ],
     )
     def test_a_map_outside_the_rule_keeps_its_homology_answer(self, f0, f1, verdict, homology_path):
-        d = 5
-        P = perm_mf(d, {1, 2}).renamed({})
-        entry = lambda c: MPoly.one(d) + MPoly.var(d, "x") if c == "1 + x" else MPoly.constant(d, c)
-        f = MFMorphism(P, P, 0, [[entry(f0)]], [[entry(f1)]])
-        assert not invariants._is_strict_iso(f)
+        f = _constant_endomorphism(f0, f1)
+        assert f.is_cycle() and not invariants._is_strict_iso(f)
         assert is_homotopy_iso(f) is verdict
         assert homology_path == [f]
+
+    @pytest.mark.parametrize(
+        "f0,f1",
+        [
+            pytest.param(1, 0, id="zero-odd-component"),
+            pytest.param(1, 2, id="non-cycle"),
+        ],
+    )
+    def test_a_non_cycle_is_no_isomorphism(self, f0, f1, homology_path, monkeypatch):
+        built = []
+        init = HomologyData.__init__
+        monkeypatch.setattr(HomologyData, "__init__", lambda self, M: built.append(M) or init(self, M))
+        f = _constant_endomorphism(f0, f1)
+        assert not f.is_cycle()
+        assert is_homotopy_iso(f) is False
+        assert built == [] and homology_path == []
 
     def test_a_singular_constant_cycle_keeps_its_homology_answer(self, homology_path):
         d = 5
