@@ -45,7 +45,11 @@ since tau_{S;a} has constant components that depend only on |S| and a, so
 sigma_c takes tau_{R;a} onto tau_{R+c;a}.  `orbit_failure` computes such a
 property once per rotation orbit, at its base R (the rotation with the
 smallest bit mask; P_{0:lam} for a consecutive label), and every other
-subset R + c needs only sigma_c(P_R) = P_{R+c} in d1 and d0.
+subset R + c needs only sigma_c(P_R) = P_{R+c} in d1 and d0.  The
+decomposition certificates are a fourth consumer, with nothing to compute
+at the base: the (0, 0, mu) pairs reach every (a, b) by variable scalings
+that act on their objects as these rotations (`graded` docstring), so
+there every consecutive P_{k:lam} needs only to be sigma_k(P_{0:lam}).
 
 The Z_d constructors and certificates (tau, tau_cocycle_ok, mu_hexagon_ok
 here, s_iso, twist_mf, diag_twist_mf, twist_morphism, chi and mu in mfcore)

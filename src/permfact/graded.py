@@ -8,19 +8,37 @@ pairwise product decomposes through the explicit embeddings g-/g+ whose
 components are pinned by charge bookkeeping.
 
 Every pair (a, b) of one mu is the (0, 0) pair carried along
-sigma: x -> x, y -> eta^{la} y, z -> eta^{l(a+b)} z.  With c = eta^{la(mu+1)},
-sigma takes P_{0:1}(x, y) to P_{a:1}, the two summands at (0, 0) to those at
-(a, b), and P_{0:mu}(y, z) to P_{b:mu} with d1 scaled by c and d0 by c^-1;
-psi = (c^-1 on B_0, 1 on B_1) is a strict isomorphism from that object to
-P_{b:mu}.  sigma is a K-algebra automorphism of K[x, y, z] that fixes
-x^d - z^d and keeps degrees, so applied entrywise it keeps cycles and
-charges; it commutes with killing x and z, and on what is left, K[y], it is
-an automorphism, so it keeps homology isomorphisms and homology dimensions.
-A strict isomorphism 1 (x) psi and a nonzero constant keep them too.  So once
-the (0, 0, mu) pair is certified, checking those object identities certifies
+sigma: x -> x, y -> eta^{la} y, z -> eta^{l(a+b)} z.  sigma is a K-algebra
+automorphism of K[x, y, z] that fixes x^d - z^d and keeps degrees, so applied
+entrywise it keeps cycles and charges; it commutes with killing x and z, and
+on what is left, K[y], it is an automorphism, so it keeps homology
+isomorphisms and homology dimensions.  A strict isomorphism and a nonzero
+constant keep them too.  sigma_k denotes the rotation y -> eta^{lk} y, which
+takes P_R(x, y) onto P_{R+k}(x, y) (`correspondence.rotation_sigma`); on the
+four objects at (0, 0, mu) sigma acts as follows.
+
+* On P_{0:1}(x, y) it is sigma_a, onto P_{a:1}.
+* On Q-(x, z) = P_{1:mu-1} and Q+(x, z) = P_{0:mu+1} it is the rotation by
+  a + b of the right variable, onto the summands at (a, b).
+* On P_{0:mu}(y, z) it is the rotation by b of z followed by the uniform
+  scaling by eta^{la}.  That scaling multiplies the homogeneous d1, of
+  degree mu + 1, by c = eta^{la(mu+1)} and d0, of degree d - mu - 1, by
+  c^-1; psi = (c^-1 on B_0, 1 on B_1) is a strict isomorphism from the
+  carried object to P_{b:mu}.
+
+perm_mf(d, S, u, v) is the renaming of perm_mf(d, S, "x", "y"), because the
+coefficients of its differentials do not depend on the variable names, so a
+rotation of P_S(x, y) certifies the same rotation of the right variable on
+(y, z) and (x, z).  At mu = d - 2, Q+ is the full set (d1 = x^d - z^d,
+d0 = 1), which every rotation fixes.  And sigma_j sigma_k = sigma_{j+k}
+(so sigma_{a+b} takes P_{1:lam} = sigma_1(P_{0:lam}) to
+sigma_{a+b+1}(P_{0:lam})), so every identity above follows from
+sigma_k(P_{0:lam}) = P_{k:lam} on the consecutive labels.  So once the
+(0, 0, mu) pair is certified, those rotations certify
 (1 (x) psi) sigma(g-) and c (1 (x) psi) sigma(g+) at (a, b, mu); they are
-g_pair's closed-form maps there (tests/test_graded.py).  g_pair_transported
-checks the identities and builds the maps.
+g_pair's closed-form maps there (tests/test_graded.py).
+`checks.decomposition_certificates` certifies the d - 2 pairs at (0, 0) and
+checks the rotations with `correspondence.orbit_failure`.
 """
 
 from __future__ import annotations
@@ -34,7 +52,6 @@ from .linop import LinOp
 from .mfcore import (
     MatrixBifact,
     MFMorphism,
-    carries,
     perm_mf,
     sum_morphism,
     tensor_mf,
@@ -53,10 +70,6 @@ __all__ = [
     "graded_hom_dim",
     "g_pair",
     "g_pair_certified",
-    "PairCertificate",
-    "TransportMismatch",
-    "transport_sigma",
-    "g_pair_transported",
     "decompose_product",
     "mf_fusion_ring",
     "graded_homotopy_degrees",
@@ -212,26 +225,27 @@ def _hom_dim_of_products(d1R: MPoly, d1S: MPoly) -> int:
 # -- the explicit tensor decomposition ------------------------------------------
 
 
-def _g_objects(d: int, a: int, b: int, mu: int, l: int):
-    """(A, B, Q-, Q+): hat(P_{a:1})(x, y), hat(P_{b:mu})(y, z) and the two
-    summands hat(P_{a+b+1:mu-1}), hat(P_{a+b:mu+1}) over (x, z)."""
-    A = hat_p(d, {a, a + 1}, "x", "y", l)
-    B = hat_p(d, {b + j for j in range(mu + 1)}, "y", "z", l)
-    Qm = hat_p(d, {a + b + 1 + j for j in range(mu)}, "x", "z", l)
-    Qp = hat_p(d, {a + b + j for j in range(mu + 2)}, "x", "z", l)
-    return A, B, Qm, Qp
-
-
 def g_pair(d: int, a: int, b: int, mu: int, l: int = 1):
-    """(g-, g+): the charge-0 embeddings of the two summands of
-    hat(P_{a:1}) (x) hat(P_{b:mu}), with the closed-form components."""
+    """(g-, g+, Q-, Q+, A (x) B): the charge-0 embeddings of the two summands
+    Q- = hat(P_{a+b+1:mu-1}) and Q+ = hat(P_{a+b:mu+1}) of
+    A (x) B = hat(P_{a:1})(x, y) (x) hat(P_{b:mu})(y, z), with the closed-form
+    components.
+
+    a and b are taken through `mfcore.z_labels`; mu must be an int in
+    1..d-2 (TypeError, ValueError)."""
+    a, b = z_labels(d, a, b)
+    if not isinstance(mu, int) or isinstance(mu, bool):
+        raise TypeError(f"mu must be an int, got {mu!r}")
     if not (1 <= mu <= d - 2):
         raise ValueError("mu must lie in 1..d-2")
     x, y, z = (MPoly.var(d, v) for v in "xyz")
     eta = lambda k: eta_power(d, k, l)
     one = CycNum.one(d)
 
-    A, B, Qm, Qp = _g_objects(d, a, b, mu, l)
+    A = hat_p(d, {a, a + 1}, "x", "y", l)
+    B = hat_p(d, {b + j for j in range(mu + 1)}, "y", "z", l)
+    Qm = hat_p(d, {a + b + 1 + j for j in range(mu)}, "x", "z", l)
+    Qp = hat_p(d, {a + b + j for j in range(mu + 2)}, "x", "z", l)
     AB = graded_tensor(A, B)
 
     # d1 of P_S is the product over S, d0 the product over its complement
@@ -268,29 +282,20 @@ def g_pair(d: int, a: int, b: int, mu: int, l: int = 1):
     return g_minus, g_plus, Qm, Qp, AB
 
 
-class PairCertificate(dict):
-    """The verdicts of g_pair_certified by name; `pair` is the certified
-    (g-, g+, Q-, Q+, A (x) B) as g_pair built it."""
-
-    pair = None
-
-
-def g_pair_certified(d: int, a: int, b: int, mu: int, l: int = 1) -> PairCertificate:
+def g_pair_certified(d: int, a: int, b: int, mu: int, l: int = 1) -> dict:
     """Run every checkable property of the pair; returns a result dict."""
-    pair = g_pair(d, a, b, mu, l)
-    g_minus, g_plus, Qm, Qp, AB = pair
+    g_minus, g_plus, Qm, Qp, AB = g_pair(d, a, b, mu, l)
     # delta of the sum is the two deltas side by side, and is_homotopy_iso
     # answers only a cycle, so the sum certifies both maps as cycles; each
     # map is tested alone only when the sum fails
     homology_iso = is_homotopy_iso(sum_morphism(g_minus, g_plus))
-    out = PairCertificate(
+    out = dict(
         cycle_minus=homology_iso or g_minus.is_cycle(),
         cycle_plus=homology_iso or g_plus.is_cycle(),
         graded_endpoints=graded_check(Qm) and graded_check(Qp) and graded_check(AB),
         degree_minus=morphism_c_degree(g_minus, Qm, AB),
         degree_plus=morphism_c_degree(g_plus, Qp, AB),
     )
-    out.pair = pair
     out["homology_iso"] = homology_iso
     H = HomologyData.of(AB.mf)  # the target's, shared with is_homotopy_iso
     out["dims"] = (H.dim_h0, H.dim_h1)
@@ -307,56 +312,19 @@ def g_pair_certified(d: int, a: int, b: int, mu: int, l: int = 1) -> PairCertifi
     return out
 
 
-class TransportMismatch(ValueError):
-    """sigma does not carry the (0, 0, mu) objects onto the (a, b, mu) ones."""
-
-
-def transport_sigma(d: int, a: int, b: int, l: int = 1) -> dict:
-    """sigma: x -> x, y -> eta^{la} y, z -> eta^{l(a+b)} z, as an MPoly.subs map."""
-    return {"y": (eta_power(d, a, l), "y"), "z": (eta_power(d, a + b, l), "z")}
-
-
-def g_pair_transported(base, d: int, a: int, b: int, mu: int, l: int = 1):
-    """(g-, g+, Q-, Q+, A (x) B) at (a, b, mu), carried from `base`, the
-    certified (0, 0, mu) pair of g_pair, along sigma (module docstring).
-
-    Raises TransportMismatch naming the object unless sigma(P_{0:1}) =
-    P_{a:1}, sigma(d1, d0 of P_{0:mu}) = (c d1, c^-1 d0) of P_{b:mu} with
-    c = eta^{la(mu+1)}, and sigma(Q-+ at (0, 0)) = Q-+ at (a, b).  Then
-    g- = (1 (x) psi) sigma(g-_00) and g+ = c (1 (x) psi) sigma(g+_00), where
-    psi = (c^-1 on B_0, 1 on B_1): row 0 of f0 and of f1."""
-    g_minus0, g_plus0, Qm0, Qp0, AB0 = base
-    A0, B0 = AB0.mf.factors
-    A, B, Qm, Qp = _g_objects(d, a, b, mu, l)
-    sigma = transport_sigma(d, a, b, l)
-    c, one = eta_power(d, a * (mu + 1), l), CycNum.one(d)
-    for name, M0, M, k in (
-        ("P_{a:1}", A0, A.mf, one),
-        ("P_{b:mu}", B0, B.mf, c),
-        ("Q-", Qm0.mf, Qm.mf, one),
-        ("Q+", Qp0.mf, Qp.mf, one),
-    ):
-        if not carries(sigma, M0, M, k):
-            raise TransportMismatch(f"sigma does not carry {name} from (0, 0, {mu}) to ({a}, {b}, {mu})")
-    AB = graded_tensor(A, B)
-    carried = lambda mat: [[e.subs(sigma) for e in row] for row in mat]
-
-    def moved(g, Q, row, k):
-        f0, f1 = carried(g.f0), carried(g.f1)
-        f0[row], f1[row] = ([e * k for e in f[row]] for f in (f0, f1))
-        return MFMorphism(Q.mf, AB.mf, 0, f0, f1)
-
-    return moved(g_minus0, Qm, 0, c.inverse()), moved(g_plus0, Qp, 1, c), Qm, Qp, AB
-
-
 def decompose_product(d: int, a: int, lam: int, b: int, mu: int, l: int = 1, index_sign: int = 1):
     """Summands of hat(P_{a:lam}) (x) hat(P_{b:mu}) as GradedLabels.
 
     The first index of each summand is a + b + index_sign*(lam + mu - nu)/2;
     index_sign=+1 is the convention certified by the homology oracle
-    (index_sign=-1 fails rigidity: the unit drops out of T (x) T)."""
+    (index_sign=-1 fails rigidity: the unit drops out of T (x) T).  a and b
+    are taken through `mfcore.z_labels` once d is checked; lam and mu must
+    be ints in 0..d-2 (TypeError, ValueError)."""
     if d < 3 or d % 2 == 0:
         raise ValueError(f"d must be an odd integer >= 3, got {d}")
+    a, b = z_labels(d, a, b)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (lam, mu)):
+        raise TypeError(f"lambda indices must be ints, got {lam!r} and {mu!r}")
     if not (0 <= lam <= d - 2 and 0 <= mu <= d - 2):
         raise ValueError(f"lambda indices must lie in 0..{d - 2}, got {lam} and {mu}")
     out = []

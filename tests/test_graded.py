@@ -1,20 +1,20 @@
 from fractions import Fraction
 
+import sys
+
 import pytest
 
-from permfact import checks, cli, graded
+from permfact import checks, cli, correspondence, graded, mfcore
 from permfact.correspondence import label_map
-from permfact.cyclofield import EvenModulus, eta_power
+from permfact.cyclofield import CycNum, EvenModulus, eta_power
 from permfact.graded import (
     ChargeCountMismatch,
     GradedLabel,
     _hom_dim_of_products,
     GradedMF,
-    TransportMismatch,
     decompose_product,
     g_pair,
     g_pair_certified,
-    g_pair_transported,
     graded_check,
     graded_hom_dim,
     graded_homotopy_degrees,
@@ -24,7 +24,7 @@ from permfact.graded import (
     morphism_c_degree,
 )
 from permfact.invariants import HomologyData
-from permfact.mfcore import MFMorphism, perm_mf
+from permfact.mfcore import MatrixBifact, MFMorphism, carries, perm_mf
 from permfact.polyring import MPoly, perm_product
 
 
@@ -170,8 +170,39 @@ def _same_pair(p, q):
     ) and all(P.mf == Q.mf for P, Q in zip(p[2:], q[2:]))
 
 
+def _carried_pair(base, d, a, b, mu, l):
+    """(g-, g+, Q-, Q+, A (x) B) at (a, b, mu), carried from `base`, the
+    (0, 0, mu) pair of g_pair, along sigma: y -> eta^{la} y, z -> eta^{l(a+b)} z
+    (graded module docstring).
+
+    Asserts the four object identities directly: sigma takes P_{0:1},
+    Q- and Q+ at (0, 0) onto those at (a, b), and P_{0:mu} onto P_{b:mu}
+    with d1 scaled by c = eta^{la(mu+1)} and d0 by c^-1.  Then
+    g- = (1 (x) psi) sigma(g-_00) and g+ = c (1 (x) psi) sigma(g+_00), where
+    psi = (c^-1 on B_0, 1 on B_1): row 0 of f0 and of f1."""
+    g_minus0, g_plus0, Qm0, Qp0, AB0 = base
+    A = hat_p(d, {a, a + 1}, "x", "y", l)
+    B = hat_p(d, {b + j for j in range(mu + 1)}, "y", "z", l)
+    Qm = hat_p(d, {a + b + 1 + j for j in range(mu)}, "x", "z", l)
+    Qp = hat_p(d, {a + b + j for j in range(mu + 2)}, "x", "z", l)
+    sigma = {"y": (eta_power(d, a, l), "y"), "z": (eta_power(d, a + b, l), "z")}
+    c, one = eta_power(d, a * (mu + 1), l), CycNum.one(d)
+    for M0, M, k in zip(AB0.mf.factors + (Qm0.mf, Qp0.mf), (A.mf, B.mf, Qm.mf, Qp.mf), (one, c, one, one)):
+        assert carries(sigma, M0, M, k), (a, b, mu, M)
+    AB = graded_tensor(A, B)
+    carried = lambda mat: [[e.subs(sigma) for e in row] for row in mat]
+
+    def moved(g, Q, row, k):
+        f0, f1 = carried(g.f0), carried(g.f1)
+        f0[row], f1[row] = ([e * k for e in f[row]] for f in (f0, f1))
+        return MFMorphism(Q.mf, AB.mf, 0, f0, f1)
+
+    return moved(g_minus0, Qm, 0, c.inverse()), moved(g_plus0, Qp, 1, c), Qm, Qp, AB
+
+
 class TestTransport:
-    """The (0, 0, mu) pair carried along sigma is g_pair's closed form."""
+    """The (0, 0, mu) pair carried along sigma is g_pair's closed form, and
+    the check certifies the carrying by label rotations alone."""
 
     @pytest.mark.parametrize("d, l", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (9, 2)])
     def test_every_triple_is_the_closed_form(self, d, l):
@@ -179,35 +210,52 @@ class TestTransport:
             base = g_pair(d, 0, 0, mu, l)
             for a in range(d):
                 for b in range(d):
-                    assert _same_pair(g_pair_transported(base, d, a, b, mu, l), g_pair(d, a, b, mu, l)), (a, b, mu)
+                    assert _same_pair(_carried_pair(base, d, a, b, mu, l), g_pair(d, a, b, mu, l)), (a, b, mu)
 
     def test_composite_modulus_sample(self):
         d, l = 15, 2
         for mu in range(1, d - 1):
             base = g_pair(d, 0, 0, mu, l)
             for a, b in ((1, 0), (7, 11), (14, 14)):
-                assert _same_pair(g_pair_transported(base, d, a, b, mu, l), g_pair(d, a, b, mu, l)), (a, b, mu)
+                assert _same_pair(_carried_pair(base, d, a, b, mu, l), g_pair(d, a, b, mu, l)), (a, b, mu)
 
-    @pytest.mark.parametrize("mu", [1, 2, 3])
-    def test_wrong_base_is_rejected(self, mu):
-        d = 5
-        wrong = g_pair(d, 0, 1, mu)
-        for a in range(d):
-            for b in range(d):
-                with pytest.raises(TransportMismatch, match=r"P_\{b:mu\}"):
-                    g_pair_transported(wrong, d, a, b, mu)
+    @pytest.mark.parametrize("d", [3, 5, 7, 9])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_an_object_on_other_variables_is_the_renamed_one(self, d, l):
+        # a rotation certified on (x, y) is the same rotation of the right
+        # variable on (y, z) and (x, z): the check builds no object there
+        # away from (0, 0)
+        full = frozenset(range(d))
+        for S in [GradedLabel(d, a, lam).subset for a in range(d) for lam in range(d - 1)] + [full]:
+            M = perm_mf(d, S, "x", "y", l)
+            for u, v in (("y", "z"), ("x", "z")):
+                N = M.renamed({"x": u, "y": v})
+                assert perm_mf(d, S, u, v, l).d1 == N.d1 and perm_mf(d, S, u, v, l).d0 == N.d0, (S, u, v)
+        # Q+ at mu = d - 2, fixed by every rotation
+        x, z = MPoly.var(d, "x"), MPoly.var(d, "z")
+        Q = perm_mf(d, full, "x", "z", l)
+        assert Q.d1 == [[x**d - z**d]] and Q.d0 == [[MPoly.one(d)]]
 
     def test_sigma_off_by_one_in_y_is_rejected(self, monkeypatch):
         d = 5
-        off = lambda d, a, b, l=1: {"y": (eta_power(d, a + 1, l), "y"), "z": (eta_power(d, a + b, l), "z")}
-        monkeypatch.setattr(graded, "transport_sigma", off)
-        base = g_pair(d, 0, 0, 1)
-        for a in range(d):
-            for b in range(d):
-                with pytest.raises(TransportMismatch, match=r"P_\{a:1\}"):
-                    g_pair_transported(base, d, a, b, 1)
+        off = lambda d, c, l=1: {"y": (eta_power(d, c + 1, l), "y")}
+        monkeypatch.setattr(correspondence, "rotation_sigma", off)
         ok, detail = checks.decomposition_certificates(d, 1)
-        assert not ok and detail.startswith("(a,b,mu)=(0,1,1): sigma does not carry P_{a:1}")
+        assert not ok and detail == "[1] is not the rotation of [0]"
+
+    def test_a_wrong_rotated_object_is_rejected(self, monkeypatch):
+        d = 5
+        real = correspondence.perm_mf
+
+        def doubled(d, S, left="x", right="y", l=1):
+            M = real(d, S, left, right, l)
+            if frozenset(S) != {2, 3} or (left, right) != ("x", "y"):
+                return M
+            return MatrixBifact(d, left, right, (), M.d1, [[e * 2 for e in row] for row in M.d0])
+
+        monkeypatch.setattr(correspondence, "perm_mf", doubled)
+        ok, detail = checks.decomposition_certificates(d, 1)
+        assert not ok and detail == "[2, 3] is not the rotation of [0, 1]"
 
     @pytest.mark.parametrize("mu", [1, 2, 3])
     def test_a_broken_base_fails_at_its_own_triple(self, monkeypatch, mu):
@@ -238,6 +286,16 @@ class TestTransport:
         ok, detail = checks.decomposition_certificates(d, 1)
         assert ok and detail.startswith("75 certified embedding pairs")
         assert calls["g_pair_certified"] == calls["g_pair"] == [(d, 0, 0, mu, 1) for mu in range(1, d - 1)]
+
+    def test_the_check_rotates_each_label_once(self, monkeypatch):
+        # one carries per consecutive label off its orbit base, d (d - 1) - (d - 1)
+        d, calls = 5, []
+        counting = lambda *args: calls.append(args) or carries(*args)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("permfact") and getattr(module, "carries", None) is carries:
+                monkeypatch.setattr(module, "carries", counting)
+        ok, _ = checks.decomposition_certificates(d, 1)
+        assert ok and len(calls) == 16
 
 
 class TestDecompose:
@@ -328,6 +386,42 @@ class TestLabelValidation:
     def test_the_index_is_reduced_mod_d(self):
         assert GradedLabel(5, -1, 2) == GradedLabel(5, 9, 2)
         assert GradedLabel(5, -1, 2).subset == frozenset({4, 0, 1})
+
+
+class TestPairLabelValidation:
+    """g_pair (so g_pair_certified) and decompose_product take a and b
+    through mfcore.z_labels; g_pair takes mu only as an int."""
+
+    def test_an_even_modulus_is_rejected(self):
+        # g_pair_certified(4, 0, 0, 1)["ok"] used to be True
+        with pytest.raises(EvenModulus):
+            g_pair_certified(4, 0, 0, 1)
+
+    def test_a_bool_index_is_rejected(self):
+        # g_pair(5, True, 0, 1) used to build the pair at (1, 0, 1)
+        with pytest.raises(TypeError, match="label must be an int"):
+            g_pair(5, True, 0, 1)
+
+    def test_a_bool_mu_is_rejected(self):
+        # g_pair(5, 0, 0, True) used to build the pair at (0, 0, 1)
+        with pytest.raises(TypeError, match="mu must be an int"):
+            g_pair(5, 0, 0, True)
+
+    def test_a_fractional_index_is_rejected(self):
+        # g_pair(5, 0.5, 0, 1) used to die inside cyclofield
+        with pytest.raises(TypeError, match="label must be an int"):
+            g_pair(5, 0.5, 0, 1)
+
+    def test_decompose_product_rejects_a_bool_index(self):
+        # decompose_product(5, True, 1, 0, 1) used to return summands
+        with pytest.raises(TypeError, match="label must be an int"):
+            decompose_product(5, True, 1, 0, 1)
+
+    @pytest.mark.parametrize("args", [(5, 0, True, 0, 1), (5, 0, 1, 0, True)])
+    def test_decompose_product_rejects_a_bool_lambda(self, args):
+        # decompose_product(5, 0, True, 0, 1) used to return [1:0, 0:2]
+        with pytest.raises(TypeError, match="lambda indices must be ints"):
+            decompose_product(*args)
 
 
 class TestGradedHomotopyDegrees:
