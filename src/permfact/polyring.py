@@ -2,17 +2,46 @@
 
 The variable universe is fixed and ordered: the external pair x < z sandwiches
 the internal tensor variables y, y1, y2, ...  A polynomial is a dict from
-monomials to nonzero CycNum coefficients.  A monomial is a frozenset of
-(variable, exponent) pairs listing only the variables with positive exponent,
-so it is canonical and hashable, the constant monomial is the empty set, and
-two polynomials are equal iff their term dicts coincide.  Substitution maps
-each variable to scalar * variable or to 0, so it rewrites monomials one term
-at a time; a scaling (every variable to a multiple of itself) keeps each
-monomial and only multiplies its coefficient; `monomial_image` normalises
-each image, for `linop.Subst` too.  `div_rem` is the one division routine, by
-the graded-lex leading term of the divisor; `exact_div` is the case of a zero
-remainder, and the Smith form and `linop`'s residue operators divide through
-it too.
+monomials to nonzero CycNum coefficients, so two polynomials are equal iff
+their term dicts coincide.
+
+A monomial is one packed int, the packed exponent vector of Monagan and
+Pearce ("Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  The int is a row of fields of _WIDTH bits: the field
+at shift 0 holds the total degree, and every variable owns one field for its
+exponent.  The constant monomial is 0.  The field table `_SHIFT`, from
+variable name to shift, is the only module state.  A name gets the next free
+field the first time it is seen, and is validated there: TypeError unless it
+is a str, ValueError for y followed by a digit string that is not an index
+>= 1 in decimal without leading zeros (y0 would tie with y and y01 with y1 in
+the variable order).  The top bit of each field is its guard bit, zero in
+every monomial: every exponent, and so the degree, stays below 2^(_WIDTH-1).
+
+- A product of monomials is m1 + m2.  The degree bounds every exponent, so a
+  product that overflows a field sets the degree field's guard bit:
+  `MPoly.__mul__` ORs its result monomials together and tests the guard
+  bits once per product.  It raises OverflowError, and so does `MPoly.var` for
+  an exponent at the bound and `**` through the products; no overflow yields
+  a wrong monomial.
+- lead divides m iff ((m | G) - lead) & G == G, where G holds the guard bits
+  of every field in the table: a field of m below lead's field borrows its
+  guard bit away.  The quotient monomial is m - lead.
+- `degree` and `is_homogeneous` read the degree field; `degree_in` and
+  `coeff_dict_in` read one variable's field.
+- Substitution maps each variable to scalar * variable or to 0.  It moves the
+  exponent of each mapped variable's field to the image's field, which keeps
+  the degree, so it cannot overflow; a scaling (every variable to a multiple
+  of itself) keeps each monomial and only multiplies its coefficient.
+  `monomial_image` normalises each image, for `linop.Subst` too.
+- Monomials are opaque outside this module: `monomial(exps)` packs one (an
+  exponent that is not an int raises TypeError) and `exponents(m)` unpacks
+  it.  The graded-lex order compares the degree, then the exponents in
+  `sort_vars` order, read field by field, so it does not depend on the order
+  in which names got their fields.
+
+`div_rem` is the one division routine, by the graded-lex leading term of the
+divisor; `exact_div` is the case of a zero remainder, and the Smith form and
+`linop`'s residue operators divide through it too.
 
 `perm_product(d, S, u, v, l)` = prod_{j in S} (u - eta^{lj} v) is a binary
 form, so it is built from its coefficient list, memoised per (d, S, l)
@@ -26,20 +55,24 @@ coefficients without forming monomial products.  This is safe because
 polynomials are never mutated: nothing writes to `terms` after construction.
 Operands enter through `as_poly` (scalars through `cyclofield.as_scalar`):
 another modulus d raises ModulusMismatch, and `==` answers False.  A subset
-of Z/d is keyed by `residues(d, S)`, wherever a constructor is memoised on it.
+of Z/d is keyed by `residues(d, S)`, wherever a constructor is memoised on it;
+an element that is not an int (a bool included) raises TypeError there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from bisect import insort
+from operator import or_
 
 from .cyclofield import CycNum, ModulusMismatch, as_scalar, eta_power, require_coprime
 
 __all__ = [
     "MPoly",
     "as_poly",
+    "monomial",
+    "exponents",
     "monomial_image",
     "residues",
     "NotDivisible",
@@ -51,7 +84,11 @@ __all__ = [
     "difference_quotient",
 ]
 
-_UNIT = frozenset()
+_WIDTH = 16  # bits per field; the top one is the field's guard bit
+_FIELD = (1 << _WIDTH) - 1  # the mask of the field at shift 0, the degree
+_BOUND = 1 << (_WIDTH - 1)  # exponents and degrees stay below; the degree field's guard bit
+_UNIT = 0  # the constant monomial
+_SHIFT: dict = {}  # variable name -> shift of its exponent field
 
 
 class NotDivisible(ArithmeticError):
@@ -59,14 +96,20 @@ class NotDivisible(ArithmeticError):
 
 
 def _var_key(name: str):
+    """The position of a variable in the order x < y < y1 < y2 < ... < z < others."""
+    if not isinstance(name, str):
+        raise TypeError(f"a variable name must be a str, got {name!r}")
     if name == "x":
         return (0, 0)
     if name == "z":
         return (2, 0)
     if name == "y":
         return (1, 0)
-    if name.startswith("y") and name[1:].isdigit():
-        return (1, int(name[1:]))
+    index = name[1:]
+    if name.startswith("y") and index.isdigit():
+        if not index.isascii() or index.startswith("0"):
+            raise ValueError(f"variable {name!r}: an index after y is a decimal integer >= 1 without leading zeros")
+        return (1, int(index))
     return (3, name)
 
 
@@ -74,15 +117,38 @@ def sort_vars(names) -> tuple:
     return tuple(sorted(set(names), key=_var_key))
 
 
-def _mono_mul(a: frozenset, b: frozenset) -> frozenset:
-    if not a:
-        return b
-    if not b:
-        return a
-    e = dict(a)
-    for v, k in b:
-        e[v] = e.get(v, 0) + k
-    return frozenset(e.items())
+def _shift(name: str) -> int:
+    """The shift of name's field; a new name is validated and gets the next free field."""
+    s = _SHIFT.get(name)
+    if s is None:
+        _var_key(name)
+        s = _SHIFT[name] = _WIDTH * (len(_SHIFT) + 1)
+    return s
+
+
+def _guards() -> int:
+    """The guard bits of the degree field and of every field in the table."""
+    return (1 << _WIDTH * (len(_SHIFT) + 1)) // _FIELD * _BOUND
+
+
+def monomial(exps: dict) -> int:
+    """The packed monomial prod_v v^exps[v]; OverflowError for a degree at the field bound."""
+    m = deg = 0
+    for v, k in exps.items():
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise TypeError(f"the exponent of {v!r} must be an int, got {k!r}")
+        if k < 0:
+            raise ValueError(f"negative exponent {k} of {v!r}")
+        m += k << _shift(v)
+        deg += k
+    if deg >= _BOUND:
+        raise OverflowError(f"degree {deg} of {exps} reaches the field bound {_BOUND}")
+    return m + deg
+
+
+def exponents(m: int) -> dict:
+    """{variable: positive exponent} of the packed monomial m."""
+    return {v: k for v, s in _SHIFT.items() if (k := m >> s & _FIELD)}
 
 
 def monomial_image(d: int, v: str, img):
@@ -127,11 +193,10 @@ class MPoly:
     @staticmethod
     def var(d: int, name: str, power: int = 1) -> "MPoly":
         """The monomial name^power."""
-        if power < 0:
-            raise ValueError("negative power")
-        if power == 0:
+        m = monomial({name: power})
+        if m == _UNIT:
             return MPoly.one(d)
-        return MPoly(d, {frozenset(((name, power),)): CycNum.one(d)}, _normalize=False)
+        return MPoly(d, {m: CycNum.one(d)}, _normalize=False)
 
     # -- plumbing --------------------------------------------------------------
 
@@ -139,7 +204,8 @@ class MPoly:
     def vars(self) -> frozenset:
         """The variables that occur with positive exponent."""
         if self._vars is None:
-            self._vars = frozenset(v for m in self.terms for v, _ in m)
+            union = reduce(or_, self.terms, 0)
+            self._vars = frozenset(v for v, s in _SHIFT.items() if union >> s & _FIELD)
         return self._vars
 
     def is_zero(self) -> bool:
@@ -207,12 +273,15 @@ class MPoly:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
+                m = m1 + m2
                 c = c1 * c2
                 if m in out:
                     out[m] = out[m] + c
                 else:
                     out[m] = c
+        # the degree bounds every exponent, so an overflow in any field sets the degree's guard bit
+        if reduce(or_, out, 0) & _BOUND:
+            raise OverflowError(f"a product of {self!r} and {other!r} reaches the degree bound {_BOUND}")
         return MPoly(self.d, out)
 
     __rmul__ = __mul__
@@ -225,8 +294,9 @@ class MPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -253,21 +323,23 @@ class MPoly:
         """Total degree; -1 for the zero polynomial."""
         if self.is_zero():
             return -1
-        return max(sum(k for _, k in m) for m in self.terms)
+        return max(m & _FIELD for m in self.terms)
 
     def is_homogeneous(self) -> bool:
-        return len({sum(k for _, k in m) for m in self.terms}) <= 1
+        return len({m & _FIELD for m in self.terms}) <= 1
 
     def degree_in(self, v: str) -> int:
         """Highest exponent of v; -1 for the zero polynomial."""
-        return max((dict(m).get(v, 0) for m in self.terms), default=-1)
+        s = _shift(v)
+        return max((m >> s & _FIELD for m in self.terms), default=-1)
 
     def coeff_dict_in(self, v: str) -> dict:
         """Decompose along v: {k: coefficient of v^k, an MPoly in the rest}."""
+        s = _shift(v)
         out: dict = {}
         for m, c in self.terms.items():
-            k = dict(m).get(v, 0)
-            out.setdefault(k, {})[m - {(v, k)} if k else m] = c
+            k = m >> s & _FIELD
+            out.setdefault(k, {})[m - (k << s) - k] = c
         return {k: MPoly(self.d, t, _normalize=False) for k, t in out.items()}
 
     def subs(self, mapping: dict) -> "MPoly":
@@ -288,31 +360,41 @@ class MPoly:
         gains prod_v scales[v]^k, and none becomes zero."""
         if not scales:
             return self
+        fields = [(_shift(v), x) for v, x in scales.items()]
         out = {}
         for m, c in self.terms.items():
-            for v, k in m:
-                s = scales.get(v)
-                if s is not None:
-                    c = c * s**k
+            for s, x in fields:
+                k = m >> s & _FIELD
+                if k:
+                    c = c * x**k
             out[m] = c
         return MPoly(self.d, out, _normalize=False)
 
     def _mapped(self, images: dict) -> "MPoly":
-        """The general monomial map: images are (nonzero c, w) or None."""
+        """The general monomial map: images are (nonzero c, w) or None.
+
+        Each mapped field moves to w's field (None: the term vanishes), and
+        the degree stays, so no field can overflow."""
         one = CycNum.one(self.d)
+        moves = []
+        for v, img in images.items():
+            if img is None:
+                moves.append((_shift(v), None, None))
+            else:
+                c, w = img
+                moves.append((_shift(v), None if c == one else c, _shift(w)))
         out: dict = {}
         for m, c in self.terms.items():
-            e: dict = {}
-            for v, k in m:
-                img = images.get(v, (one, v))
-                if img is None:
-                    break
-                s, w = img
-                if s != one:
-                    c = c * s**k
-                e[w] = e.get(w, 0) + k
+            m2 = m
+            for s, x, t in moves:
+                k = m >> s & _FIELD
+                if k:
+                    if t is None:
+                        break
+                    if x is not None:
+                        c = c * x**k
+                    m2 += (k << t) - (k << s)
             else:
-                m2 = frozenset(e.items())
                 out[m2] = out[m2] + c if m2 in out else c
         return MPoly(self.d, out)
 
@@ -320,8 +402,9 @@ class MPoly:
         if self.is_zero():
             return "0"
         vars = sort_vars(self.vars)
+        shifts = [_SHIFT[v] for v in vars]
         parts = []
-        for e, c in sorted((tuple(dict(m).get(v, 0) for v in vars), c) for m, c in self.terms.items()):
+        for e, c in sorted((tuple([m >> s & _FIELD for s in shifts]), c) for m, c in self.terms.items()):
             mono = "*".join(f"{v}^{p}" if p > 1 else v for v, p in zip(vars, e) if p)
             cs = repr(c)
             parts.append(f"({cs})*{mono}" if mono else f"({cs})")
@@ -341,20 +424,27 @@ def as_poly(d: int, x) -> MPoly:
 
 
 def residues(d: int, S) -> frozenset:
-    """The residues mod d of S, the one key of a subset of Z/d."""
-    return frozenset(s % d for s in S)
+    """The residues mod d of S, the one key of a subset of Z/d; TypeError for
+    an element that is not an int (a bool included)."""
+    return frozenset(_residue(d, s) for s in S)
+
+
+def _residue(d: int, s) -> int:
+    if not isinstance(s, int) or isinstance(s, bool):
+        raise TypeError(f"an element of a subset of Z/{d} must be an int, got {s!r}")
+    return s % d
 
 
 def _glex(vars: tuple):
     """Graded lexicographic key on monomials in `vars`: total degree, then
     exponents in variable order.  Keys are cached per monomial."""
+    shifts = [_SHIFT[v] for v in vars]
     keys: dict = {}
 
     def key(m):
         k = keys.get(m)
         if k is None:
-            e = dict(m)
-            k = keys[m] = (sum(e.values()), tuple(e.get(v, 0) for v in vars))
+            k = keys[m] = (m & _FIELD, tuple([m >> s & _FIELD for s in shifts]))
         return k
 
     return key
@@ -379,13 +469,13 @@ def div_rem(f: MPoly, g: MPoly) -> tuple[MPoly, MPoly]:
         raise ZeroDivisionError("division by the zero polynomial")
     glex = _glex(sort_vars(f.vars | g.vars))
     glead = max(g.terms, key=glex)
-    gexp = dict(glead)
     gcoef = g.terms[glead]
     tail = [(m, c) for m, c in g.terms.items() if m != glead]
+    guards = _guards()
 
     def divisible(m):
-        e = dict(m)
-        return all(e.get(v, 0) >= k for v, k in gexp.items())
+        # a field of m below glead's borrows its guard bit away
+        return ((m | guards) - glead) & guards == guards
 
     rem = dict(f.terms)
     todo = sorted((glex(m), m) for m in rem if divisible(m))  # the largest last
@@ -395,11 +485,11 @@ def div_rem(f: MPoly, g: MPoly) -> tuple[MPoly, MPoly]:
         rlead = todo.pop()[1]
         if rlead not in rem:
             continue  # cancelled, or a second entry of a term that came back
-        qm = frozenset((v, k - gexp.get(v, 0)) for v, k in rlead if k > gexp.get(v, 0))
+        qm = rlead - glead
         qc = quot[qm] = rem.pop(rlead) / gcoef
         # the leading term of qm * g cancels rlead exactly
         for m, c in tail:
-            tm = _mono_mul(m, qm)
+            tm = m + qm
             old = rem.get(tm)
             nc = (zero if old is None else old) - qc * c
             if nc.is_zero():
@@ -444,7 +534,7 @@ def _perm_product(d: int, S: frozenset, u: str, v: str, l: int) -> MPoly:
     terms = {}
     for k, c in enumerate(_perm_coeffs(d, tuple(sorted(S)), l)):
         if c:
-            terms[frozenset((w, e) for w, e in ((u, n - k), (v, k)) if e)] = c
+            terms[monomial({u: n - k, v: k})] = c
     return MPoly(d, terms, _normalize=False)
 
 

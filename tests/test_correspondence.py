@@ -298,6 +298,18 @@ class TestZdLabels:
         with pytest.raises(TypeError, match="label must be an int"):
             self.CALLS[name](3, label)
 
+    @pytest.mark.parametrize("bad", [True, 0.5, "1"])
+    def test_tau_subset_elements_must_be_ints(self, bad):
+        # tau(5, {True}, 1) used to build tau on P_{1}
+        with pytest.raises(TypeError, match="must be an int"):
+            tau(5, {0, bad}, 1)
+
+    @pytest.mark.parametrize("bad", [True, 0.5, "1"])
+    def test_orbit_base_subset_elements_must_be_ints(self, bad):
+        # orbit_base(5, {True}) used to return ({0}, 1)
+        with pytest.raises(TypeError, match="must be an int"):
+            correspondence.orbit_base(5, {bad})
+
     def test_labels_reduced_before_the_memo(self):
         assert mu(3, 4, 0) is mu(3, 1, 0)
         assert mu(5, -1, 7) is mu(5, 4, 2)

@@ -387,6 +387,18 @@ class TestLabelValidation:
         assert GradedLabel(5, -1, 2) == GradedLabel(5, 9, 2)
         assert GradedLabel(5, -1, 2).subset == frozenset({4, 0, 1})
 
+    @pytest.mark.parametrize("bad", [True, 0.5])
+    def test_hat_p_subset_elements_must_be_ints(self, bad):
+        # hat_p(5, {True}) used to build hat(P_{1}), hat_p(5, {0.5}) to die inside cyclofield
+        with pytest.raises(TypeError, match="must be an int"):
+            hat_p(5, {bad})
+
+    @pytest.mark.parametrize("R, S", [({True}, {1}), ({1}, {0.5}), ({0, "1"}, {0, 1})])
+    def test_graded_hom_dim_subset_elements_must_be_ints(self, R, S):
+        # graded_hom_dim(5, {True}, {1}) used to answer 1
+        with pytest.raises(TypeError, match="must be an int"):
+            graded_hom_dim(5, R, S)
+
 
 class TestPairLabelValidation:
     """g_pair (so g_pair_certified) and decompose_product take a and b

@@ -21,7 +21,7 @@ from permfact.linop import (
     as_linop,
 )
 from permfact.mfcore import duality_un, ev_coev, twist_morphism, zigzag_morphisms
-from permfact.polyring import MPoly, exact_div
+from permfact.polyring import MPoly, exact_div, monomial
 from permfact.temperleylieb import evaluate_F, tl_e
 
 
@@ -601,7 +601,7 @@ def _random_poly(rng, d, variables, max_exp, n_terms):
     """A seeded sparse polynomial with small rational multiples of roots of unity as coefficients."""
     terms = {}
     for _ in range(n_terms):
-        m = frozenset((v, e) for v in variables if (e := rng.randrange(max_exp + 1)))
+        m = monomial({v: rng.randrange(max_exp + 1) for v in variables})
         c = CycNum.from_rational(d, Fraction(rng.randint(-3, 3), rng.randint(1, 3))) * CycNum.zeta(d, rng.randrange(2 * d))
         terms[m] = terms[m] + c if m in terms else c
     return MPoly(d, terms)

@@ -46,7 +46,7 @@ from permfact.mfcore import (
     zigzag_morphisms,
 )
 from permfact.linop import LinOp, ResidueCore, Subst, as_linop
-from permfact.polyring import MPoly, exact_div, perm_product
+from permfact.polyring import MPoly, exact_div, exponents, perm_product
 
 TENSOR_PINS = Path(__file__).parent / "reference" / "tensor-blocks.d5.json"
 
@@ -663,6 +663,20 @@ class TestTwists:
         assert again == tw.substituted({v: (eta_power(d, 2), v) for v in ("x", "y")})
 
 
+class TestSubsetValidation:
+    """perm_mf takes its subset through polyring.residues."""
+
+    @pytest.mark.parametrize("bad", [True, False, 0.5, "1", None])
+    def test_perm_mf_subset_elements_must_be_ints(self, bad):
+        # perm_mf(5, {True}) used to be perm_mf(5, {1}); perm_mf(5, {0.5})
+        # died inside cyclofield on tuple indices
+        with pytest.raises(TypeError, match="must be an int"):
+            perm_mf(5, {bad})
+        with pytest.raises(TypeError, match="must be an int"):
+            perm_mf(5, [2, bad])
+        assert perm_mf(5, {1}) is perm_mf(5, [6])
+
+
 class TestTwistLabels:
     """s_iso and the twists take their labels through z_labels."""
 
@@ -876,7 +890,7 @@ def _shared_scalars(d):
 def _state(x):
     """Every stored field of a scalar or polynomial."""
     if isinstance(x, MPoly):
-        return (x.d, sorted((sorted(m), _state(c)) for m, c in x.terms.items()))
+        return (x.d, sorted((sorted(exponents(m).items()), _state(c)) for m, c in x.terms.items()))
     return (x.d, x.num, x.den)
 
 

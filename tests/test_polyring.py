@@ -1,6 +1,8 @@
 import itertools
 import math
 import operator
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from permfact.cyclofield import CycNum, ModulusMismatch, eta_power
 from permfact.polyring import (
+    _BOUND,
     MPoly,
     NotDivisible,
     as_poly,
@@ -16,9 +19,12 @@ from permfact.polyring import (
     difference_quotient,
     div_rem,
     exact_div,
+    exponents,
     leading_coeff,
+    monomial,
     perm_product,
     residues,
+    sort_vars,
 )
 
 D = 3
@@ -64,10 +70,10 @@ def _schoolbook(f, g):
     out = {}
     for m1, c1 in f.terms.items():
         for m2, c2 in g.terms.items():
-            e = dict(m1)
-            for v, k in m2:
+            e = exponents(m1)
+            for v, k in exponents(m2).items():
                 e[v] = e.get(v, 0) + k
-            m = frozenset(e.items())
+            m = monomial(e)
             out[m] = out[m] + c1 * c2 if m in out else c1 * c2
     return {m: c for m, c in out.items() if not c.is_zero()}
 
@@ -78,7 +84,7 @@ class TestTrivialProducts:
         x, y = MPoly.var(d, "x"), MPoly.var(d, "y")
         f = x**2 * y - y * eta_power(d, 1) + 3
         built_one = MPoly.constant(d, CycNum(d, (eta_power(d, 2) * eta_power(d, -2)).coeffs))
-        assert built_one.terms[frozenset()] is not CycNum.one(d)
+        assert built_one.terms[monomial({})] is not CycNum.one(d)
         for one in (MPoly.one(d), built_one, 1, CycNum.one(d)):
             for prod in (f * one, one * f):
                 assert prod.terms == _schoolbook(f, MPoly.constant(d, 1))
@@ -155,6 +161,12 @@ class TestModulusGuard:
         for S in ([2, 1], (1, 2), {6, 7}, [1 - 5, 2 + 10], range(1, 3)):
             assert residues(5, S) == key
 
+    @pytest.mark.parametrize("bad", [True, False, 0.5, 1.0, "1", None, Fraction(1)])
+    def test_residues_rejects_an_element_that_is_not_an_int(self, bad):
+        # residues(5, {True}) used to be {1}, and residues(5, {0.5}) {0.5}
+        with pytest.raises(TypeError, match=re.escape(f"must be an int, got {bad!r}")):
+            residues(5, [1, bad])
+
 
 class TestExactDiv:
     @pytest.mark.parametrize("d", [3, 5, 7])
@@ -192,10 +204,10 @@ class TestDivRem:
         q, r = div_rem(f, g)
         assert f == g * q + r
         # graded lex with x before y
-        glex = lambda m: (sum(k for _, k in m), tuple(dict(m).get(v, 0) for v in vars))
-        lead = dict(max(g.terms, key=glex))
+        glex = lambda m: (sum(exponents(m).values()), tuple(exponents(m).get(v, 0) for v in vars))
+        lead = exponents(max(g.terms, key=glex))
         for m in r.terms:
-            assert any(dict(m).get(v, 0) < k for v, k in lead.items())
+            assert any(exponents(m).get(v, 0) < k for v, k in lead.items())
         if vars == "y":
             assert r.degree() < g.degree()
         if r.is_zero():
@@ -244,7 +256,7 @@ class TestScaleAndCoeff:
     @settings(max_examples=25, deadline=None)
     def test_coeff_reassembly(self, f):
         acc = MPoly.zero(D)
-        for k in range(max((dict(m).get("y", 0) for m in f.terms), default=-1) + 1):
+        for k in range(max((exponents(m).get("y", 0) for m in f.terms), default=-1) + 1):
             acc = acc + coeff_of(f, "y", k) * MPoly.var(D, "y") ** k
         assert acc == f
 
@@ -380,3 +392,198 @@ class TestSubs:
             "(CycNum[2d=6](7)) + (CycNum[2d=6](1 + -1*z))*y1*y2 + (CycNum[2d=6](5))*y^3*z"
             " + (CycNum[2d=6](-1))*x*z + (CycNum[2d=6](1))*x^2*y10"
         )
+
+
+# -- the packed representation against a reference on exponent dicts ----------
+
+VARS = ("x", "y", "y1", "y2", "z")  # already in sort_vars order
+
+
+def _ref(f):
+    """f as {exponent tuple over VARS: coefficient}."""
+    return {tuple(exponents(m).get(v, 0) for v in VARS): c for m, c in f.terms.items()}
+
+
+def _from_ref(d, ref):
+    return MPoly(d, {monomial(dict(zip(VARS, e))): c for e, c in ref.items()})
+
+
+def _ref_add_term(out, e, c):
+    s = out[e] + c if e in out else c
+    if s.is_zero():
+        out.pop(e, None)
+    else:
+        out[e] = s
+
+
+def _ref_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            _ref_add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+    return out
+
+
+def _ref_subs(d, f, mapping):
+    """mapping: variable -> (CycNum, variable) or None, applied at once;
+    a zero scalar maps to 0."""
+    out = {}
+    for e, c in f.items():
+        new = dict.fromkeys(VARS, 0)
+        for v, k in zip(VARS, e):
+            img = mapping.get(v, (CycNum.one(d), v))
+            if k and (img is None or img[0].is_zero()):
+                break
+            if k:
+                c = c * img[0] ** k
+                new[img[1]] += k
+        else:
+            _ref_add_term(out, tuple(new[v] for v in VARS), c)
+    return out
+
+
+def _ref_div_rem(f, g):
+    """The textbook division by the graded-lex leading term of g."""
+    glex = lambda e: (sum(e), e)
+    lead = max(g, key=glex)
+    p, q, r = dict(f), {}, {}
+    while p:
+        e = max(p, key=glex)
+        c = p[e]
+        if all(a >= b for a, b in zip(e, lead)):
+            qe = tuple(a - b for a, b in zip(e, lead))
+            qc = c / g[lead]
+            q[qe] = qc
+            for ge, gc in g.items():
+                _ref_add_term(p, tuple(a + b for a, b in zip(ge, qe)), -(qc * gc))
+        else:
+            r[e] = c
+            del p[e]
+    return q, r
+
+
+def _random_poly(rng, d, n_terms, max_exp=3):
+    terms = {}
+    for _ in range(n_terms):
+        e = tuple(rng.randrange(max_exp + 1) if rng.random() < 0.6 else 0 for _ in VARS)
+        c = CycNum.from_rational(d, Fraction(rng.randint(-3, 3), rng.randint(1, 2))) * CycNum.zeta(d, rng.randrange(2 * d))
+        _ref_add_term(terms, e, c)
+    return _from_ref(d, terms)
+
+
+class TestPackedMonomials:
+    """Products, substitution, decomposition and division on packed monomials
+    agree with the same operations on exponent dicts."""
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_against_exponent_dicts(self, d):
+        rng = random.Random(d)
+        one, two, eta = CycNum.one(d), CycNum.from_rational(d, 2), eta_power(d, 1)
+        maps = [
+            {"x": (one, "y")},  # merges x into y
+            {"y1": (eta, "y2"), "y2": (two, "y1")},  # swaps two variables with scalars
+            {"y": None, "z": (eta, "x")},  # y to 0, z merged into x
+            {"x": (CycNum.zero(d), "x"), "y2": (one, "y")},  # a zero scalar is the map to 0
+            {"x": (eta, "x"), "z": (two, "z")},  # a scaling
+        ]
+        for _ in range(12):
+            f, g = _random_poly(rng, d, rng.randint(0, 6)), _random_poly(rng, d, rng.randint(1, 5))
+            rf, rg = _ref(f), _ref(g)
+            assert _ref(f * g) == _ref_mul(rf, rg)
+            assert f.degree() == max((sum(e) for e in rf), default=-1)
+            for v in VARS:
+                i = VARS.index(v)
+                assert f.degree_in(v) == max((e[i] for e in rf), default=-1)
+                parts = f.coeff_dict_in(v)
+                expect = {}
+                for e, c in rf.items():
+                    expect.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+                assert {k: _ref(p) for k, p in parts.items()} == expect
+            for mapping in maps:
+                assert _ref(f.subs(mapping)) == _ref_subs(d, rf, mapping)
+            # a variable that gets its field here, and back
+            w = f.subs({"y": (one, "w")})
+            assert w.degree_in("w") == f.degree_in("y") and w.subs({"w": (one, "y")}) == f
+            if g:
+                q, r = div_rem(f, g)
+                assert (_ref(q), _ref(r)) == _ref_div_rem(rf, rg)
+                assert div_rem(f * g, g) == (f, MPoly.zero(d))
+                q, r = div_rem(f * g + r, g)
+                assert (_ref(q), _ref(r)) == _ref_div_rem(_ref(f * g + r), rg)
+
+    def test_divisibility_reads_the_newest_field(self):
+        # the guard mask covers the field of a name seen only now
+        v = MPoly.var(D, "fresh")
+        assert div_rem(X * Y, v) == (MPoly.zero(D), X * Y)
+        assert div_rem(X * v**2 + Y, v) == (X * v, Y)
+
+    def test_encode_decode_roundtrip(self):
+        for e in ({}, {"x": 1}, {"y": 2, "y10": 3}, {"x": 1, "y": 1, "y1": 1, "y2": 1, "z": 1}):
+            assert exponents(monomial(e)) == e
+        assert monomial({"x": 0, "y": 2}) == monomial({"y": 2})
+        assert monomial({}) == 0  # the constant monomial
+        assert MPoly.var(D, "y", 2) == MPoly(D, {monomial({"y": 2}): CycNum.one(D)})
+        with pytest.raises(ValueError):
+            monomial({"x": -1})
+        for bad in (True, 2.0, Fraction(2)):
+            # MPoly.var(3, "x", 2.0) used to build the monomial {("x", 2.0)}
+            with pytest.raises(TypeError, match="must be an int"):
+                MPoly.var(D, "x", bad)
+
+
+class TestOverflow:
+    """An exponent or degree at the field bound raises; it never wraps into
+    a neighbouring field."""
+
+    def test_var_at_the_bound_raises(self):
+        assert MPoly.var(D, "x", _BOUND - 1).degree_in("x") == _BOUND - 1
+        for v in ("x", "y2"):
+            with pytest.raises(OverflowError):
+                MPoly.var(D, v, _BOUND)
+        with pytest.raises(OverflowError):
+            monomial({"x": _BOUND - 1, "y": 1})
+
+    def test_power_that_would_carry_raises(self):
+        half = MPoly.var(D, "x", _BOUND // 2)
+        assert half**1 == half  # no needless square past the last bit
+        with pytest.raises(OverflowError):
+            half**2
+        with pytest.raises(OverflowError):
+            (X + MPoly.var(D, "y", _BOUND // 4)) ** 2 * MPoly.var(D, "z", _BOUND // 2)
+        near = MPoly.var(D, "x", _BOUND // 2 - 1) ** 2
+        assert near.degree() == near.degree_in("x") == _BOUND - 2
+
+    def test_product_past_the_degree_bound_raises(self):
+        # no single exponent overflows: the degree does
+        top = MPoly.var(D, "x", _BOUND - 1)
+        for other in (X, Y, Z + 1, MPoly.var(D, "y1", 3)):
+            with pytest.raises(OverflowError):
+                top * other
+            with pytest.raises(OverflowError):
+                other * top
+        assert top * 2 == top * MPoly.constant(D, 2)  # a constant factor adds no degree
+
+
+class TestVariableNames:
+    """A name is validated when it gets its field: a str, and no second
+    spelling of y or of an index y<n>."""
+
+    @pytest.mark.parametrize("name", ["y0", "y01", "y007", "y00", "y\u0663", "y\u00b2"])
+    def test_non_canonical_index_raises(self, name):
+        # leading_coeff(2*y + 3*y0) at d = 3 used to depend on PYTHONHASHSEED
+        with pytest.raises(ValueError, match="index after y"):
+            MPoly.var(D, name)
+        with pytest.raises(ValueError):
+            Y.subs({"y": (1, name)})
+        with pytest.raises(ValueError):
+            sort_vars(["y", name])
+
+    @pytest.mark.parametrize("name", [1, None, ("y",), b"y"])
+    def test_name_must_be_a_str(self, name):
+        with pytest.raises(TypeError, match="must be a str"):
+            MPoly.var(D, name)
+
+    def test_canonical_names_keep_their_order(self):
+        assert sort_vars(["z", "y10", "w", "y2", "y", "x", "y1"]) == ("x", "y", "y1", "y2", "y10", "z", "w")
+        f = 2 * Y + 3 * MPoly.var(D, "y1")
+        assert leading_coeff(f) == CycNum.from_rational(D, 2)
