@@ -69,6 +69,9 @@ class Check:
 
 
 def build_checks(d, l, suites):
+    for name, value in (("d", d), ("the root exponent", l)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {value!r}")
     if d < 3 or d % 2 == 0:
         raise ValueError(f"d must be an odd integer >= 3, got {d}")
     if gcd(l, d) != 1:

@@ -12,11 +12,11 @@ The Z_d data is certified once per orbit and carried to the rest.  A
 variable scaling sigma (each variable times a d-th root of unity) is a ring
 automorphism of the polynomial ring that fixes x^d - z^d, so it carries a
 factorisation to a factorisation, and a morphism f to sigma . f . sigma^-1
-entry by entry.  That transport commutes with composition, with the tensor
-product (each entry of f (x) g is +- an entry product of f and g, with
-Koszul signs fixed by the parities alone), with `reassoc` (constant
-permutation matrices) and with `twist_morphism` (another scaling), and it
-is injective on entries.
+entry by entry (`MFMorphism.transported`, through `subs`).  That transport
+commutes with composition, with the tensor product (each entry of f (x) g
+is +- an entry product of f and g, with Koszul signs fixed by the parities
+alone), with `reassoc` (constant permutation matrices) and with
+`twist_morphism` (another scaling), and it is injective on entries.
 
 mu: the hexagon is computed at (0, 0, 0) only (`mu_hexagon_ok`).
 tau_ab: x -> eta^{l(a+b)} x, y1 -> eta^{lb} y1, z -> z carries each entry of
@@ -63,7 +63,6 @@ from __future__ import annotations
 from .cftside import ParityViolation, cft_fusion_ring, quantum_dim
 from .cyclofield import CycNum, eta_power, q_root, quantum_int
 from .graded import GradedLabel, mf_fusion_ring
-from .linop import Subst, as_linop
 from .mfcore import (
     MFMorphism,
     carries,
@@ -170,7 +169,7 @@ def mu_transport_ok(d: int, a: int, b: int, l: int = 1) -> bool:
     """tau_ab: x -> eta^{l(a+b)} x, y1 -> eta^{lb} y1 carries mu_{0,0} onto
     mu_{a,b}: its first source factor up to eta^{lb} on d1 (and eta^{-lb} on
     d0), its second source factor and its target exactly, and each of its
-    four entries e to out . e . in (module docstring)."""
+    four entries e to sigma . e . sigma^-1 (module docstring)."""
     a, b = z_labels(d, a, b)
     base, image = mu(d, 0, 0, l), mu(d, a, b, l)
     sub = {"x": (eta_power(d, a + b, l), "x"), "y1": (eta_power(d, b, l), "y1")}
@@ -179,14 +178,7 @@ def mu_transport_ok(d: int, a: int, b: int, l: int = 1) -> bool:
     for M, N, k in zip(base.src.factors + (base.tgt,), image.src.factors + (image.tgt,), scales):
         if not carries(sub, M, N, k):
             return False
-    out_map = Subst(d, {"x": sub["x"]})
-    in_map = Subst(d, sub).inverse_scaling()
-    return all(
-        as_linop(e, d).conjugated(out_map, in_map) == f
-        for mats in ((base.f0, image.f0), (base.f1, image.f1))
-        for rows in zip(*mats)
-        for e, f in zip(*rows)
-    )
+    return base.transported(sub, image.src, image.tgt).equals(image)
 
 
 def mu_hexagon_failure(d: int, l: int = 1):

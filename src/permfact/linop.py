@@ -31,6 +31,18 @@ Terms are normalised once: `Term.normalized` returns a normal term as it is,
 `_compose_terms` returns only normal terms, and sums and constant multiples
 of normal premultipliers stay normal, so `compose`, `+` and `-` only regroup.
 
+Transport: a monomial map sigma: v -> c_v * pi(v) (pi a bijection, every c_v
+nonzero) is a ring automorphism, and `LinOp.subs` rewrites sigma . L . sigma^-1
+term by term.  num becomes sigma(num); phi's v -> a*w becomes
+pi(v) -> (a * c_w / c_v) * pi(w), and a killed variable stays killed; the core
+becomes (c_elim^-step * sigma(prem), pi(elim), pi(inj), injc * c_inj / c_elim).
+For the core: sigma(g) = c_elim^step * g' with g' the new modulus, so
+prem * sigma^-1(f) = g*q + r gives sigma(prem) * f = g' * c_elim^step * sigma(q)
++ sigma(r), and sigma(r) keeps pi(elim)-degree below step; the new quotient at
+pi(elim) = 0 is c_elim^step * sigma(core(sigma^-1 f)).  The rewritten terms stay
+normal.  Renamings, the Z_d twists and the mu transport all use it, and
+`_compose_terms` passes a scaling through a core by the same core rewrite.
+
 The normal form is not unique, so `LinOp.is_zero` decides zero by rewriting
 every term over maps that are linearly independent over the field of
 rational functions: monomial substitutions, and f |-> phi(coeff_elim(f, j))
@@ -80,11 +92,13 @@ from .polyring import MPoly, as_poly, div_rem, exact_div, monomial_image, sort_v
 
 __all__ = [
     "Subst",
+    "transport_images",
     "ResidueCore",
     "Term",
     "LinOp",
     "LinOpCompositionError",
     "ResidueVariableClash",
+    "VariableMismatch",
     "as_linop",
 ]
 
@@ -95,6 +109,25 @@ class LinOpCompositionError(RuntimeError):
 
 class ResidueVariableClash(ValueError):
     """A residue core whose eliminated and injected variables coincide."""
+
+
+class VariableMismatch(ValueError):
+    """Variables that must agree, or stay apart, do not."""
+
+
+def transport_images(d: int, mapping: dict, names) -> dict:
+    """`mapping` ({v: (c, w)}, as in `MPoly.subs`) with its images normalised,
+    checked to be invertible on `names`: VariableMismatch for a zero or None
+    image, or for two of `names` sent to one name (an unmapped name keeps its
+    own), TypeError for an image of another form."""
+    images = {v: monomial_image(d, v, img) for v, img in mapping.items()}
+    for v, img in images.items():
+        if img is None:
+            raise VariableMismatch(f"a transport map must not kill {v!r}, got {mapping!r}")
+    names = set(names)
+    if len({images[v][1] if v in images else v for v in names}) < len(names):
+        raise VariableMismatch(f"the transport map {mapping!r} sends two of {sorted(names)} to one name")
+    return images
 
 
 class Subst:
@@ -118,9 +151,6 @@ class Subst:
     def identity(d: int) -> "Subst":
         return Subst(d, {})
 
-    def is_identity(self) -> bool:
-        return not self.mapping
-
     def image_of(self, v: str):
         """(scalar, var) image of v, or None when v maps to 0."""
         if v in self.mapping:
@@ -141,9 +171,6 @@ class Subst:
     def key(self):
         return tuple(sorted(self.mapping.items()))
 
-    def touches(self, v: str) -> bool:
-        return v in self.mapping
-
     def maps_onto(self, var: str) -> bool:
         """True if some explicitly mapped variable lands on `var`."""
         return any(img is not None and img[1] == var for img in self.mapping.values())
@@ -151,17 +178,8 @@ class Subst:
     def restricted_without(self, v: str) -> "Subst":
         return Subst(self.d, {w: img for w, img in self.mapping.items() if w != v})
 
-    def inverse_scaling(self) -> "Subst":
-        """Inverse, defined when every image is a nonzero scaling of the same var."""
-        out = {}
-        for v, img in self.mapping.items():
-            if img is None or img[1] != v:
-                raise LinOpCompositionError(f"{self!r} is not a pure scaling")
-            out[v] = (img[0].inverse(), v)
-        return Subst(self.d, out)
-
     def __repr__(self):
-        if self.is_identity():
+        if not self.mapping:
             return "id"
         bits = []
         for v, img in sorted(self.mapping.items()):
@@ -205,6 +223,16 @@ class ResidueCore:
     def key(self):
         return (self.elim, self.inj, self.injc_step, self.step)
 
+    def subs(self, images: dict) -> "ResidueCore":
+        """sigma . core . sigma^-1 for sigma: v -> c_v * pi(v) (`transport_images`;
+        the module docstring derives the rescaling)."""
+        one = CycNum.one(self.prem.d)
+        ce, elim = images.get(self.elim, (one, self.elim))
+        ci, inj = images.get(self.inj, (one, self.inj))
+        prem = self.prem.subs(images)
+        injc = self.injc if ce == ci else self.injc * ci / ce
+        return ResidueCore(prem if ce.is_one() else prem * ce**-self.step, elim, inj, injc, self.step)
+
 
 class Term:
     """f |-> num * phi(core(f)), with core optional."""
@@ -219,6 +247,20 @@ class Term:
     def apply(self, f: MPoly) -> MPoly:
         out = self.core.apply(f) if self.core is not None else f
         return self.num * self.phi.apply(out)
+
+    def subs(self, images: dict) -> "Term":
+        """sigma . term . sigma^-1 for sigma: v -> c_v * pi(v) (`transport_images`):
+        phi's assignment v -> a * w becomes pi(v) -> (a * c_w / c_v) * pi(w)."""
+        one = CycNum.one(self.num.d)
+        phi = {}
+        for v, img in self.phi.mapping.items():
+            cv, pv = images.get(v, (one, v))
+            if img is not None:
+                cw, pw = images.get(img[1], (one, img[1]))
+                img = (img[0] * cw / cv, pw)
+            phi[pv] = img
+        core = None if self.core is None else self.core.subs(images)
+        return Term(self.num.subs(images), Subst(self.num.d, phi), core)
 
     def output_free_of(self, var: str) -> bool:
         """True if no input can produce `var` in this term's image."""
@@ -237,7 +279,7 @@ class Term:
                 img = self.phi.image_of(v)
                 if img is not None and img[1] == var:
                     return False
-        return consumed or (self.phi.touches(var) and not self.phi.maps_onto(var))
+        return consumed or (var in self.phi.mapping and not self.phi.maps_onto(var))
 
     def normalized(self) -> list["Term"]:
         """Replace prem by its remainder modulo the core's modulus; split off the quotient at elim = 0.
@@ -287,21 +329,13 @@ def _compose_terms(t2: Term, t1: Term) -> list[Term]:
         outer = Term(t2.num * t2.phi.apply(const), t2.phi)
         return _compose_terms(outer, stripped)
     if t1.core is None:
-        img = t1.phi.image_of(elim)
-        if img is not None and img[1] == elim:
-            # phi1 scales elim (possibly trivially): conjugate it through the core
-            s = img[0]
-            rest = t1.phi.restricted_without(elim)
-            rest_inv = rest.inverse_scaling()
-            prem2 = prem.subs({**rest_inv.mapping, elim: (s.inverse(), elim)})
-            inj_scale = rest.image_of(t2.core.inj)
-            if inj_scale is None or inj_scale[1] != t2.core.inj:
-                raise LinOpCompositionError("substitution moves the injection variable")
-            injc2 = t2.core.injc * s / inj_scale[0]
-            core = ResidueCore(prem2, elim, t2.core.inj, injc2, t2.core.step)
-            num = t2.num * s**t2.core.step
-            return Term(num, t2.phi.compose(rest), core).normalized()
-        raise LinOpCompositionError(f"unsupported composition through {t1.phi!r}")
+        # a scaling phi1 passes through the core: core2 . phi1 = phi1 . (phi1^-1 .
+        # core2 . phi1), and phi1 acts on the elim-free output as its restriction
+        inverse = {v: (img[0].inverse(), v) for v, img in t1.phi.mapping.items() if img and img[1] == v}
+        if len(inverse) < len(t1.phi.mapping):
+            raise LinOpCompositionError(f"unsupported composition through {t1.phi!r}")
+        core = ResidueCore(prem, elim, t2.core.inj, t2.core.injc, t2.core.step).subs(inverse)
+        return Term(t2.num, t2.phi.compose(t1.phi.restricted_without(elim)), core).normalized()
     raise LinOpCompositionError("residue core fed by an image still carrying its variable")
 
 
@@ -438,11 +472,20 @@ class LinOp:
                 out.extend(_compose_terms(t2, t1))
         return LinOp._regrouped(self.d, out)
 
-    def conjugated(self, out_map: Subst, in_map: Subst) -> "LinOp":
-        """out_map . self . in_map (coordinate change by scalings/renames)."""
-        left = LinOp(self.d, [Term(MPoly.one(self.d), out_map)])
-        right = LinOp(self.d, [Term(MPoly.one(self.d), in_map)])
-        return left.compose(self).compose(right)
+    def subs(self, mapping: dict) -> "LinOp":
+        """sigma . self . sigma^-1 for the monomial map sigma: v -> c_v * pi(v) of
+        `MPoly.subs` (mapping {v: (c_v, pi(v))}), rewritten one term at a time.
+
+        VariableMismatch unless sigma is invertible on the operator's variables
+        (`transport_images`); the rewrite keeps every term in normal form, so
+        the terms only regroup."""
+        names = set()
+        for t in self.terms:
+            names.update(t.num.vars, t.phi.mapping, (img[1] for img in t.phi.mapping.values() if img))
+            if t.core is not None:
+                names.update(t.core.prem.vars, (t.core.elim, t.core.inj))
+        images = transport_images(self.d, mapping, names)
+        return LinOp._regrouped(self.d, [t.subs(images) for t in self.terms])
 
     def pruned_for_source(self, src_vars) -> "LinOp":
         """Drop substitution assignments for variables no input can contain.
@@ -464,31 +507,6 @@ class LinOp:
                 t, pruned = Term(t.num, Subst(self.d, mapping), t.core), True
             terms.append(t)
         return LinOp(self.d, terms) if pruned else self
-
-    def renamed(self, mapping: dict) -> "LinOp":
-        """Rename variables throughout (mapping must be injective where applied)."""
-        d = self.d
-
-        sub = {v: (1, w) for v, w in mapping.items()}
-        rp = lambda p: p.subs(sub)
-
-        terms = []
-        for t in self.terms:
-            phi2 = {}
-            for v, img in t.phi.mapping.items():
-                tgt = None if img is None else (img[0], mapping.get(img[1], img[1]))
-                phi2[mapping.get(v, v)] = tgt
-            core2 = None
-            if t.core is not None:
-                core2 = ResidueCore(
-                    rp(t.core.prem),
-                    mapping.get(t.core.elim, t.core.elim),
-                    mapping.get(t.core.inj, t.core.inj),
-                    t.core.injc,
-                    t.core.step,
-                )
-            terms.append(Term(rp(t.num), Subst(d, phi2), core2))
-        return LinOp(d, terms)
 
     # -- action -----------------------------------------------------------------
 

@@ -25,11 +25,14 @@ first read of d1 or d0, then kept.  Most tensor objects are only the source
 or target of a morphism and never have it read.
 
 delta(f) has one definition: `delta` and `is_cycle` share the two products
-d_tgt . f and f . d_src.  Renaming and both object twists are one routine,
-`MatrixBifact.substituted`, a monomial map applied to every differential
-entry.  On a tensor object it is the tensor product of the substituted
+d_tgt . f and f . d_src.  Renaming and both twists are one routine on each
+side, for an invertible monomial map sigma (`linop.transport_images`).  On
+objects it is `MatrixBifact.substituted`, sigma applied to every differential
+entry; on a tensor object it is the tensor product of the substituted
 factors, which writes no differential: each entry of d_M (x) 1 + 1 (x) d_N is
-+- an entry of d_M or d_N, and a monomial map is a ring homomorphism.
++- an entry of d_M or d_N, and a monomial map is a ring homomorphism.  On
+morphisms it is `MFMorphism.transported`, each entry e sent to
+sigma . e . sigma^-1 by `e.subs`, polynomial or operator alike.
 
 The duality maps u and n of the self-dual generator T are spliced between
 strands once, by `duality_pieces`: the caps rho . (1 (x) u) and
@@ -72,7 +75,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .cyclofield import CycNum, EvenModulus, eta_power, require_coprime
-from .linop import LinOp, ResidueCore, Subst, Term, as_linop
+from .linop import LinOp, ResidueCore, Subst, Term, VariableMismatch, transport_images
 from .polyring import MPoly, difference_quotient, exact_div, perm_product, residues
 
 __all__ = [
@@ -112,10 +115,6 @@ __all__ = [
     "sum_morphism",
     "zigzag_morphisms",
 ]
-
-
-class VariableMismatch(ValueError):
-    pass
 
 
 class RankUnsupported(ValueError):
@@ -240,9 +239,11 @@ class MatrixBifact:
 
     def substituted(self, sub: dict) -> "MatrixBifact":
         """The monomial map v -> c * w (sub[v] = (c, w)) applied to every entry
-        of d1 and d0, with each such variable v renamed w."""
-        name = lambda v: sub[v][1] if v in sub else v
-        subs = lambda mat: [[e.subs(sub) for e in row] for row in mat]
+        of d1 and d0, with each such variable v renamed w; VariableMismatch unless
+        the map is invertible on all_vars (`linop.transport_images`)."""
+        images = transport_images(self.d, sub, self.all_vars)
+        name = lambda v: images[v][1] if v in images else v
+        subs = lambda mat: [[e.subs(images) for e in row] for row in mat]
         return MatrixBifact(
             self.d, name(self.left), name(self.right), tuple(map(name, self.int_vars)),
             subs(self.d1), subs(self.d0), self.tags0, self.tags1,
@@ -364,23 +365,20 @@ class MFMorphism:
     def is_zero(self) -> bool:
         return all(e == 0 for mat in (self.f0, self.f1) for row in mat for e in row)
 
+    def transported(self, sub: dict, src, tgt) -> "MFMorphism":
+        """The morphism src -> tgt whose entries are sigma . e . sigma^-1 (`subs`)
+        for the entries e of this one and the monomial map sigma = `sub`."""
+        f0, f1 = ([[e.subs(sub) for e in row] for row in mat] for mat in (self.f0, self.f1))
+        return MFMorphism(src, tgt, self.z2_degree, f0, f1)
+
     def renamed(self, mapping: dict) -> "MFMorphism":
         """Rename variables in source, target, and all entries."""
         sub = {v: (1, w) for v, w in mapping.items()}
-        conv = lambda e: e.renamed(mapping) if isinstance(e, LinOp) else e.subs(sub)
-
-        return MFMorphism(
-            self.src.renamed(mapping),
-            self.tgt.renamed(mapping),
-            self.z2_degree,
-            [[conv(e) for e in row] for row in self.f0],
-            [[conv(e) for e in row] for row in self.f1],
-        )
+        return self.transported(sub, self.src.renamed(mapping), self.tgt.renamed(mapping))
 
     def rename_target(self, mapping: dict) -> "MFMorphism":
         """Compose with the renaming isomorphism of the target presentation."""
-        sub = Subst(self.d, {v: (1, w) for v, w in mapping.items()})
-        ren = LinOp(self.d, [Term(MPoly.one(self.d), sub)])
+        ren = LinOp.substitution(self.d, {v: (1, w) for v, w in mapping.items()})
         f0 = [[ren * e for e in row] for row in self.f0]
         f1 = [[ren * e for e in row] for row in self.f1]
         return MFMorphism(self.src, self.tgt.renamed(mapping), self.z2_degree, f0, f1)
@@ -843,28 +841,15 @@ def diag_twist_mf(M: MatrixBifact, a: int, l: int = 1) -> MatrixBifact:
 
 
 def twist_morphism(f: MFMorphism, a: int, l: int = 1) -> MFMorphism:
-    """Apply the diagonal twist functor ((a)(-)(-a)) to a morphism (honest form)."""
+    """Apply the diagonal twist functor ((a)(-)(-a)) to a morphism (honest form):
+    its entries are transported along the scaling of every source and target
+    variable by eta^{la}."""
     d = f.d
     require_coprime(d, l)
     (a,) = z_labels(d, a)
     e = eta_power(d, a, l)
-    einv = eta_power(d, -a, l)
-    out_map = Subst(d, {v: (e, v) for v in f.tgt.all_vars})
-    in_map = Subst(d, {v: (einv, v) for v in f.src.all_vars})
-    # when the target has every source variable the two scalings cancel on
-    # the input, so out_map . p . in_map is multiplication by out_map(p)
-    polys_twist_by_out_map = set(f.src.all_vars) <= set(f.tgt.all_vars)
-
-    def conv(e):
-        if polys_twist_by_out_map and isinstance(e, MPoly):
-            return out_map.apply(e)
-        return as_linop(e, d).conjugated(out_map, in_map)
-
-    return MFMorphism(
-        diag_twist_mf(f.src, a, l), diag_twist_mf(f.tgt, a, l), f.z2_degree,
-        [[conv(x) for x in row] for row in f.f0],
-        [[conv(x) for x in row] for row in f.f1],
-    )
+    sub = {v: (e, v) for v in f.src.all_vars + f.tgt.all_vars}
+    return f.transported(sub, diag_twist_mf(f.src, a, l), diag_twist_mf(f.tgt, a, l))
 
 
 def s_iso(d: int, S, a: int, b: int, left="x", right="y", l: int = 1) -> MFMorphism:

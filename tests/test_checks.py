@@ -54,6 +54,12 @@ class TestBoundary:
         with pytest.raises(ValueError, match="coprime"):
             build_checks(d, l, {"core"})
 
+    @pytest.mark.parametrize("d, l", [(5, True), (True, 1), (5.0, 1), (5, 1.0), (5, False)])
+    def test_d_and_root_exponent_must_be_ints(self, d, l):
+        # a bool is not an int here: (5, True) used to run as l = 1 and report "root_exponent": true
+        with pytest.raises(TypeError, match="must be an int"):
+            build_checks(d, l, {"core"})
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match=r"unknown suites: \['nope'\]"):
             build_checks(5, 1, {"nope"})

@@ -25,7 +25,8 @@ from permfact.linop import LinOp
 from permfact.mfcore import MatrixBifact, MFMorphism, chi, duality_un, identity_morphism, mu, twist_morphism
 from permfact.polyring import MPoly, residues
 
-TWIST_PINS = Path(__file__).parent / "reference" / "twisted-morphisms.d5.json"
+REFERENCE = Path(__file__).parent / "reference"
+TWIST_PINS = {1: REFERENCE / "twisted-morphisms.d5.json", 2: REFERENCE / "twisted-morphisms.d5.l2.json"}
 
 
 class TestTau:
@@ -318,9 +319,10 @@ class TestZdLabels:
         assert mu_hexagon_ok(5, 6, -1, 12)
 
 
-def _twist_pin_digests():
-    """Count and sha256 of the entry reprs of ((a)f(-a)) at d = 5, for
-    f = tau_{S;b} over every proper S and all a, b, and for f = u, n."""
+def _twist_pin_digests(l):
+    """Count and sha256 of the entry reprs of ((a)f(-a)) at d = 5 and root
+    exponent l, for f = tau_{S;b} over every proper S and all a, b, and for
+    f = u, n."""
     d = 5
 
     def digest(morphs):
@@ -330,10 +332,10 @@ def _twist_pin_digests():
         return {"count": len(morphs), "sha256": h.hexdigest()}
 
     subsets = [frozenset(i for i in range(d) if mask >> i & 1) for mask in range(1, 2**d - 1)]
-    u, n, _, _ = duality_un(d)
+    u, n, _, _ = duality_un(d, l)
     return {
-        "tau": digest([twist_morphism(tau(d, S, b), a) for S in subsets for a in range(d) for b in range(d)]),
-        "u, n": digest([twist_morphism(f, a) for f in (u, n) for a in range(d)]),
+        "tau": digest([twist_morphism(tau(d, S, b, l=l), a, l) for S in subsets for a in range(d) for b in range(d)]),
+        "u, n": digest([twist_morphism(f, a, l) for f in (u, n) for a in range(d)]),
     }
 
 
@@ -342,7 +344,10 @@ class TestTwistPins:
     a constant entry and a residue operator must come out as recorded."""
 
     def test_entries_match_recorded(self):
-        assert _twist_pin_digests() == json.loads(TWIST_PINS.read_text())
+        assert _twist_pin_digests(1) == json.loads(TWIST_PINS[1].read_text())
+
+    def test_galois_twisted_entries_match_recorded(self):
+        assert _twist_pin_digests(2) == json.loads(TWIST_PINS[2].read_text())
 
 
 class TestLabelMap:

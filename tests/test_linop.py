@@ -14,14 +14,15 @@ from permfact.linop import (
     ResidueVariableClash,
     Subst,
     Term,
+    VariableMismatch,
     _basis_expansion,
     _compose_terms,
     _sum_fractions,
     _zero_test_parts,
     as_linop,
 )
-from permfact.mfcore import duality_un, ev_coev, twist_morphism, zigzag_morphisms
-from permfact.polyring import MPoly, exact_div, monomial
+from permfact.mfcore import duality_pieces, duality_un, ev_coev, mu, twist_morphism, zigzag_morphisms
+from permfact.polyring import MPoly, exact_div, monomial, sort_vars
 from permfact.temperleylieb import evaluate_F, tl_e
 
 
@@ -75,19 +76,75 @@ def test_scaling_conjugation_matches_pointwise():
     d0 = exact_div(Y**3 - Z**3, K)
     G = residue_op(d0)
     e = eta_power(3, 1)
-    out_map = Subst(D, {v: (e, v) for v in "xyz"})
-    in_map = Subst(D, {v: (e.inverse(), v) for v in "xyz"})
-    conj = G.conjugated(out_map, in_map)
+    sigma = {v: (e, v) for v in "xyz"}
+    inverse = {v: (e.inverse(), v) for v in "xyz"}
+    conj = G.subs(sigma)
     for f in (ONE, Y, Y**2, X * Y, Z * Y**4):
-        assert conj.apply(f) == out_map.apply(G.apply(in_map.apply(f)))
+        assert conj.apply(f) == G.apply(f.subs(inverse)).subs(sigma)
 
 
 def test_renaming():
     d0 = exact_div(Y**3 - Z**3, Y - Z)
     G = residue_op(d0)
-    G2 = G.renamed({"y": "y1", "z": "y2"})
+    G2 = G.subs({"y": (1, "y1"), "z": (1, "y2")})
     f = MPoly.var(D, "y1") ** 3
     assert G2.apply(f) == G.apply(Y**3).subs({"z": (1, "y2")})
+
+
+def _transports(d, l, variables):
+    """(name, sigma, sigma^-1) as MPoly.subs maps on `variables`: the uniform
+    scaling by eta^l (a twist), scalings of each variable by a different power
+    of zeta_{2d} and by a different rational, and an order-keeping renaming
+    onto fresh names.  A root c may have c^step = 1, which hides the core's
+    factors c_elim^-step and (c_inj / c_elim)^step; a rational c does not."""
+    variables = sort_vars(variables)
+    e = eta_power(d, 1, l)
+    roots = [CycNum.zeta(d, l * (i + 1)) for i in range(len(variables))]
+    rationals = [CycNum.from_rational(d, i + 2) for i in range(len(variables))]
+    out = [
+        (name, {v: (c, v) for v, c in zip(variables, cs)}, {v: (c.inverse(), v) for v, c in zip(variables, cs)})
+        for name, cs in (("uniform", [e] * len(variables)), ("roots", roots), ("rationals", rationals))
+    ]
+    fresh = [f"y{11 + i}" for i in range(len(variables))]
+    out.append(("renaming", {v: (1, w) for v, w in zip(variables, fresh)}, {w: (1, v) for v, w in zip(variables, fresh)}))
+    return out
+
+
+def _probes(d, variables):
+    """Source polynomials: 1, each variable, their product, and each variable
+    to the power d + 1 (past every residue step) times the next."""
+    ps = [MPoly.var(d, v) for v in variables]
+    product = MPoly.one(d)
+    for p in ps:
+        product = product * p
+    return [MPoly.one(d), *ps, product] + [p ** (d + 1) * q for p, q in zip(ps, ps[1:] + ps[:1])]
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("l", [1, 2])
+def test_transport_matches_pointwise(d, l):
+    # e.subs(sigma) is sigma . e . sigma^-1 on every entry of u, n, ev, coev,
+    # mu and the four duality pieces, an operator or a polynomial
+    u, n, T, _ = duality_un(d, l)
+    ev, coev = ev_coev(T)
+    morphisms = (u, n, ev, coev, mu(d, 1, 2, l), *duality_pieces(d, l)[2:])
+    assert len(_operator_entries(morphisms)) == 12
+    for f in morphisms:
+        for name, sigma, inverse in _transports(d, l, f.src.all_vars + f.tgt.all_vars):
+            probes = _probes(d, sort_vars(sigma[v][1] for v in f.src.all_vars))
+            for e in (e for mat in (f.f0, f.f1) for row in mat for e in row):
+                moved, e = as_linop(e.subs(sigma), d), as_linop(e, d)
+                for g in probes:
+                    assert moved.apply(g) == e.apply(g.subs(inverse)).subs(sigma), (f, name, e, g)
+
+
+def test_transport_rejects_a_map_that_cannot_be_inverted():
+    G = residue_op(exact_div(Y**3 - Z**3, Y - Z))
+    for bad in ({"y": None}, {"y": (0, "y")}, {"y": (1, "z")}, {"x": (1, "w"), "y": (1, "w")}):
+        with pytest.raises(VariableMismatch):
+            G.subs(bad)
+    # a polynomial keeps its kill maps
+    assert (X + Y).subs({"y": None}) == X
 
 
 def test_collapse_through_eliminated_variable():

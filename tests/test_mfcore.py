@@ -45,7 +45,7 @@ from permfact.mfcore import (
     verify_factorisation,
     zigzag_morphisms,
 )
-from permfact.linop import LinOp, ResidueCore, Subst, as_linop
+from permfact.linop import LinOp, ResidueCore, as_linop
 from permfact.polyring import MPoly, exact_div, exponents, perm_product
 
 TENSOR_PINS = Path(__file__).parent / "reference" / "tensor-blocks.d5.json"
@@ -563,20 +563,20 @@ class TestTwists:
 
     @pytest.mark.parametrize("a", [1, 3])
     def test_twist_of_a_polynomial_entry(self, a):
-        # sec_l: M -> I (x) M has nonconstant polynomial entries and every
-        # source variable is a target variable: p twists to out_map(p)
+        # sec_l: M -> I (x) M has nonconstant polynomial entries: p twists to
+        # the multiplication by sigma(p), sigma . p . sigma^-1
         d = 5
         M = perm_mf(d, {1, 2}, "x", "z")
         sec_l, _ = unit_sections(M)
         tw = twist_morphism(sec_l, a)
         assert tw.is_cycle()
         e, einv = eta_power(d, a), eta_power(d, -a)
-        out_map = Subst(d, {v: (e, v) for v in sec_l.tgt.all_vars})
-        in_map = Subst(d, {v: (einv, v) for v in sec_l.src.all_vars})
+        sigma = {v: (e, v) for v in sec_l.tgt.all_vars}
+        inverse = {v: (einv, v) for v in sec_l.src.all_vars}
         g = MPoly.var(d, "x") ** 2 * MPoly.var(d, "z") + 1  # a source polynomial
         for p, q in zip(_entries(sec_l), _entries(tw)):
-            assert isinstance(q, MPoly) and q == out_map.apply(p)
-            assert q * g == as_linop(p, d).conjugated(out_map, in_map).apply(g)
+            assert isinstance(q, MPoly) and q == p.subs(sigma)
+            assert q * g == as_linop(p, d).subs(sigma).apply(g) == (p * g.subs(inverse)).subs(sigma)
 
     def test_twist_morphism_functorial(self):
         d = 5
@@ -675,6 +675,26 @@ class TestSubsetValidation:
         with pytest.raises(TypeError, match="must be an int"):
             perm_mf(5, [2, bad])
         assert perm_mf(5, {1}) is perm_mf(5, [6])
+
+
+class TestTransportMaps:
+    """substituted and renamed take only a map they can invert."""
+
+    def test_renaming_two_variables_onto_one_name_raises(self):
+        # renamed({"x": "y"}) used to return MatrixBifact(d=5, y||y) with d1 = 0,
+        # which verify_factorisation accepted
+        with pytest.raises(VariableMismatch, match="to one name"):
+            perm_mf(5, {0, 1}).renamed({"x": "y"})
+
+    def test_a_zero_image_raises(self):
+        # it used to keep the name x and kill the variable
+        with pytest.raises(VariableMismatch, match="must not kill 'x'"):
+            perm_mf(5, {0, 1}).substituted({"x": (0, "x")})
+
+    def test_a_none_image_raises(self):
+        # it used to die in a subscript of None
+        with pytest.raises(VariableMismatch, match="must not kill 'x'"):
+            perm_mf(5, {0, 1}).substituted({"x": None})
 
 
 class TestTwistLabels:
